@@ -29,7 +29,14 @@ from .formats import (
     read_logits,
     write_logits,
 )
-from .graph import DEFAULT_WORD_MARKER, build_graph, load_bias_list, load_vocab, tokenize
+from .graph import (
+    DEFAULT_WORD_MARKER,
+    build_graph,
+    load_bias_list,
+    load_bias_surfaces,
+    load_vocab,
+    tokenize,
+)
 from .merge import MergePolicy
 from .metrics import (
     ChunkTiming,
@@ -93,7 +100,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="WER and keyword F-score")
     p_eval.add_argument("--refs", required=True, help="reference transcripts, one per line")
     p_eval.add_argument("--hyps", required=True, help="hypothesis transcripts, one per line")
-    p_eval.add_argument("--bias", required=True)
+    p_eval.add_argument("--bias", required=True, help="bias list; only the surfaces are read")
     p_eval.add_argument("--per-keyword", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -285,11 +292,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     hyps = _read_transcripts(args.hyps)
     if len(refs) != len(hyps):
         raise FormatError(f"{len(refs)} references vs {len(hyps)} hypotheses")
-    entries = load_bias_list(args.bias)
+    surfaces = load_bias_surfaces(args.bias)
     _emit(_manifest(args))
     overall = corpus_wer(refs, hyps)
     _emit({"type": "wer", "wer": overall, "utterances": len(refs)})
-    report = keyword_prf(refs, hyps, entries)
+    report = keyword_prf(refs, hyps, surfaces)
     for record in report.to_records():
         if record["scope"] == "all" or args.per_keyword:
             _emit(record)

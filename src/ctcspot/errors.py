@@ -37,7 +37,14 @@ class UnsortedInput(CtcspotError):
 
 
 class FrontierRegression(CtcspotError):
-    """The spot frontier moved backwards between commit steps (caller bug)."""
+    """The spot frontier moved backwards between commit steps (caller bug)
+    or between chunks of a session."""
+
+
+class InvariantViolation(CtcspotError):
+    """A session or commit invariant failed: finalized candidates overlap,
+    a candidate is still held after flush, or the commit boundary moved
+    backwards. Raised instead of ``assert`` so that ``python -O`` keeps it."""
 
 
 class FormatError(CtcspotError):
@@ -54,6 +61,10 @@ class TruncatedPayload(FormatError):
 
 class UnnormalizedRows(FormatError):
     """Log-probability rows do not sum to one after exponentiation."""
+
+
+class NonFiniteRows(FormatError):
+    """Log-probability rows contain NaN or +inf (-inf is a legal log 0)."""
 
 
 class OverlappingWords(FormatError):

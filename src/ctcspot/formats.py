@@ -28,6 +28,7 @@ from .errors import (
     ChunkTooSmall,
     FormatError,
     NegativeInterval,
+    NonFiniteRows,
     OverlappingWords,
     ProtocolError,
     TruncatedPayload,
@@ -52,11 +53,16 @@ def row_norm_error(matrix: np.ndarray) -> float:
 
 
 def validate_logprob_matrix(matrix: np.ndarray, strict: bool = True) -> None:
+    """Raise on a malformed matrix or on NaN / +inf cells (-inf is a legal
+    log 0); unnormalized rows raise in strict mode and warn otherwise."""
     lp = np.asarray(matrix, dtype=float)
     if lp.ndim != 2:
         raise FormatError(f"log-probability matrix must be 2-d, got shape {lp.shape}")
     if lp.shape[1] < 2:
         raise FormatError(f"vocabulary size {lp.shape[1]} is too small")
+    if lp.size and not lp.max() < np.inf:  # max propagates NaN and +inf
+        rows = np.flatnonzero(~(lp < np.inf).all(axis=1))
+        raise NonFiniteRows(f"rows {rows[:5].tolist()} hold NaN or +inf (not finite)")
     err = row_norm_error(lp)
     if err > ROW_NORM_TOL:
         message = f"rows deviate from a normalized distribution by {err:.3g}"
@@ -77,7 +83,8 @@ def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> Non
 def read_logits(path: str, strict: bool = False) -> tuple[np.ndarray, float]:
     """Returns (float64 matrix, frame_duration_ms).
 
-    Row normalization problems raise in strict mode and warn otherwise.
+    NaN or +inf cells always raise; row normalization problems raise in
+    strict mode and warn otherwise.
     """
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)

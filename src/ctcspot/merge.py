@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .aligner import WordAlignment
-from .errors import FrontierRegression, UnsortedInput
+from .errors import FrontierRegression, InvariantViolation, UnsortedInput
 from .spotter import SpottedCandidate
 from .streaming import SpotChunkResult
 
@@ -183,7 +183,8 @@ def commit_step(
             if start < cut <= end:
                 cut = start
                 moved = True
-    assert cut >= state._boundary, "commit boundary regressed"
+    if cut < state._boundary:
+        raise InvariantViolation(f"commit boundary moved from {state._boundary} back to {cut}")
 
     ready_words = [w for w in state._words if w.end_frame < cut]
     ready_cands = [c for c in state._cands if c.end_frame < cut]

@@ -8,6 +8,14 @@ hypotheses landing on the same (node, sub-state) recombine keeping the
 best score, and survivors of beam pruning and the age cap that sit on a
 terminal node are reported as keyword candidates.
 
+The search reads only the graph's frozen :class:`~ctcspot.graph.SearchTable`.
+Fresh-entry scores are computed per chunk with numpy; per frame, only the
+entries at or above the admission floor ``max(min_per_frame_score, best -
+beam_threshold)`` are inserted, and a live hypothesis below the floor on a
+root-child slot is pruned when a strictly better fresh entry would have
+displaced it. Any other fresh entry would be pruned at age 1 anyway, so the
+result equals admitting every root child.
+
 The per-frame step below drives both :func:`spot_offline` and the chunked
 session in :mod:`ctcspot.streaming`. Sharing it is what makes the two
 paths score identically for any chunking of the input.
@@ -15,13 +23,14 @@ paths score identically for any chunking of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .graph import ContextGraph
+from .errors import DimensionMismatch, NonFiniteRows
+from .graph import ContextGraph, SearchTable
 
 
 @dataclass(frozen=True)
@@ -43,8 +52,12 @@ class SpotterConfig:
     blank_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.beam_threshold < 0:
-            raise ValueError("beam_threshold must be non-negative")
+        if not math.isfinite(self.cb_weight):
+            raise ValueError("cb_weight must be finite")
+        if math.isnan(self.min_per_frame_score):
+            raise ValueError("min_per_frame_score must not be NaN")
+        if not self.beam_threshold >= 0:
+            raise ValueError("beam_threshold must be non-negative, not NaN")
         if self.max_keyword_frames < 1:
             raise ValueError("max_keyword_frames must be at least 1")
 
@@ -83,20 +96,25 @@ _State = dict[int, tuple[float, int]]
 def _step_frame(
     state: _State,
     row: Sequence[float],
+    fresh: np.ndarray,
+    fresh_best: float,
     t: int,
-    children: list[dict[int, int]],
-    tokens: list[int],
-    terminals: list[int],
-    root_children: list[tuple[int, int]],
+    table: SearchTable,
     cfg: SpotterConfig,
     blank_id: int,
 ) -> tuple[_State, list[SpottedCandidate]]:
     """Advance every hypothesis one frame; returns (survivors, candidates).
 
+    ``fresh`` holds this frame's score of a fresh entry at each root child
+    (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of this frame.
     """
     cb = cfg.cb_weight
+    tokens = table.tokens
+    first_child = table.first_child
+    next_sibling = table.next_sibling
+    terminals = table.terminals
     lp_blank = row[blank_id]
     nxt: _State = {}
 
@@ -117,29 +135,39 @@ def _step_frame(
             prev = nxt.get(k)
             if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
                 nxt[k] = (s, start)
-        for ctok, cnode in children[node].items():
+        child = first_child[node]
+        while child >= 0:
+            ctok = tokens[child]
             if in_blank or ctok != ntok:
-                k = cnode << 1
+                k = child << 1
                 s = score + row[ctok] + cb
                 prev = nxt.get(k)
                 if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
                     nxt[k] = (s, start)
+            child = next_sibling[child]
 
-    # fresh hypotheses enter the graph at every frame
-    for ctok, cnode in root_children:
-        k = cnode << 1
-        s = row[ctok] + cb
-        prev = nxt.get(k)
-        if prev is None or s > prev[0]:
-            nxt[k] = (s, t)
-
-    if not nxt:
-        return {}, []
-
-    best = max(v[0] for v in nxt.values())
+    # Fresh hypotheses enter at every root child, but a fresh entry is one
+    # frame old, so it survives pruning only at or above the age-1 floor.
+    # The frame's best score counts every fresh entry, so only two kinds can
+    # change the outcome: entries at or above the floor, admitted here, and
+    # entries below it on a slot propagation filled. Such an entry replaces
+    # the live one only when strictly greater (ties keep the earlier start)
+    # and is then pruned itself, so the live one is dropped in pruning below.
+    best = max(max(nxt.values())[0], fresh_best) if nxt else fresh_best
     beam_floor = best - cfg.beam_threshold
-    max_age = cfg.max_keyword_frames
     min_pfs = cfg.min_per_frame_score
+    floor = max(min_pfs, beam_floor)
+    if fresh_best >= floor:
+        admitted = (fresh >= floor).nonzero()[0]
+        root_keys = table.root_keys
+        for i, s in zip(admitted.tolist(), fresh[admitted].tolist()):
+            k = root_keys[i]
+            prev = nxt.get(k)
+            if prev is None or s > prev[0]:
+                nxt[k] = (s, t)
+
+    root_slot = table.root_slot
+    max_age = cfg.max_keyword_frames
     survivors: _State = {}
     at_terminal: dict[int, tuple[float, int]] = {}
     for key, val in nxt.items():
@@ -147,6 +175,10 @@ def _step_frame(
         age = t - start + 1
         if score < beam_floor or age > max_age or score < min_pfs * age:
             continue
+        if score < floor:  # never a fresh entry, which is admitted at or above it
+            i = root_slot.get(key)
+            if i is not None and fresh[i] > score:
+                continue
         survivors[key] = val
         node = key >> 1
         if terminals[node] >= 0:
@@ -162,14 +194,29 @@ def _step_frame(
     return survivors, cands
 
 
-def _graph_tables(
-    graph: ContextGraph,
-) -> tuple[list[dict[int, int]], list[int], list[int], list[tuple[int, int]]]:
-    children = graph._children
-    tokens = graph._token
-    terminals = graph._terminal
-    root_children = list(children[0].items())
-    return children, tokens, terminals, root_children
+def _search(
+    state: _State,
+    lp: np.ndarray,
+    first_frame: int,
+    table: SearchTable,
+    cfg: SpotterConfig,
+    blank_id: int,
+) -> Iterator[tuple[_State, list[SpottedCandidate]]]:
+    """Run :func:`_step_frame` over the rows of ``lp`` (frames
+    ``first_frame``, ...); yields (survivors, candidates) after each frame.
+
+    Rejects NaN and +inf cells before the first frame: a NaN score fails
+    every prune compare, so its hypothesis would never retire.
+    """
+    if lp.shape[0] and not lp.max() < np.inf:
+        raise NonFiniteRows("log-probabilities contain NaN or +inf (not finite)")
+    fresh = lp[:, table.root_tok] + cfg.cb_weight
+    fresh_best = fresh.max(axis=1, initial=-np.inf).tolist()
+    for i in range(lp.shape[0]):
+        state, cands = _step_frame(
+            state, lp[i].tolist(), fresh[i], fresh_best[i], first_frame + i, table, cfg, blank_id
+        )
+        yield state, cands
 
 
 def _check_dims(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int:
@@ -193,16 +240,10 @@ def spot_offline(
     lp = np.asarray(logprobs, dtype=float)
     if lp.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {lp.shape}")
-    n_frames, vocab_size = lp.shape
+    vocab_size = lp.shape[1]
     blank = _check_dims(graph, vocab_size, cfg)
-    children, tokens, terminals, root_children = _graph_tables(graph)
-
-    state: _State = {}
     out: list[SpottedCandidate] = []
-    for t in range(n_frames):
-        state, cands = _step_frame(
-            state, lp[t].tolist(), t, children, tokens, terminals, root_children, cfg, blank
-        )
+    for _, cands in _search({}, lp, 0, graph.table, cfg, blank):
         out.extend(cands)
     return out
 

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SessionClosed
+from .errors import DimensionMismatch, FrontierRegression, InvariantViolation, SessionClosed
 from .graph import ContextGraph
-from .spotter import (
-    SpotterConfig,
-    SpottedCandidate,
-    _check_dims,
-    _graph_tables,
-    _greedy_order,
-    _step_frame,
-)
+from .spotter import SpotterConfig, SpottedCandidate, _check_dims, _greedy_order, _search
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ class SpotterSession:
     def __init__(self, graph: ContextGraph, cfg: SpotterConfig | None = None) -> None:
         self.graph = graph
         self.cfg = cfg or SpotterConfig()
-        self._tables = _graph_tables(graph)
         self._state: dict[int, tuple[float, int]] = {}
         self._pending: list[SpottedCandidate] = []
         self._frames = 0
@@ -140,21 +132,10 @@ class SpotterSession:
         n_frames = lp.shape[0]
         if n_frames > 0:
             self._resolve_dims(lp.shape[1])
-            children, tokens, terminals, root_children = self._tables
-            for i in range(n_frames):
-                self._state, cands = _step_frame(
-                    self._state,
-                    lp[i].tolist(),
-                    self._frames,
-                    children,
-                    tokens,
-                    terminals,
-                    root_children,
-                    self.cfg,
-                    self._blank,
-                )
-                self._frames += 1
+            frames = _search(self._state, lp, self._frames, self.graph.table, self.cfg, self._blank)
+            for self._state, cands in frames:
                 self._pending.extend(cands)
+            self._frames += n_frames
         return self._finalize_step()
 
     def flush(self) -> SpotChunkResult:
@@ -163,16 +144,22 @@ class SpotterSession:
         self._closed = True
         self._state = {}
         result = self._finalize_step()
-        assert not result.held_preview.candidates
+        if result.held_preview.candidates:
+            raise InvariantViolation("candidates still held after flush")
         return result
 
     def _finalize_step(self) -> SpotChunkResult:
         frontier = min((v[1] for v in self._state.values()), default=self._frames)
-        assert frontier >= self._frontier, "frontier regressed"
+        if frontier < self._frontier:
+            raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
         self._frontier = frontier
         finalized, self._pending = _settle(self._pending, frontier)
         if finalized:
-            assert finalized[0].start_frame > self._last_final_end, "finalized overlap"
+            if finalized[0].start_frame <= self._last_final_end:
+                raise InvariantViolation(
+                    f"finalized candidate starting at {finalized[0].start_frame} overlaps one "
+                    f"ending at {self._last_final_end}"
+                )
             self._last_final_end = finalized[-1].end_frame
         return SpotChunkResult(
             new_frontier=frontier,

@@ -92,3 +92,83 @@ def collapse(labels, blank) -> list[int]:
 
 def cand_key(c) -> tuple:
     return (c.keyword_id, c.start_frame, c.end_frame, round(c.score, 9))
+
+
+def reference_tables(graph) -> tuple:
+    """Per-node child dicts, tokens, terminals (-1 for none) and root
+    children, read through the graph's public accessors."""
+    nodes = range(graph.num_nodes)
+    children = [graph.children(n) for n in nodes]
+    terminals = [
+        -1 if graph.terminal_keyword(n) is None else graph.terminal_keyword(n) for n in nodes
+    ]
+    return children, [graph.token(n) for n in nodes], terminals, list(children[0].items())
+
+
+def reference_step_frame(state, row, t, children, tokens, terminals, root_children, cfg, blank_id):
+    """The search step with full fresh-entry admission: every root child
+    gets a fresh hypothesis on every frame, then recombination and pruning
+    decide. The package's step admits fewer and must return the same
+    (survivors, candidates)."""
+    from ctcspot import SpottedCandidate
+
+    cb = cfg.cb_weight
+    lp_blank = row[blank_id]
+    nxt = {}
+
+    for key, (score, start) in state.items():
+        node = key >> 1
+        ntok = tokens[node]
+        k = (node << 1) | 1
+        s = score + lp_blank
+        prev = nxt.get(k)
+        if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+            nxt[k] = (s, start)
+        in_blank = key & 1
+        if not in_blank:
+            k = node << 1
+            s = score + row[ntok]
+            prev = nxt.get(k)
+            if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                nxt[k] = (s, start)
+        for ctok, cnode in children[node].items():
+            if in_blank or ctok != ntok:
+                k = cnode << 1
+                s = score + row[ctok] + cb
+                prev = nxt.get(k)
+                if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                    nxt[k] = (s, start)
+
+    for ctok, cnode in root_children:
+        k = cnode << 1
+        s = row[ctok] + cb
+        prev = nxt.get(k)
+        if prev is None or s > prev[0]:
+            nxt[k] = (s, t)
+
+    if not nxt:
+        return {}, []
+
+    best = max(v[0] for v in nxt.values())
+    beam_floor = best - cfg.beam_threshold
+    max_age = cfg.max_keyword_frames
+    min_pfs = cfg.min_per_frame_score
+    survivors = {}
+    at_terminal = {}
+    for key, val in nxt.items():
+        score, start = val
+        age = t - start + 1
+        if score < beam_floor or age > max_age or score < min_pfs * age:
+            continue
+        survivors[key] = val
+        node = key >> 1
+        if terminals[node] >= 0:
+            prev = at_terminal.get(node)
+            if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):
+                at_terminal[node] = val
+
+    cands = [
+        SpottedCandidate(terminals[node], start, t, score)
+        for node, (score, start) in at_terminal.items()
+    ]
+    return survivors, cands

@@ -162,6 +162,19 @@ def test_stream_envelope_without_end_is_partial(tmp_path, capsys, monkeypatch):
     assert final["transcript"] == "play now"
 
 
+def test_stream_envelope_rejects_non_finite_chunk(tmp_path, capsys, monkeypatch):
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    chunks = [matrix[i : i + 4].copy() for i in range(0, matrix.shape[0], 4)]
+    chunks[1][2, 1] = float("nan")  # one cell of a root-child token column
+    buf = io.StringIO()
+    write_envelope(buf, chunks)
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab, "--bias", bias]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_stream_with_external_alignments(tmp_path, capsys):
     logits, _ = _synth_logits(tmp_path)
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
@@ -191,6 +204,17 @@ def test_eval_identity_and_reference_counts(tmp_path, capsys):
 
     hyps.write_text("play halsey now\n", encoding="utf-8")
     assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--bias", bias]) == 2
+
+
+def test_eval_accepts_surfaces_only_bias_list(tmp_path, capsys):
+    refs = tmp_path / "refs.txt"
+    hyps = tmp_path / "hyps.txt"
+    refs.write_text("play halsey now\n", encoding="utf-8")
+    hyps.write_text("play now\n", encoding="utf-8")
+    bias = _write_bias(tmp_path, ["# surfaces only\n", "halsey\n", "justin bieber\t3,4\n"])
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--bias", bias]) == 0
+    agg = next(r for r in _records(capsys) if r["type"] == "keyword_metrics")
+    assert agg["recall"] == 0.0
 
 
 def test_eval_prints_reference_fscore_from_counts(tmp_path, capsys):

@@ -9,6 +9,7 @@ from ctcspot.errors import (
     ChunkTooSmall,
     FormatError,
     NegativeInterval,
+    NonFiniteRows,
     OverlappingWords,
     ProtocolError,
     TruncatedPayload,
@@ -19,6 +20,7 @@ from ctcspot.formats import (
     read_alignments,
     read_envelope,
     read_logits,
+    validate_logprob_matrix,
     write_alignments,
     write_envelope,
     write_logits,
@@ -88,6 +90,29 @@ def test_unnormalized_rows_strictness(tmp_path):
         read_logits(path)
     with pytest.raises(UnnormalizedRows):
         read_logits(path, strict=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_rejected_even_when_lenient(tmp_path, bad):
+    rng = np.random.default_rng(6)
+    matrix = random_logprobs(rng, 4, 4)
+    matrix[2, 1] = bad
+    for strict in (True, False):
+        with pytest.raises(NonFiniteRows):
+            validate_logprob_matrix(matrix, strict=strict)
+    path = tmp_path / "x.ctcl"
+    write_logits(str(path), random_logprobs(rng, 4, 4), 40.0)
+    blob = bytearray(path.read_bytes())
+    blob[20 + 4 * 9 : 20 + 4 * 10] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NonFiniteRows):
+        read_logits(str(path))
+
+
+def test_minus_infinity_cells_stay_legal():
+    half = np.log(0.5)
+    matrix = np.array([[half, half, -np.inf], [-np.inf, -np.inf, 0.0]])
+    validate_logprob_matrix(matrix, strict=True)
 
 
 def test_chunker():

@@ -2,6 +2,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctcspot import (
     BiasEntry,
@@ -13,9 +15,15 @@ from ctcspot import (
     dedup_overlaps,
     spot_offline,
 )
-from ctcspot.errors import DimensionMismatch
+from ctcspot.errors import DimensionMismatch, NonFiniteRows
+from ctcspot.spotter import _search
 
-from conftest import random_entries, random_logprobs
+from conftest import (
+    random_entries,
+    random_logprobs,
+    reference_step_frame,
+    reference_tables,
+)
 
 NO_PRUNE = dict(beam_threshold=float("inf"), min_per_frame_score=float("-inf"),
                 max_keyword_frames=10_000)
@@ -76,6 +84,26 @@ def test_token_id_outside_matrix_width():
     graph = build_graph([BiasEntry(0, "kw", (7,))])
     with pytest.raises(DimensionMismatch):
         spot_offline(lp, graph, SpotterConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_rejected(bad):
+    lp = random_logprobs(np.random.default_rng(0), 6, 4)
+    lp[4, 0] = bad
+    graph = build_graph([BiasEntry(0, "kw", (0,))], vocab_size=4)
+    with pytest.raises(NonFiniteRows):
+        spot_offline(lp, graph, SpotterConfig(blank_id=3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cb_weight", float("nan")), ("cb_weight", float("inf")),
+    ("beam_threshold", float("nan")), ("beam_threshold", -1.0),
+    ("min_per_frame_score", float("nan")), ("max_keyword_frames", 0),
+])
+def test_config_rejects_invalid_values(field, value):
+    # a NaN score or floor fails every compare, so hypotheses would never retire
+    with pytest.raises(ValueError):
+        SpotterConfig(**{field: value})
 
 
 def test_oracle_equivalence_randomized():
@@ -189,3 +217,70 @@ def test_dedup_tie_prefers_longer_then_smaller_keyword():
     a = _cand(3, 2, 4, -1.0)
     b = _cand(1, 2, 4, -1.0)
     assert dedup_overlaps([a, b]) == [b]
+
+
+# A few distinct cell values make score ties between hypotheses common.
+CELLS = [float("-inf"), -4.0, -2.0, -1.0, -0.5, 0.0]
+
+
+@st.composite
+def search_cases(draw):
+    vocab = draw(st.integers(2, 5))
+    blank = draw(st.integers(0, vocab - 1))
+    usable = [t for t in range(vocab) if t != blank]
+    phrases = draw(
+        st.lists(st.lists(st.sampled_from(usable), min_size=1, max_size=3), max_size=6)
+    )
+    unique = list(dict.fromkeys(tuple(p) for p in phrases))
+    entries = [BiasEntry(i, f"kw{i}", p) for i, p in enumerate(unique)]
+    n_frames = draw(st.integers(1, 14))
+    cells = st.one_of(st.sampled_from(CELLS), st.floats(-6.0, 0.0))
+    lp = np.array(
+        draw(st.lists(st.lists(cells, min_size=vocab, max_size=vocab),
+                      min_size=n_frames, max_size=n_frames))
+    )
+    cfg = SpotterConfig(
+        cb_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        beam_threshold=draw(st.sampled_from([0.0, 0.5, 2.0, 7.0, float("inf")])),
+        min_per_frame_score=draw(st.sampled_from([float("-inf"), -5.0, -1.0, 0.0, 0.5])),
+        max_keyword_frames=draw(st.sampled_from([1, 2, 3, 200])),
+        blank_id=blank,
+    )
+    cuts = sorted([0, n_frames, *draw(st.lists(st.integers(0, n_frames), max_size=4))])
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]  # repeated cuts give empty chunks
+    return build_graph(entries, vocab_size=vocab), lp, cfg, sizes
+
+
+def _cand_keys(cands):
+    return sorted((c.keyword_id, c.start_frame, c.end_frame, c.score) for c in cands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+@example((  # empty graph
+    build_graph([]), np.zeros((3, 2)), SpotterConfig(blank_id=1), [1, 0, 2],
+))
+@example((  # one root child refreshes its own live slot with a tie
+    build_graph([BiasEntry(0, "a", (0,)), BiasEntry(1, "ab", (0, 1))]),
+    np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0], [float("-inf"), -1.0, 0.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=0.0, min_per_frame_score=-1.0,
+                  max_keyword_frames=1, blank_id=2),
+    [2, 1],
+))
+def test_exact_admission_matches_full_admission(case):
+    """Frame by frame over any chunking, the search admitting only fresh
+    entries at or above the floor (or on a slot propagation filled) keeps
+    the same survivors and candidates as admitting every root child."""
+    graph, lp, cfg, sizes = case
+    tables = reference_tables(graph)
+    state, ref_state = {}, {}
+    t = 0
+    for n in sizes:
+        for state, cands in _search(state, lp[t : t + n], t, graph.table, cfg, cfg.blank_id):
+            ref_state, ref_cands = reference_step_frame(
+                ref_state, lp[t].tolist(), t, *tables, cfg, cfg.blank_id
+            )
+            assert state == ref_state, t
+            assert _cand_keys(cands) == _cand_keys(ref_cands), t
+            t += 1
+    assert t == lp.shape[0]

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,7 @@ from ctcspot import (
     new_session,
     spot_offline,
 )
-from ctcspot.errors import DimensionMismatch, SessionClosed
+from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
 
 from conftest import cand_key, random_entries, random_logprobs, random_partition
 
@@ -198,3 +203,56 @@ def test_empty_chunk_is_a_no_op():
     after = (session.frames_seen, session.commit_frontier, session.active_count,
              session.pending_candidates)
     assert before == after
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_chunk_is_rejected(bad):
+    """A NaN hypothesis fails every prune compare and would pin the frontier."""
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    session = SpotterSession(graph, SpotterConfig(blank_id=3, **INVARIANT_CFG))
+    lp = random_logprobs(np.random.default_rng(9), 8, 4)
+    session.process_chunk(lp[:4])
+    state = (session.frames_seen, session.commit_frontier, session.active_tokens())
+    chunk = lp[4:].copy()
+    chunk[1, 0] = bad
+    with pytest.raises(NonFiniteRows):
+        session.process_chunk(chunk)
+    assert (session.frames_seen, session.commit_frontier, session.active_tokens()) == state
+
+
+def test_minus_infinity_cells_are_legal_in_a_chunk():
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG)
+    lp = random_logprobs(np.random.default_rng(10), 12, 4)
+    lp[3, 0] = lp[5, :3] = -np.inf
+    offline = dedup_overlaps(spot_offline(lp, graph, cfg))
+    streamed = _run_chunks(SpotterSession(graph, cfg), lp, [5, 7])
+    assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
+
+
+def test_session_invariant_survives_python_O():
+    """Session invariants raise typed errors, which ``python -O`` keeps."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from ctcspot import SpotterConfig, SpotterSession, build_graph
+        from ctcspot.errors import FrontierRegression
+
+        assert False, "asserts must be stripped in this interpreter"
+        session = SpotterSession(build_graph([]), SpotterConfig(blank_id=3))
+        session.process_chunk(np.log(np.full((4, 4), 0.25)))
+        session._frontier = 10  # a frontier ahead of every frame seen
+        try:
+            session.process_chunk(np.zeros((0, 4)))
+        except FrontierRegression:
+            print("raised")
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
