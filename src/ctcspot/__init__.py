@@ -13,7 +13,6 @@ from .graph import (
     DEFAULT_WORD_MARKER,
     BiasEntry,
     ContextGraph,
-    Transition,
     build_graph,
     load_bias_list,
     load_vocab,
@@ -36,13 +35,7 @@ from .metrics import (
 )
 from .pipeline import StreamingPipeline, offline_pipeline
 from .spotter import SpotterConfig, SpottedCandidate, dedup_overlaps, spot_offline
-from .streaming import (
-    ActiveToken,
-    HeldPreview,
-    SpotChunkResult,
-    SpotterSession,
-    new_session,
-)
+from .streaming import ActiveToken, HeldPreview, SpotChunkResult, SpotterSession
 from .synth import (
     ScriptSegment,
     SynthSpec,
@@ -77,7 +70,6 @@ __all__ = [
     "StreamingAligner",
     "StreamingPipeline",
     "SynthSpec",
-    "Transition",
     "WordAlignment",
     "brute_force_keyword_score",
     "brute_force_scores_by_end",
@@ -97,7 +89,6 @@ __all__ = [
     "load_vocab",
     "make_spec",
     "merge_region",
-    "new_session",
     "offline_pipeline",
     "runtime_report",
     "spot_offline",

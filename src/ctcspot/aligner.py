@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteRows
 from .graph import DEFAULT_WORD_MARKER
 
 
@@ -100,6 +100,9 @@ class StreamingAligner:
             )
         syms = lp.argmax(axis=1)
         chosen = lp[np.arange(n), syms]
+        # argmax picks a row's NaN or +inf cell, so the chosen cells show any
+        if not chosen.max() < np.inf:
+            raise NonFiniteRows("log-probabilities contain NaN or +inf (not finite)")
         closed: list[WordAlignment] = []
         marker = self._marker
         for i in range(n):

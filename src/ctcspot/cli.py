@@ -190,7 +190,7 @@ def cmd_spot(args: argparse.Namespace) -> int:
             {
                 "type": "candidate",
                 "keyword_id": cand.keyword_id,
-                "keyword": graph.surface(cand.keyword_id),
+                "keyword": graph.surfaces[cand.keyword_id],
                 "start_frame": cand.start_frame,
                 "end_frame": cand.end_frame,
                 "score": cand.score,
@@ -206,12 +206,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
         vocab_size = matrix.shape[1]
-        chunk_ms = args.chunk_ms
     else:
         frame_ms = args.frame_ms
         chunks = read_envelope(sys.stdin)
         vocab_size = None
-        chunk_ms = None
 
     pipeline = None
     timings: list[ChunkTiming] = []
@@ -231,8 +229,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                         continue  # cannot size the engine from an empty chunk
                     vocab_size = chunk.shape[1]
                 graph, cfg, policy, vocab, words = _engine_setup(args, vocab_size)
-                if chunk_ms is None:
-                    chunk_ms = chunk.shape[0] * frame_ms
                 pipeline = StreamingPipeline(
                     graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
                 )
@@ -276,6 +272,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
         }
     )
     if timings:
+        # envelope chunks may differ in length, so the report uses their mean
+        chunk_ms = (
+            args.chunk_ms if args.logits
+            else frame_ms * pipeline.spotter.frames_seen / len(timings)
+        )
         report = runtime_report(timings, chunk_ms)
         _emit(report.to_record())
         print(format_runtime_table(report), file=sys.stderr)

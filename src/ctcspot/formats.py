@@ -48,7 +48,9 @@ def row_norm_error(matrix: np.ndarray) -> float:
     if lp.shape[0] == 0:
         return 0.0
     peak = lp.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(lp - peak).sum(axis=1))
+    peak[peak == -np.inf] = 0.0  # an all -inf row sums to 0: log -inf, error inf
+    with np.errstate(divide="ignore"):
+        lse = peak[:, 0] + np.log(np.exp(lp - peak).sum(axis=1))
     return float(np.abs(lse).max())
 
 

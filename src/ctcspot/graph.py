@@ -1,20 +1,17 @@
-"""Trie context graph over tokenized biasing phrases, with CTC transitions.
+"""Trie context graph over tokenized biasing phrases.
 
 Each biasing phrase is stored as a root-to-leaf path of token ids; phrases
 sharing a token prefix share the prefix's node chain. :func:`build_graph`
 freezes the trie into one :class:`SearchTable` of flat per-node lists,
-which every search over the graph reads. Transition queries encode the CTC
-topology: blank and repeated-token emissions keep a hypothesis on its
-node, and an advance into a child that carries the same token id as the
-current node is only legal out of the blank sub-state (a blank must
-separate repeated tokens).
+which every search over the graph reads. The CTC rules over those lists
+live in one place, the per-frame step of :mod:`ctcspot.spotter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,17 +34,6 @@ class BiasEntry:
     keyword_id: int
     surface: str
     tokens: tuple[int, ...]
-
-
-class Transition(NamedTuple):
-    """One legal move out of a (node, sub-state) search point.
-
-    ``token`` is the emitted vocabulary token, or None for the blank symbol.
-    """
-
-    node: int
-    in_blank: bool
-    token: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +61,14 @@ class ContextGraph:
     """Immutable token trie built by :func:`build_graph`.
 
     Node 0 is the root and carries no token (token id -1). Safe for
-    concurrent readers once built; the search reads ``table``.
+    concurrent readers once built; the search reads ``table``, and
+    ``surfaces`` maps each keyword id to its surface text.
     """
 
-    def __init__(self, table: SearchTable, depths: list[int], entries: list[BiasEntry]) -> None:
+    def __init__(self, table: SearchTable, entries: list[BiasEntry]) -> None:
         self.table = table
-        self._depth = depths
-        self._surfaces = {e.keyword_id: e.surface for e in entries}
         self.entries = entries
+        self.surfaces = {e.keyword_id: e.surface for e in entries}
 
     # queries --------------------------------------------------------------
 
@@ -99,39 +85,6 @@ class ContextGraph:
         """Largest token id stored in the trie, -1 for an empty graph."""
         return max(self.table.tokens)
 
-    def token(self, node: int) -> int:
-        return self.table.tokens[node]
-
-    def depth(self, node: int) -> int:
-        return self._depth[node]
-
-    def children(self, node: int) -> dict[int, int]:
-        t = self.table
-        out = {}
-        child = t.first_child[node]
-        while child >= 0:
-            out[t.tokens[child]] = child
-            child = t.next_sibling[child]
-        return out
-
-    def terminal_keyword(self, node: int) -> int | None:
-        k = self.table.terminals[node]
-        return k if k >= 0 else None
-
-    def surface(self, keyword_id: int) -> str:
-        return self._surfaces[keyword_id]
-
-    def transitions(self, node: int, in_blank: bool) -> list[Transition]:
-        """All legal single-frame moves from (node, sub-state)."""
-        tok = self.table.tokens[node]
-        out = [Transition(node, True, None)]
-        if not in_blank and tok >= 0:
-            out.append(Transition(node, False, tok))
-        for ctok, cnode in self.children(node).items():
-            if in_blank or ctok != tok:
-                out.append(Transition(cnode, False, ctok))
-        return out
-
 
 def build_graph(
     entries: Iterable[BiasEntry],
@@ -144,7 +97,7 @@ def build_graph(
     their surfaces match and rejected otherwise. When ``vocab_size`` or
     ``blank_id`` are given, token ids are validated against them.
     """
-    tokens, first_child, next_sibling, terminals, depths = [-1], [-1], [-1], [-1], [0]
+    tokens, first_child, next_sibling, terminals = [-1], [-1], [-1], [-1]
     # child lookup while building, keyed by token << 32 | parent (node ids
     # stay below 2**32); dropped on return, so only the flat lists remain
     edges: dict[int, int] = {}
@@ -187,7 +140,6 @@ def build_graph(
                 next_sibling.append(first_child[node])
                 first_child[node] = child
                 terminals.append(-1)
-                depths.append(depths[node] + 1)
             node = child
         terminals[node] = entry.keyword_id
         kept.append(entry)
@@ -207,7 +159,7 @@ def build_graph(
         root_keys=root_keys,
         root_slot={k: i for i, k in enumerate(root_keys)},
     )
-    return ContextGraph(table, depths, kept)
+    return ContextGraph(table, kept)
 
 
 # vocabulary and bias-list files ------------------------------------------

@@ -149,11 +149,7 @@ class CommitState:
         return " ".join(w.word for w in self.emitted)
 
 
-def commit_step(
-    state: CommitState,
-    spot_result: SpotChunkResult,
-    policy: MergePolicy | None = None,
-) -> ChunkOutput:
+def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput:
     """Merge and emit every buffered word and candidate that is settled.
 
     The commit boundary starts at the spot frontier, is pulled back to the
@@ -161,7 +157,6 @@ def commit_step(
     below any buffered word or candidate it would split, so no interaction
     between a committed item and a held one is possible.
     """
-    policy = policy or state.policy
     if spot_result.new_frontier < state._spot_frontier:
         raise FrontierRegression(
             f"spot frontier moved from {state._spot_frontier} back to {spot_result.new_frontier}"
@@ -191,7 +186,7 @@ def commit_step(
     if ready_words or ready_cands:
         state._words = [w for w in state._words if w.end_frame >= cut]
         state._cands = [c for c in state._cands if c.end_frame >= cut]
-        delta = merge_region(ready_words, ready_cands, policy, state.surfaces)
+        delta = merge_region(ready_words, ready_cands, state.policy, state.surfaces)
         state.emitted.extend(delta)
     else:
         delta = []

@@ -194,18 +194,11 @@ def format_keyword_table(report: KeywordReport, per_keyword: bool = False) -> st
 
 @dataclass
 class ChunkTiming:
-    """Wall-clock cost of one chunk, milliseconds. total defaults to the
-    sum of the three steps."""
+    """Wall-clock cost of one chunk, milliseconds."""
 
     asr_ms: float = 0.0
     spot_ms: float = 0.0
     merge_ms: float = 0.0
-    total_ms: float | None = None
-
-    def resolved_total(self) -> float:
-        return self.total_ms if self.total_ms is not None else (
-            self.asr_ms + self.spot_ms + self.merge_ms
-        )
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -248,12 +241,10 @@ def runtime_report(timings: Sequence[ChunkTiming], chunk_ms: float) -> RuntimeRe
     for t in timings:
         if min(t.asr_ms, t.spot_ms, t.merge_ms) < 0:
             raise ValueError("negative step timing")
-        if t.resolved_total() + 1e-9 < t.spot_ms + t.merge_ms:
-            raise ValueError("total time below spot + merge")
     asr = [t.asr_ms for t in timings]
     spot = [t.spot_ms for t in timings]
     merge = [t.merge_ms for t in timings]
-    total = [t.resolved_total() for t in timings]
+    total = [t.asr_ms + t.spot_ms + t.merge_ms for t in timings]
     extra = [(s + m) for s, m in zip(spot, merge)]
     return RuntimeReport(
         chunk_ms=chunk_ms,

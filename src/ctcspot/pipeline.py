@@ -55,7 +55,7 @@ class StreamingPipeline:
         self.aligner = (
             StreamingAligner(vocab, self.cfg.blank_id, marker) if vocab is not None else None
         )
-        self.commit = CommitState(self.policy, {e.keyword_id: e.surface for e in graph.entries})
+        self.commit = CommitState(self.policy, graph.surfaces)
         if external_words is not None:
             self.commit.add_words(external_words)
         self.timings: list[StepTiming] = []
@@ -125,6 +125,5 @@ def offline_pipeline(
     else:
         words = list(external_words)
     candidates = dedup_overlaps(spot_offline(lp, graph, cfg))
-    surfaces = {e.keyword_id: e.surface for e in graph.entries}
-    merged = merge_region(words, candidates, policy, surfaces)
+    merged = merge_region(words, candidates, policy, graph.surfaces)
     return " ".join(w.word for w in merged), merged, candidates

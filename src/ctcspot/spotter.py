@@ -18,7 +18,9 @@ result equals admitting every root child.
 
 The per-frame step below drives both :func:`spot_offline` and the chunked
 session in :mod:`ctcspot.streaming`. Sharing it is what makes the two
-paths score identically for any chunking of the input.
+paths score identically for any chunking of the input. Likewise
+:func:`settle` is the one greedy de-overlap sweep: the session runs it at
+its commit frontier, :func:`dedup_overlaps` at infinity.
 """
 
 from __future__ import annotations
@@ -253,16 +255,40 @@ def _greedy_order(c: SpottedCandidate) -> tuple:
     return (-c.per_frame_score, -c.num_frames, c.keyword_id, c.start_frame, c.end_frame)
 
 
-def dedup_overlaps(candidates: Iterable[SpottedCandidate]) -> list[SpottedCandidate]:
-    """Keep the best-scoring candidate among time-overlapping detections.
+def _time_order(c: SpottedCandidate) -> tuple:
+    return (c.start_frame, c.end_frame, c.keyword_id)
 
-    Greedy sweep in order of per-frame score (ties: longer interval, then
-    smaller keyword id); a candidate is dropped iff it overlaps an already
-    kept, better-ranked one. Output is sorted by start frame.
+
+def settle(
+    pending: Iterable[SpottedCandidate], frontier: float
+) -> tuple[list[SpottedCandidate], list[SpottedCandidate]]:
+    """The greedy de-overlap sweep; returns (kept, held), each sorted by
+    start frame.
+
+    Candidates are visited in order of per-frame score (ties: longer
+    interval, then smaller keyword id). One overlapping a kept candidate is
+    dropped, as the whole-utterance sweep would drop it. One is held,
+    undecided, when it ends at or after ``frontier`` (every future
+    candidate starts at or after the frontier and might beat it) or
+    overlaps a held one; otherwise it is kept. With an infinite frontier
+    nothing is held and the sweep is the whole-utterance de-overlap.
     """
     kept: list[SpottedCandidate] = []
-    for cand in sorted(candidates, key=_greedy_order):
-        if not any(cand.overlaps(k) for k in kept):
+    held: list[SpottedCandidate] = []
+    for cand in sorted(pending, key=_greedy_order):
+        if any(cand.overlaps(k) for k in kept):
+            continue  # lost to a kept, better-ranked candidate
+        if cand.end_frame >= frontier or any(cand.overlaps(h) for h in held):
+            held.append(cand)
+        else:
             kept.append(cand)
-    kept.sort(key=lambda c: (c.start_frame, c.end_frame, c.keyword_id))
-    return kept
+    kept.sort(key=_time_order)
+    held.sort(key=_time_order)
+    return kept, held
+
+
+def dedup_overlaps(candidates: Iterable[SpottedCandidate]) -> list[SpottedCandidate]:
+    """Keep the best-scoring candidate among time-overlapping detections:
+    a candidate is dropped iff it overlaps an already kept, better-ranked
+    one (see :func:`settle`). Output is sorted by start frame."""
+    return settle(candidates, math.inf)[0]

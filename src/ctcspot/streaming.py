@@ -8,6 +8,8 @@ can begin before it. Recorded candidates are finalized once neither a live
 hypothesis nor another held candidate can overturn them, which keeps the
 stream of finalized candidates equal to whole-utterance spotting plus
 de-overlap for every possible chunking (given a large enough age cap).
+Finalizing runs the one greedy de-overlap sweep,
+:func:`ctcspot.spotter.settle`, at the session's frontier.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrontierRegression, InvariantViolation, SessionClosed
 from .graph import ContextGraph
-from .spotter import SpotterConfig, SpottedCandidate, _check_dims, _greedy_order, _search
+from .spotter import SpotterConfig, SpottedCandidate, _check_dims, _search, settle
 
 
 @dataclass(frozen=True)
@@ -45,32 +47,6 @@ class SpotChunkResult:
     new_frontier: int
     finalized: list[SpottedCandidate]
     held_preview: HeldPreview
-
-
-def _settle(
-    pending: list[SpottedCandidate], frontier: int
-) -> tuple[list[SpottedCandidate], list[SpottedCandidate]]:
-    """Split pending candidates into (finalized, still held).
-
-    Replays the whole-utterance de-overlap greedy sweep, but only commits
-    decisions no future candidate can overturn. Future candidates all start
-    at or after ``frontier``, so a would-be winner ending before the
-    frontier is safe unless it overlaps a held (undecided) candidate.
-    Losers to a committed winner are discarded outright, exactly as the
-    offline sweep would discard them.
-    """
-    keeps: list[SpottedCandidate] = []
-    held: list[SpottedCandidate] = []
-    for cand in sorted(pending, key=_greedy_order):
-        if any(cand.overlaps(k) for k in keeps):
-            continue  # lost to a committed winner
-        if cand.end_frame >= frontier or any(cand.overlaps(h) for h in held):
-            held.append(cand)
-        else:
-            keeps.append(cand)
-    keeps.sort(key=lambda c: (c.start_frame, c.end_frame, c.keyword_id))
-    held.sort(key=lambda c: (c.start_frame, c.end_frame, c.keyword_id))
-    return keeps, held
 
 
 class SpotterSession:
@@ -153,7 +129,7 @@ class SpotterSession:
         if frontier < self._frontier:
             raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
         self._frontier = frontier
-        finalized, self._pending = _settle(self._pending, frontier)
+        finalized, self._pending = settle(self._pending, frontier)
         if finalized:
             if finalized[0].start_frame <= self._last_final_end:
                 raise InvariantViolation(
@@ -166,7 +142,3 @@ class SpotterSession:
             finalized=finalized,
             held_preview=HeldPreview(tuple(self._pending), len(self._state)),
         )
-
-
-def new_session(graph: ContextGraph, cfg: SpotterConfig | None = None) -> SpotterSession:
-    return SpotterSession(graph, cfg)

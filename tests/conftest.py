@@ -94,15 +94,22 @@ def cand_key(c) -> tuple:
     return (c.keyword_id, c.start_frame, c.end_frame, round(c.score, 9))
 
 
+def child_map(table, node) -> dict[int, int]:
+    """{token: child node} of one trie node, walked along its sibling chain."""
+    out = {}
+    child = table.first_child[node]
+    while child >= 0:
+        out[table.tokens[child]] = child
+        child = table.next_sibling[child]
+    return out
+
+
 def reference_tables(graph) -> tuple:
     """Per-node child dicts, tokens, terminals (-1 for none) and root
-    children, read through the graph's public accessors."""
-    nodes = range(graph.num_nodes)
-    children = [graph.children(n) for n in nodes]
-    terminals = [
-        -1 if graph.terminal_keyword(n) is None else graph.terminal_keyword(n) for n in nodes
-    ]
-    return children, [graph.token(n) for n in nodes], terminals, list(children[0].items())
+    children, read from the graph's search table."""
+    table = graph.table
+    kids = [child_map(table, n) for n in range(graph.num_nodes)]
+    return kids, list(table.tokens), list(table.terminals), list(kids[0].items())
 
 
 def reference_step_frame(state, row, t, children, tokens, terminals, root_children, cfg, blank_id):

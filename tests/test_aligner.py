@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctcspot import StreamingAligner, greedy_decode
-from ctcspot.errors import DimensionMismatch
+from ctcspot.errors import DimensionMismatch, NonFiniteRows
 
 from conftest import MARKER, collapse, random_logprobs, synthetic_vocab
 
@@ -103,3 +103,17 @@ def test_vocab_width_mismatch():
     vocab = synthetic_vocab(4)
     with pytest.raises(DimensionMismatch):
         greedy_decode(random_logprobs(np.random.default_rng(0), 3, 5), vocab)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_chunk_rejected_before_any_state_changes(bad):
+    vocab = synthetic_vocab(4)
+    aligner = StreamingAligner(vocab, blank_id=3)
+    lp = random_logprobs(np.random.default_rng(2), 8, 4)
+    aligner.feed(lp[:4])
+    state = (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+    chunk = lp[4:].copy()
+    chunk[2, 0] = bad
+    with pytest.raises(NonFiniteRows):
+        aligner.feed(chunk)
+    assert state == (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)

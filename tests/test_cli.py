@@ -148,6 +148,20 @@ def test_stream_envelope_stdin(tmp_path, capsys, monkeypatch):
     assert final["transcript"] == "play halsey now"
 
 
+def test_stream_envelope_chunk_ms_is_the_mean_chunk(tmp_path, capsys, monkeypatch):
+    """A short first chunk must not set the chunk duration of the report."""
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    n = matrix.shape[0]
+    chunks = [matrix[:1]] + [matrix[i : i + 8] for i in range(1, n, 8)]
+    buf = io.StringIO()
+    write_envelope(buf, chunks)
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 0
+    report = next(r for r in _records(capsys) if r["type"] == "runtime_report")
+    assert report["chunk_ms"] == pytest.approx(n * 40.0 / len(chunks))
+
+
 def test_stream_envelope_without_end_is_partial(tmp_path, capsys, monkeypatch):
     _, matrix = _synth_logits(tmp_path)
     vocab = _write_vocab(tmp_path)

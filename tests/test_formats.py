@@ -20,6 +20,7 @@ from ctcspot.formats import (
     read_alignments,
     read_envelope,
     read_logits,
+    row_norm_error,
     validate_logprob_matrix,
     write_alignments,
     write_envelope,
@@ -113,6 +114,16 @@ def test_minus_infinity_cells_stay_legal():
     half = np.log(0.5)
     matrix = np.array([[half, half, -np.inf], [-np.inf, -np.inf, 0.0]])
     validate_logprob_matrix(matrix, strict=True)
+
+
+def test_all_minus_infinity_row_is_unnormalized():
+    half = np.log(0.5)
+    matrix = np.array([[half, half], [-np.inf, -np.inf]])
+    assert row_norm_error(matrix) == np.inf
+    with pytest.raises(UnnormalizedRows):
+        validate_logprob_matrix(matrix, strict=True)
+    with pytest.warns(UserWarning):
+        validate_logprob_matrix(matrix, strict=False)
 
 
 def test_chunker():

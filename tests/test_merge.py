@@ -14,7 +14,7 @@ from ctcspot import (
     merge_region,
     offline_pipeline,
 )
-from ctcspot.errors import FrontierRegression, UnsortedInput
+from ctcspot.errors import DimensionMismatch, FrontierRegression, NonFiniteRows, UnsortedInput
 from ctcspot.streaming import HeldPreview, SpotChunkResult
 
 from conftest import random_entries, random_logprobs, random_partition, synthetic_vocab
@@ -228,3 +228,22 @@ def test_no_bias_identity():
 
         expected = " ".join(w.word for w in greedy_decode(lp, vocab, blank_id=6))
         assert transcript == expected
+
+
+def test_rejected_chunk_leaves_aligner_and_spotter_in_step():
+    rng = np.random.default_rng(29)
+    vocab = synthetic_vocab(5, rng)
+    graph = build_graph(random_entries(rng, 3, vocab=5, blank=4))
+    lp = random_logprobs(rng, 8, 5)
+    bad = lp[4:].copy()
+    bad[1, 2] = np.nan
+    pipe = StreamingPipeline(graph, SpotterConfig(blank_id=4), vocab=vocab)
+    pipe.process_chunk(lp[:4])
+    with pytest.raises(NonFiniteRows):
+        pipe.process_chunk(bad)
+    assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 4
+
+    pipe = StreamingPipeline(graph, SpotterConfig(blank_id=4), vocab=vocab)
+    with pytest.raises(DimensionMismatch):
+        pipe.process_chunk(random_logprobs(rng, 4, 6))
+    assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 0

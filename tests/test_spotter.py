@@ -1,3 +1,4 @@
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -16,7 +17,7 @@ from ctcspot import (
     spot_offline,
 )
 from ctcspot.errors import DimensionMismatch, NonFiniteRows
-from ctcspot.spotter import _search
+from ctcspot.spotter import _search, settle
 
 from conftest import (
     random_entries,
@@ -194,6 +195,7 @@ def test_dedup_randomized_against_exhaustive_check():
             cands.append(SpottedCandidate(int(rng.integers(0, 4)), start, end,
                                           float(rng.normal()) * (end - start + 1)))
         kept = dedup_overlaps(cands)
+        assert settle(cands, math.inf) == (kept, [])
         for x in kept:
             for y in kept:
                 assert x is y or not x.overlaps(y)

@@ -12,7 +12,6 @@ from ctcspot import (
     SpotterSession,
     build_graph,
     dedup_overlaps,
-    new_session,
     spot_offline,
 )
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
@@ -53,7 +52,7 @@ def _run_chunks(session, lp, sizes):
 
 def test_fresh_and_empty_graph_sessions():
     graph = build_graph([])
-    session = new_session(graph, SpotterConfig())
+    session = SpotterSession(graph, SpotterConfig())
     assert session.active_count == 0
     res = session.flush()
     assert res.new_frontier == 0 and not res.finalized
@@ -65,7 +64,7 @@ def test_fresh_and_empty_graph_sessions():
 
 
 def test_double_flush_and_use_after_flush():
-    session = new_session(build_graph([]), SpotterConfig())
+    session = SpotterSession(build_graph([]), SpotterConfig())
     session.flush()
     with pytest.raises(SessionClosed):
         session.flush()
