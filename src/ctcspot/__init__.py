@@ -8,7 +8,8 @@ incrementally emitted transcript is stable and equal to processing the
 whole utterance at once.
 """
 
-from .aligner import StreamingAligner, WordAlignment, greedy_decode
+from .aligner import StreamingAligner, greedy_decode
+from .formats import WordAlignment
 from .graph import (
     DEFAULT_WORD_MARKER,
     BiasEntry,

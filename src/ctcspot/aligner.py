@@ -10,28 +10,18 @@ interior blanks included.
 
 The streaming form carries the previous argmax symbol and the open word
 across chunk boundaries; feeding the chunks of a matrix in order yields
-exactly the words of :func:`greedy_decode` on the whole matrix.
+exactly the words of :func:`greedy_decode` on the whole matrix. A chunk is
+checked by :func:`ctcspot.formats.check_logprobs` before any state changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteRows
+from .formats import WordAlignment, check_logprobs, resolve_blank
 from .graph import DEFAULT_WORD_MARKER
-
-
-@dataclass(frozen=True)
-class WordAlignment:
-    """A decoded word with its inclusive frame interval and path score."""
-
-    word: str
-    start_frame: int
-    end_frame: int
-    path_score: float
 
 
 class _OpenWord:
@@ -55,11 +45,7 @@ class StreamingAligner:
         marker: str = DEFAULT_WORD_MARKER,
     ) -> None:
         self._vocab = list(vocab)
-        if len(self._vocab) < 2:
-            raise DimensionMismatch(f"vocabulary size {len(self._vocab)} is too small")
-        self._blank = blank_id if blank_id is not None else len(self._vocab) - 1
-        if not 0 <= self._blank < len(self._vocab):
-            raise DimensionMismatch(f"blank id {blank_id} outside vocabulary")
+        self._blank = resolve_blank(blank_id, len(self._vocab))
         self._marker = marker
         self._prev = self._blank
         self._frames = 0
@@ -88,21 +74,12 @@ class StreamingAligner:
 
     def feed(self, logprobs: np.ndarray) -> list[WordAlignment]:
         """Consume one chunk; returns words completed by this chunk."""
-        lp = np.asarray(logprobs, dtype=float)
-        if lp.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d chunk, got shape {lp.shape}")
+        lp = check_logprobs(logprobs, len(self._vocab))
         n = lp.shape[0]
         if n == 0:
             return []
-        if lp.shape[1] != len(self._vocab):
-            raise DimensionMismatch(
-                f"chunk width {lp.shape[1]} != vocabulary size {len(self._vocab)}"
-            )
         syms = lp.argmax(axis=1)
         chosen = lp[np.arange(n), syms]
-        # argmax picks a row's NaN or +inf cell, so the chosen cells show any
-        if not chosen.max() < np.inf:
-            raise NonFiniteRows("log-probabilities contain NaN or +inf (not finite)")
         closed: list[WordAlignment] = []
         marker = self._marker
         for i in range(n):

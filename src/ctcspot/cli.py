@@ -27,6 +27,7 @@ from .formats import (
     read_alignments,
     read_envelope,
     read_logits,
+    resolve_blank,
     write_logits,
 )
 from .graph import (
@@ -154,7 +155,7 @@ def _engine_setup(args: argparse.Namespace, vocab_size: int):
         score_margin=args.score_margin,
         allow_insertion=not args.no_insertion,
     )
-    blank = cfg.resolve_blank(vocab_size)
+    blank = resolve_blank(cfg.blank_id, vocab_size)
     entries = (
         load_bias_list(args.bias, vocab=vocab, marker=args.marker, blank_id=blank)
         if args.bias
@@ -205,11 +206,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.logits:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
-        vocab_size = matrix.shape[1]
     else:
         frame_ms = args.frame_ms
         chunks = read_envelope(sys.stdin)
-        vocab_size = None
 
     pipeline = None
     timings: list[ChunkTiming] = []
@@ -224,11 +223,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 break
             feed_ms = (time.perf_counter() - t0) * 1e3
             if pipeline is None:
-                if vocab_size is None:
-                    if chunk.shape[0] == 0:
-                        continue  # cannot size the engine from an empty chunk
-                    vocab_size = chunk.shape[1]
-                graph, cfg, policy, vocab, words = _engine_setup(args, vocab_size)
+                if chunk.shape[0] == 0:
+                    continue  # cannot size the engine from an empty chunk
+                graph, cfg, policy, vocab, words = _engine_setup(args, chunk.shape[1])
                 pipeline = StreamingPipeline(
                     graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
                 )
@@ -309,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     vocab = load_vocab(args.vocab)
-    blank = args.blank_id if args.blank_id is not None else len(vocab) - 1
+    blank = resolve_blank(args.blank_id, len(vocab))
     token_seqs = [
         tokenize(word, vocab, args.marker, skip_ids={blank}) for word in args.text.split()
     ]

@@ -24,8 +24,8 @@ class TokenizationError(CtcspotError):
 
 
 class DimensionMismatch(CtcspotError):
-    """Log-probability matrix width disagrees with the graph, vocabulary
-    or blank id."""
+    """Log-probability matrix is not 2-d, or its width disagrees with the
+    stream, graph, vocabulary (fewer than 2 symbols) or blank id."""
 
 
 class SessionClosed(CtcspotError):

@@ -10,6 +10,10 @@ by exactly one ``{"type": "end"}``.
 
 External word alignments: tab-separated text, one record per word:
 ``word<TAB>start_frame<TAB>end_frame<TAB>path_score``; ``#`` comments.
+:class:`WordAlignment` is that record and the greedy aligner's output.
+
+The input rules of every entry point live here once: :func:`check_logprobs`
+and :func:`resolve_blank`.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ import base64
 import json
 import struct
 import warnings
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .aligner import WordAlignment
 from .errors import (
     BadMagic,
     ChunkTooSmall,
+    DimensionMismatch,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
@@ -42,6 +47,42 @@ _HEADER = struct.Struct("<4sIIIf")
 ROW_NORM_TOL = 1e-3
 
 
+@dataclass(frozen=True)
+class WordAlignment:
+    """A decoded word with its inclusive frame interval and path score."""
+
+    word: str
+    start_frame: int
+    end_frame: int
+    path_score: float
+
+
+def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Return the matrix as float64 if it is 2-d, as wide as ``width`` (an
+    empty chunk fits any) and free of NaN and +inf; -inf is a legal log 0.
+    Run before any state changes: a NaN score fails every prune compare."""
+    lp = np.asarray(matrix, dtype=float)
+    if lp.ndim != 2:
+        raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
+    if width is not None and lp.shape[0] and lp.shape[1] != width:
+        raise DimensionMismatch(f"chunk width {lp.shape[1]} != expected width {width}")
+    if lp.size and not lp.max() < np.inf:  # max propagates NaN and +inf
+        rows = np.flatnonzero(~(lp < np.inf).all(axis=1))
+        raise NonFiniteRows(f"rows {rows[:5].tolist()} hold NaN or +inf (not finite)")
+    return lp
+
+
+def resolve_blank(blank_id: int | None, vocab_size: int) -> int:
+    """The blank rule: a vocabulary holds at least 2 symbols, the blank
+    defaults to the last one and must lie inside it."""
+    if vocab_size < 2:
+        raise DimensionMismatch(f"vocabulary size {vocab_size} is too small")
+    blank = blank_id if blank_id is not None else vocab_size - 1
+    if not 0 <= blank < vocab_size:
+        raise DimensionMismatch(f"blank id {blank} outside vocabulary of size {vocab_size}")
+    return blank
+
+
 def row_norm_error(matrix: np.ndarray) -> float:
     """Largest |log sum exp| over rows; 0.0 for an empty matrix."""
     lp = np.asarray(matrix, dtype=float)
@@ -55,16 +96,10 @@ def row_norm_error(matrix: np.ndarray) -> float:
 
 
 def validate_logprob_matrix(matrix: np.ndarray, strict: bool = True) -> None:
-    """Raise on a malformed matrix or on NaN / +inf cells (-inf is a legal
-    log 0); unnormalized rows raise in strict mode and warn otherwise."""
-    lp = np.asarray(matrix, dtype=float)
-    if lp.ndim != 2:
-        raise FormatError(f"log-probability matrix must be 2-d, got shape {lp.shape}")
-    if lp.shape[1] < 2:
-        raise FormatError(f"vocabulary size {lp.shape[1]} is too small")
-    if lp.size and not lp.max() < np.inf:  # max propagates NaN and +inf
-        rows = np.flatnonzero(~(lp < np.inf).all(axis=1))
-        raise NonFiniteRows(f"rows {rows[:5].tolist()} hold NaN or +inf (not finite)")
+    """Apply :func:`check_logprobs` and the vocabulary size rule; unnormalized
+    rows raise in strict mode and warn otherwise."""
+    lp = check_logprobs(matrix)
+    resolve_blank(None, lp.shape[1])
     err = row_norm_error(lp)
     if err > ROW_NORM_TOL:
         message = f"rows deviate from a normalized distribution by {err:.3g}"
@@ -144,10 +179,11 @@ def write_envelope(fp: IO[str], chunks: Iterable[np.ndarray]) -> None:
     fp.write(json.dumps({"type": "end"}) + "\n")
 
 
-def read_envelope(fp: IO[str], vocab_size: int | None = None) -> Iterator[np.ndarray]:
+def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
     """Yield chunk matrices; raises ProtocolError on any protocol breach,
     including a stream that ends without its end record."""
     ended = False
+    vocab_size = None
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
         if not line:
@@ -165,19 +201,21 @@ def read_envelope(fp: IO[str], vocab_size: int | None = None) -> Iterator[np.nda
         if kind != "chunk":
             raise ProtocolError(f"line {lineno}: unknown record type {kind!r}")
         try:
-            n_frames = int(record["n_frames"])
+            n_frames = record["n_frames"]
             payload = base64.b64decode(record["frames"], validate=True)
         except (KeyError, ValueError, TypeError) as exc:
             raise ProtocolError(f"line {lineno}: malformed chunk record") from exc
+        if type(n_frames) is not int or n_frames < 0:
+            raise ProtocolError(f"line {lineno}: n_frames {n_frames!r} is not a count")
         if n_frames == 0:
             if payload:
                 raise ProtocolError(f"line {lineno}: empty chunk carries payload")
             yield np.zeros((0, vocab_size or 0))
             continue
-        if len(payload) % (4 * n_frames) != 0:
+        if not payload or len(payload) % (4 * n_frames) != 0:
             raise ProtocolError(
                 f"line {lineno}: payload of {len(payload)} bytes does not divide into "
-                f"{n_frames} frames"
+                f"{n_frames} frames of at least one symbol"
             )
         vocab = len(payload) // (4 * n_frames)
         if vocab_size is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .aligner import WordAlignment
+from .formats import WordAlignment
 from .errors import FrontierRegression, InvariantViolation, UnsortedInput
 from .spotter import SpottedCandidate
 from .streaming import SpotChunkResult

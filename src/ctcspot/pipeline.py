@@ -15,10 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .aligner import StreamingAligner, WordAlignment, greedy_decode
+from .aligner import StreamingAligner, greedy_decode
+from .errors import SessionClosed
+from .formats import WordAlignment
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
-from .spotter import SpotterConfig, SpottedCandidate, dedup_overlaps, spot_offline
+from .spotter import SpotterConfig, SpottedCandidate, check_graph, dedup_overlaps, spot_offline
 from .streaming import SpotterSession
 
 
@@ -29,6 +31,14 @@ class StepTiming:
     align_ms: float
     spot_ms: float
     merge_ms: float
+
+
+def _check_sources(graph, cfg, vocab, external_words) -> None:
+    """A vocabulary must fit the graph, so aligner and spotter reject alike."""
+    if (vocab is None) == (external_words is None):
+        raise ValueError("provide exactly one of vocab / external_words")
+    if vocab is not None:
+        check_graph(graph, len(vocab), cfg)
 
 
 class StreamingPipeline:
@@ -47,9 +57,8 @@ class StreamingPipeline:
         external_words: Sequence[WordAlignment] | None = None,
         marker: str = DEFAULT_WORD_MARKER,
     ) -> None:
-        if (vocab is None) == (external_words is None):
-            raise ValueError("provide exactly one of vocab / external_words")
         self.cfg = cfg or SpotterConfig()
+        _check_sources(graph, self.cfg, vocab, external_words)
         self.policy = policy or MergePolicy()
         self.spotter = SpotterSession(graph, self.cfg)
         self.aligner = (
@@ -61,30 +70,22 @@ class StreamingPipeline:
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
-        chunk = np.asarray(logprobs, dtype=float)
-        t0 = time.perf_counter()
-        if self.aligner is not None:
-            self.commit.add_words(self.aligner.feed(chunk))
-            self.commit.set_open_word(
-                self.aligner.open_word_start, self.aligner.open_word_preview or ""
-            )
-        t1 = time.perf_counter()
-        spot_result = self.spotter.process_chunk(chunk)
-        t2 = time.perf_counter()
-        out = commit_step(self.commit, spot_result)
-        t3 = time.perf_counter()
-        self.timings.append(
-            StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)
-        )
-        return out
+        return self._step(np.asarray(logprobs, dtype=float))
 
     def flush(self) -> ChunkOutput:
+        return self._step(None)
+
+    def _step(self, chunk: np.ndarray | None) -> ChunkOutput:
+        """One timed align / spot / commit step; a chunk of None flushes."""
+        if self.spotter.closed:  # before the aligner, which has no closed state
+            raise SessionClosed("pipeline was flushed")
         t0 = time.perf_counter()
-        if self.aligner is not None:
-            self.commit.add_words(self.aligner.flush())
-            self.commit.set_open_word(None)
+        aligner = self.aligner
+        if aligner is not None:
+            self.commit.add_words(aligner.flush() if chunk is None else aligner.feed(chunk))
+            self.commit.set_open_word(aligner.open_word_start, aligner.open_word_preview or "")
         t1 = time.perf_counter()
-        spot_result = self.spotter.flush()
+        spot_result = self.spotter.flush() if chunk is None else self.spotter.process_chunk(chunk)
         t2 = time.perf_counter()
         out = commit_step(self.commit, spot_result)
         t3 = time.perf_counter()
@@ -115,9 +116,8 @@ def offline_pipeline(
 
     Returns (transcript, merged words, kept candidates).
     """
-    if (vocab is None) == (external_words is None):
-        raise ValueError("provide exactly one of vocab / external_words")
     cfg = cfg or SpotterConfig()
+    _check_sources(graph, cfg, vocab, external_words)
     policy = policy or MergePolicy()
     lp = np.asarray(logprobs, dtype=float)
     if vocab is not None:

@@ -20,7 +20,8 @@ The per-frame step below drives both :func:`spot_offline` and the chunked
 session in :mod:`ctcspot.streaming`. Sharing it is what makes the two
 paths score identically for any chunking of the input. Likewise
 :func:`settle` is the one greedy de-overlap sweep: the session runs it at
-its commit frontier, :func:`dedup_overlaps` at infinity.
+its commit frontier, :func:`dedup_overlaps` at infinity. Both paths take
+input through :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteRows
+from .errors import DimensionMismatch
+from .formats import check_logprobs, resolve_blank
 from .graph import ContextGraph, SearchTable
 
 
@@ -44,7 +46,7 @@ class SpotterConfig:
     min_per_frame_score floors the running score-per-frame of every live
     hypothesis as well as candidate acceptance, so hypotheses starve during
     silence and the commit frontier can advance. blank_id of None resolves
-    to vocabulary size - 1 at run time.
+    to the last symbol at run time (:func:`ctcspot.formats.resolve_blank`).
     """
 
     cb_weight: float = 3.0
@@ -62,12 +64,6 @@ class SpotterConfig:
             raise ValueError("beam_threshold must be non-negative, not NaN")
         if self.max_keyword_frames < 1:
             raise ValueError("max_keyword_frames must be at least 1")
-
-    def resolve_blank(self, vocab_size: int) -> int:
-        blank = self.blank_id if self.blank_id is not None else vocab_size - 1
-        if not 0 <= blank < vocab_size:
-            raise DimensionMismatch(f"blank id {blank} outside vocabulary of size {vocab_size}")
-        return blank
 
 
 @dataclass(frozen=True)
@@ -205,13 +201,7 @@ def _search(
     blank_id: int,
 ) -> Iterator[tuple[_State, list[SpottedCandidate]]]:
     """Run :func:`_step_frame` over the rows of ``lp`` (frames
-    ``first_frame``, ...); yields (survivors, candidates) after each frame.
-
-    Rejects NaN and +inf cells before the first frame: a NaN score fails
-    every prune compare, so its hypothesis would never retire.
-    """
-    if lp.shape[0] and not lp.max() < np.inf:
-        raise NonFiniteRows("log-probabilities contain NaN or +inf (not finite)")
+    ``first_frame``, ...); yields (survivors, candidates) after each frame."""
     fresh = lp[:, table.root_tok] + cfg.cb_weight
     fresh_best = fresh.max(axis=1, initial=-np.inf).tolist()
     for i in range(lp.shape[0]):
@@ -221,14 +211,14 @@ def _search(
         yield state, cands
 
 
-def _check_dims(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int:
-    if vocab_size < 2:
-        raise DimensionMismatch(f"vocabulary size {vocab_size} is too small")
+def check_graph(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int:
+    """Returns the blank id if it and the graph fit ``vocab_size`` symbols."""
+    blank = resolve_blank(cfg.blank_id, vocab_size)
     if graph.max_token_id >= vocab_size:
         raise DimensionMismatch(
             f"graph token id {graph.max_token_id} outside vocabulary of size {vocab_size}"
         )
-    return cfg.resolve_blank(vocab_size)
+    return blank
 
 
 def spot_offline(
@@ -239,11 +229,8 @@ def spot_offline(
     """Whole-utterance spotting. Returns every candidate above the
     per-frame score floor, before any de-overlapping."""
     cfg = cfg or SpotterConfig()
-    lp = np.asarray(logprobs, dtype=float)
-    if lp.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {lp.shape}")
-    vocab_size = lp.shape[1]
-    blank = _check_dims(graph, vocab_size, cfg)
+    lp = check_logprobs(logprobs)
+    blank = check_graph(graph, lp.shape[1], cfg)
     out: list[SpottedCandidate] = []
     for _, cands in _search({}, lp, 0, graph.table, cfg, blank):
         out.extend(cands)

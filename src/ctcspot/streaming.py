@@ -9,7 +9,8 @@ hypothesis nor another held candidate can overturn them, which keeps the
 stream of finalized candidates equal to whole-utterance spotting plus
 de-overlap for every possible chunking (given a large enough age cap).
 Finalizing runs the one greedy de-overlap sweep,
-:func:`ctcspot.spotter.settle`, at the session's frontier.
+:func:`ctcspot.spotter.settle`, at the session's frontier. Every chunk must
+be as wide as the first non-empty one (:func:`ctcspot.formats.check_logprobs`).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrontierRegression, InvariantViolation, SessionClosed
+from .errors import FrontierRegression, InvariantViolation, SessionClosed
+from .formats import check_logprobs
 from .graph import ContextGraph
-from .spotter import SpotterConfig, SpottedCandidate, _check_dims, _search, settle
+from .spotter import SpotterConfig, SpottedCandidate, _search, check_graph, settle
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,10 @@ class SpotterSession:
         return self._frames
 
     @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
     def commit_frontier(self) -> int:
         return self._frontier
 
@@ -90,28 +96,18 @@ class SpotterSession:
         if self._closed:
             raise SessionClosed("session was flushed")
 
-    def _resolve_dims(self, vocab_size: int) -> None:
-        if self._vocab_size is None:
-            self._blank = _check_dims(self.graph, vocab_size, self.cfg)
-            self._vocab_size = vocab_size
-        elif vocab_size != self._vocab_size:
-            raise DimensionMismatch(
-                f"chunk width {vocab_size} differs from session width {self._vocab_size}"
-            )
-
     def process_chunk(self, logprobs: np.ndarray) -> SpotChunkResult:
         """Run token passing over one chunk and finalize what is safe."""
         self._require_open()
-        lp = np.asarray(logprobs, dtype=float)
-        if lp.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d chunk, got shape {lp.shape}")
-        n_frames = lp.shape[0]
-        if n_frames > 0:
-            self._resolve_dims(lp.shape[1])
+        lp = check_logprobs(logprobs, self._vocab_size)
+        if lp.shape[0]:
+            if self._vocab_size is None:
+                self._blank = check_graph(self.graph, lp.shape[1], self.cfg)
+                self._vocab_size = lp.shape[1]
             frames = _search(self._state, lp, self._frames, self.graph.table, self.cfg, self._blank)
             for self._state, cands in frames:
                 self._pending.extend(cands)
-            self._frames += n_frames
+            self._frames += lp.shape[0]
         return self._finalize_step()
 
     def flush(self) -> SpotChunkResult:

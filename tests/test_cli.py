@@ -189,6 +189,20 @@ def test_stream_envelope_rejects_non_finite_chunk(tmp_path, capsys, monkeypatch)
     assert "not finite" in capsys.readouterr().err
 
 
+def test_stream_envelope_negative_frame_count_is_partial(tmp_path, capsys, monkeypatch):
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [matrix[:4]])
+    first, end = buf.getvalue().splitlines()
+    record = json.loads(first)
+    record["n_frames"] = -1
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record) + "\n" + end + "\n"))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
+    final = next(r for r in _records(capsys) if r["type"] == "final")
+    assert final["partial"] is True
+
+
 def test_stream_with_external_alignments(tmp_path, capsys):
     logits, _ = _synth_logits(tmp_path)
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])

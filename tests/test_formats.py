@@ -1,12 +1,23 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from ctcspot import WordAlignment
+from ctcspot import (
+    BiasEntry,
+    SpotterConfig,
+    SpotterSession,
+    StreamingAligner,
+    StreamingPipeline,
+    WordAlignment,
+    build_graph,
+    spot_offline,
+)
 from ctcspot.errors import (
     BadMagic,
     ChunkTooSmall,
+    DimensionMismatch,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
@@ -27,7 +38,7 @@ from ctcspot.formats import (
     write_logits,
 )
 
-from conftest import random_logprobs
+from conftest import random_logprobs, synthetic_vocab
 
 
 def _normalized_f32(rng, n_frames, vocab):
@@ -177,6 +188,79 @@ def test_envelope_protocol_errors():
     record["n_frames"] = 4
     with pytest.raises(ProtocolError):
         list(read_envelope(io.StringIO(json.dumps(record) + "\n" + lines[1] + "\n")))
+    # frames without a payload: zero symbols wide
+    record["frames"] = ""
+    with pytest.raises(ProtocolError):
+        list(read_envelope(io.StringIO(json.dumps(record) + "\n" + lines[1] + "\n")))
+
+
+@pytest.mark.parametrize("n_frames", [-1, 1.5, "2", True, None])
+def test_envelope_frame_count_must_be_a_non_negative_integer(n_frames):
+    chunk = random_logprobs(np.random.default_rng(7), 2, 4).astype(np.float32)
+    buf = io.StringIO()
+    write_envelope(buf, [chunk])
+    lines = buf.getvalue().splitlines()
+    record = json.loads(lines[0])
+    record["n_frames"] = n_frames
+    with pytest.raises(ProtocolError):
+        list(read_envelope(io.StringIO(json.dumps(record) + "\n" + lines[1] + "\n")))
+
+
+def test_envelope_empty_chunks_take_the_stream_width():
+    chunk = random_logprobs(np.random.default_rng(8), 2, 4).astype(np.float32)
+    empty = chunk[:0]
+    buf = io.StringIO()
+    write_envelope(buf, [empty, chunk, empty])
+    buf.seek(0)
+    assert [c.shape for c in read_envelope(buf)] == [(0, 0), (2, 4), (0, 4)]
+
+
+def _entry_points():
+    """Each entry point that reads log-probabilities, as a callable taking
+    one matrix; the stateful ones have already taken a good 4-wide chunk."""
+    vocab = synthetic_vocab(4)
+    graph = build_graph([BiasEntry(0, "kw", (0, 1)), BiasEntry(1, "k", (2,))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3)
+    good = random_logprobs(np.random.default_rng(11), 3, 4)
+    session = SpotterSession(graph, cfg)
+    session.process_chunk(good)
+    aligner = StreamingAligner(vocab, blank_id=3)
+    aligner.feed(good)
+    pipe = StreamingPipeline(graph, cfg, vocab=vocab)
+    pipe.process_chunk(good)
+    return {
+        "validate_logprob_matrix": validate_logprob_matrix,
+        "spot_offline": lambda m: spot_offline(m, graph, cfg),
+        "SpotterSession.process_chunk": session.process_chunk,
+        "StreamingAligner.feed": aligner.feed,
+        "StreamingPipeline.process_chunk": pipe.process_chunk,
+    }, pipe
+
+
+def _malformed(kind):
+    lp = random_logprobs(np.random.default_rng(12), 3, 4)
+    if kind == "1-d":
+        return lp[0], DimensionMismatch
+    if kind == "1-wide":
+        return np.zeros((3, 1)), DimensionMismatch
+    lp[1, 2] = np.nan if kind == "nan" else np.inf
+    return lp, NonFiniteRows
+
+
+@pytest.mark.parametrize("kind", ["1-d", "1-wide", "nan", "+inf"])
+@pytest.mark.parametrize("entry", [
+    "validate_logprob_matrix",
+    "spot_offline",
+    "SpotterSession.process_chunk",
+    "StreamingAligner.feed",
+    "StreamingPipeline.process_chunk",
+])
+def test_every_entry_point_rejects_malformed_input_alike(entry, kind):
+    entry_points, pipe = _entry_points()
+    matrix, error = _malformed(kind)
+    with pytest.raises(error):
+        entry_points[entry](matrix)
+    assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 3
 
 
 def test_alignments_round_trip_and_sorting(tmp_path):

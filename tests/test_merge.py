@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcspot import (
     BiasEntry,
@@ -14,7 +16,13 @@ from ctcspot import (
     merge_region,
     offline_pipeline,
 )
-from ctcspot.errors import DimensionMismatch, FrontierRegression, NonFiniteRows, UnsortedInput
+from ctcspot.errors import (
+    DimensionMismatch,
+    FrontierRegression,
+    NonFiniteRows,
+    SessionClosed,
+    UnsortedInput,
+)
 from ctcspot.streaming import HeldPreview, SpotChunkResult
 
 from conftest import random_entries, random_logprobs, random_partition, synthetic_vocab
@@ -216,6 +224,56 @@ def test_emitted_transcript_stable_across_chunk_sizes():
             assert pipe.transcript == reference
 
 
+@st.composite
+def pipeline_cases(draw):
+    vocab_size = draw(st.integers(3, 8))
+    blank = vocab_size - 1
+    phrases = draw(st.lists(
+        st.lists(st.integers(0, blank - 1), min_size=1, max_size=3), max_size=5
+    ))
+    unique = list(dict.fromkeys(tuple(p) for p in phrases))
+    entries = [
+        BiasEntry(i, f"kw{i} extra" if i % 3 == 0 else f"kw{i}", p) for i, p in enumerate(unique)
+    ]
+    n_frames = draw(st.integers(1, 40))
+    lp = random_logprobs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         n_frames, vocab_size)
+    if draw(st.booleans()):
+        lp = np.round(lp * 2) / 2  # coarse cells make score ties common
+    cfg = SpotterConfig(
+        cb_weight=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        beam_threshold=draw(st.sampled_from([0.5, 2.0, 7.0, float("inf")])),
+        min_per_frame_score=draw(st.sampled_from([float("-inf"), -5.0, -1.0])),
+        # the guarantee holds for an age cap no shorter than the utterance
+        max_keyword_frames=draw(st.integers(n_frames, 2 * n_frames + 2)),
+        blank_id=draw(st.sampled_from([None, blank])),
+    )
+    policy = MergePolicy(
+        intersection_threshold=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        score_margin=draw(st.sampled_from([-2.0, 0.0, 2.0])),
+        allow_insertion=draw(st.booleans()),
+    )
+    cuts = sorted([0, n_frames, *draw(st.lists(st.integers(0, n_frames), max_size=6))])
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]  # repeated cuts give empty chunks
+    vocab = synthetic_vocab(vocab_size, np.random.default_rng(vocab_size))
+    return build_graph(entries, vocab_size=vocab_size), vocab, lp, cfg, policy, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_cases())
+def test_streaming_pipeline_equals_offline_for_any_chunking(case):
+    graph, vocab, lp, cfg, policy, sizes = case
+    transcript, words, _ = offline_pipeline(lp, graph, cfg, policy, vocab=vocab)
+    pipe = StreamingPipeline(graph, cfg, policy, vocab=vocab)
+    t = 0
+    for n in sizes:
+        pipe.process_chunk(lp[t : t + n])
+        t += n
+    pipe.flush()
+    assert pipe.transcript == transcript
+    assert pipe.emitted_words == words
+
+
 def test_no_bias_identity():
     rng = np.random.default_rng(23)
     vocab = synthetic_vocab(7, rng)
@@ -247,3 +305,18 @@ def test_rejected_chunk_leaves_aligner_and_spotter_in_step():
     with pytest.raises(DimensionMismatch):
         pipe.process_chunk(random_logprobs(rng, 4, 6))
     assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 0
+
+    # a graph token the vocabulary lacks: rejected before either side reads
+    wide = build_graph([BiasEntry(0, "kw", (5, 1))])
+    pipe = None
+    with pytest.raises(DimensionMismatch):
+        pipe = StreamingPipeline(wide, vocab=synthetic_vocab(4, rng))
+        pipe.process_chunk(random_logprobs(rng, 3, 4))
+    assert pipe is None or pipe.aligner.frames_seen == pipe.spotter.frames_seen == 0
+
+    pipe = StreamingPipeline(graph, SpotterConfig(blank_id=4), vocab=vocab)
+    pipe.process_chunk(lp[:4])
+    pipe.flush()
+    with pytest.raises(SessionClosed):
+        pipe.process_chunk(lp[4:])
+    assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 4
