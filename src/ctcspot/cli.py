@@ -18,11 +18,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .errors import CtcspotError, FormatError, ProtocolError
 from .formats import (
     LOGITS_VERSION,
+    check_duration,
     chunker,
     read_alignments,
     read_envelope,
@@ -170,15 +172,6 @@ class UsageError(Exception):
     pass
 
 
-def _word_record(w) -> dict:
-    return {
-        "word": w.word,
-        "start_frame": w.start_frame,
-        "end_frame": w.end_frame,
-        "path_score": w.path_score,
-    }
-
-
 def cmd_spot(args: argparse.Namespace) -> int:
     matrix, _frame_ms = read_logits(args.logits)
     graph, cfg, policy, vocab, words = _engine_setup(args, matrix.shape[1])
@@ -198,11 +191,13 @@ def cmd_spot(args: argparse.Namespace) -> int:
                 "per_frame_score": cand.per_frame_score,
             }
         )
-    _emit({"type": "transcript", "text": transcript, "words": [_word_record(w) for w in merged]})
+    _emit({"type": "transcript", "text": transcript, "words": [asdict(w) for w in merged]})
     return 0
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
+    check_duration(args.frame_ms, "--frame-ms")
+    check_duration(args.chunk_ms, "--chunk-ms")
     if args.logits:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
@@ -241,7 +236,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     "index": index,
                     "n_frames": int(chunk.shape[0]),
                     "commit_frontier": out.commit_frontier,
-                    "delta": [_word_record(w) for w in out.committed_delta],
+                    "delta": [asdict(w) for w in out.committed_delta],
                     "held_preview": out.held_text_preview,
                     "spot_ms": step.spot_ms,
                     "merge_ms": step.merge_ms,
@@ -264,19 +259,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "type": "final",
             "transcript": pipeline.transcript,
             "commit_frontier": out.commit_frontier,
-            "delta": [_word_record(w) for w in out.committed_delta],
+            "delta": [asdict(w) for w in out.committed_delta],
             "partial": partial,
         }
     )
-    if timings:
-        # envelope chunks may differ in length, so the report uses their mean
-        chunk_ms = (
-            args.chunk_ms if args.logits
-            else frame_ms * pipeline.spotter.frames_seen / len(timings)
-        )
-        report = runtime_report(timings, chunk_ms)
-        _emit(report.to_record())
-        print(format_runtime_table(report), file=sys.stderr)
+    # envelope chunks may differ in length, so the report uses their mean
+    chunk_ms = (
+        args.chunk_ms if args.logits
+        else frame_ms * pipeline.spotter.frames_seen / len(timings)
+    )
+    report = runtime_report(timings, chunk_ms)
+    _emit(report.to_record())
+    print(format_runtime_table(report), file=sys.stderr)
     return 3 if partial else 0
 
 

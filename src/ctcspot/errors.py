@@ -32,10 +32,6 @@ class SessionClosed(CtcspotError):
     """A flushed session received another call."""
 
 
-class UnsortedInput(CtcspotError):
-    """Words or candidates handed to the merger are unsorted or overlap."""
-
-
 class FrontierRegression(CtcspotError):
     """The spot frontier moved backwards between commit steps (caller bug)
     or between chunks of a session."""
@@ -67,12 +63,24 @@ class NonFiniteRows(FormatError):
     """Log-probability rows contain NaN or +inf (-inf is a legal log 0)."""
 
 
-class OverlappingWords(FormatError):
-    """An external alignment file contains overlapping word intervals."""
+class NonFiniteScore(FormatError):
+    """An external word's path score is NaN or +inf (-inf is a legal log 0)."""
 
 
-class NegativeInterval(FormatError):
-    """An external alignment record has end < start or a negative frame."""
+class UnsortedInput(FormatError):
+    """Words or candidates break the rule of ``formats.check_intervals``."""
+
+
+class NegativeInterval(UnsortedInput):
+    """A word or candidate interval has a negative start or end < start."""
+
+
+class OverlappingWords(UnsortedInput):
+    """A word or candidate does not start after the previous one ends."""
+
+
+class BadDuration(FormatError):
+    """A frame or chunk duration is not positive and finite."""
 
 
 class ChunkTooSmall(FormatError):

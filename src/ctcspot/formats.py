@@ -12,28 +12,32 @@ External word alignments: tab-separated text, one record per word:
 ``word<TAB>start_frame<TAB>end_frame<TAB>path_score``; ``#`` comments.
 :class:`WordAlignment` is that record and the greedy aligner's output.
 
-The input rules of every entry point live here once: :func:`check_logprobs`
-and :func:`resolve_blank`.
+The input rules of every entry point live here once: :func:`check_logprobs`,
+:func:`resolve_blank`, :func:`check_intervals`, :func:`check_words` and
+:func:`check_duration`.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadDuration,
     BadMagic,
     ChunkTooSmall,
     DimensionMismatch,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
+    NonFiniteScore,
     OverlappingWords,
     ProtocolError,
     TruncatedPayload,
@@ -83,6 +87,36 @@ def resolve_blank(blank_id: int | None, vocab_size: int) -> int:
     return blank
 
 
+def check_intervals(items: Iterable, where: str = "") -> None:
+    """The interval rule for words and candidates alike: each inclusive
+    ``[start_frame, end_frame]`` has 0 <= start <= end (else
+    :class:`NegativeInterval`) and starts after the previous one ends (else
+    :class:`OverlappingWords`)."""
+    prev = None
+    for item in items:
+        if not 0 <= item.start_frame <= item.end_frame:
+            raise NegativeInterval(f"{where}bad interval in {item}")
+        if prev is not None and item.start_frame <= prev.end_frame:
+            raise OverlappingWords(f"{where}{item} does not start after {prev} ends")
+        prev = item
+
+
+def check_words(words: Sequence[WordAlignment], where: str = "") -> None:
+    """:func:`check_intervals` plus the path score rule: no NaN or +inf, which
+    no candidate could be compared with (-inf is a legal log 0)."""
+    check_intervals(words, where)
+    for w in words:
+        if not w.path_score < math.inf:  # NaN fails the compare too
+            raise NonFiniteScore(f"{where}path score of {w} is NaN or +inf")
+
+
+def check_duration(ms: float, what: str) -> float:
+    """The duration rule for frames and chunks: positive and finite."""
+    if not 0 < ms < math.inf:  # NaN fails the compare too
+        raise BadDuration(f"{what} of {ms} ms is not positive and finite")
+    return ms
+
+
 def row_norm_error(matrix: np.ndarray) -> float:
     """Largest |log sum exp| over rows; 0.0 for an empty matrix."""
     lp = np.asarray(matrix, dtype=float)
@@ -111,6 +145,7 @@ def validate_logprob_matrix(matrix: np.ndarray, strict: bool = True) -> None:
 def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> None:
     lp = np.asarray(matrix, dtype=np.float32)
     validate_logprob_matrix(lp)
+    check_duration(frame_duration_ms, "frame duration")
     n_frames, vocab = lp.shape
     with open(path, "wb") as fp:
         fp.write(_HEADER.pack(LOGITS_MAGIC, LOGITS_VERSION, n_frames, vocab, frame_duration_ms))
@@ -147,13 +182,12 @@ def chunker(
     matrix: np.ndarray, chunk_ms: float, frame_duration_ms: float
 ) -> Iterator[np.ndarray]:
     """Split a matrix into fixed-duration chunks; the last may be ragged."""
-    if frame_duration_ms <= 0:
-        raise FormatError(f"frame duration {frame_duration_ms} must be positive")
-    frames_per_chunk = int(chunk_ms // frame_duration_ms)
-    if frames_per_chunk < 1:
+    check_duration(frame_duration_ms, "frame duration")
+    if chunk_ms < frame_duration_ms:
         raise ChunkTooSmall(
             f"chunk of {chunk_ms} ms holds no whole {frame_duration_ms} ms frame"
         )
+    frames_per_chunk = int(check_duration(chunk_ms, "chunk duration") // frame_duration_ms)
     lp = np.asarray(matrix, dtype=float)
     for i in range(0, lp.shape[0], frames_per_chunk):
         yield lp[i : i + frames_per_chunk]
@@ -238,7 +272,7 @@ def write_alignments(path: str, words: Iterable[WordAlignment]) -> None:
 
 
 def read_alignments(path: str) -> list[WordAlignment]:
-    """Read, sort and validate an external word alignment."""
+    """Read an external word alignment, sort it and apply :func:`check_words`."""
     words: list[WordAlignment] = []
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, start=1):
@@ -249,19 +283,9 @@ def read_alignments(path: str) -> list[WordAlignment]:
             if len(cols) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 tab-separated columns")
             try:
-                word = cols[0]
-                start, end = int(cols[1]), int(cols[2])
-                score = float(cols[3])
+                words.append(WordAlignment(cols[0], int(cols[1]), int(cols[2]), float(cols[3])))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: malformed record") from exc
-            if start < 0 or end < start:
-                raise NegativeInterval(f"{path}:{lineno}: bad interval [{start}, {end}]")
-            words.append(WordAlignment(word, start, end, score))
     words.sort(key=lambda w: (w.start_frame, w.end_frame))
-    for prev, cur in zip(words, words[1:]):
-        if cur.start_frame <= prev.end_frame:
-            raise OverlappingWords(
-                f"{path}: words {prev.word!r} [{prev.start_frame}, {prev.end_frame}] and "
-                f"{cur.word!r} [{cur.start_frame}, {cur.end_frame}] overlap"
-            )
+    check_words(words, f"{path}: ")
     return words

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .formats import WordAlignment
-from .errors import FrontierRegression, InvariantViolation, UnsortedInput
+from .formats import WordAlignment, check_intervals, check_words
+from .errors import FrontierRegression, InvariantViolation
 from .spotter import SpottedCandidate
 from .streaming import SpotChunkResult
 
@@ -57,24 +57,6 @@ def _overlap(c: SpottedCandidate, w: WordAlignment) -> int:
     return max(0, min(c.end_frame, w.end_frame) - max(c.start_frame, w.start_frame) + 1)
 
 
-def _check_words_sorted(words: Sequence[WordAlignment]) -> None:
-    prev_end = None
-    for w in words:
-        if w.start_frame > w.end_frame:
-            raise UnsortedInput(f"word {w.word!r} has an inverted interval")
-        if prev_end is not None and w.start_frame <= prev_end:
-            raise UnsortedInput(f"word {w.word!r} overlaps or precedes its predecessor")
-        prev_end = w.end_frame
-
-
-def _check_candidates_sorted(candidates: Sequence[SpottedCandidate]) -> None:
-    prev_end = None
-    for c in candidates:
-        if prev_end is not None and c.start_frame <= prev_end:
-            raise UnsortedInput(f"candidate for keyword {c.keyword_id} overlaps its predecessor")
-        prev_end = c.end_frame
-
-
 def merge_region(
     words: Sequence[WordAlignment],
     candidates: Sequence[SpottedCandidate],
@@ -84,12 +66,13 @@ def merge_region(
 ) -> list[WordAlignment]:
     """Merge de-overlapped candidates into a sorted word sequence.
 
+    Words must pass ``check_words`` and candidates ``check_intervals``.
     Replacement sets are computed against the original words; candidates
     are non-overlapping, and no two candidates can cover more than half of
     the same word, so the decisions are independent.
     """
-    _check_words_sorted(words)
-    _check_candidates_sorted(candidates)
+    check_words(words)
+    check_intervals(candidates)
     replaced: set[int] = set()
     added: list[WordAlignment] = []
     n_replaced = n_inserted = n_discarded = 0
@@ -129,13 +112,13 @@ class CommitState:
 
     policy: MergePolicy
     surfaces: Mapping[int, str]
-    emitted: list[WordAlignment] = field(default_factory=list)
-    _words: list[WordAlignment] = field(default_factory=list)
-    _cands: list[SpottedCandidate] = field(default_factory=list)
-    _open_start: int | None = None
-    _open_preview: str = ""
-    _boundary: int = 0
-    _spot_frontier: int = 0
+    emitted: list[WordAlignment] = field(default_factory=list, init=False)
+    _words: list[WordAlignment] = field(default_factory=list, init=False)
+    _cands: list[SpottedCandidate] = field(default_factory=list, init=False)
+    _open_start: int | None = field(default=None, init=False)
+    _open_preview: str = field(default="", init=False)
+    _boundary: int = field(default=0, init=False)
+    _spot_frontier: int = field(default=0, init=False)
 
     def add_words(self, words: Iterable[WordAlignment]) -> None:
         self._words.extend(words)
@@ -155,7 +138,9 @@ def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput
     The commit boundary starts at the spot frontier, is pulled back to the
     earliest held candidate and the open decoder word, and then retreats
     below any buffered word or candidate it would split, so no interaction
-    between a committed item and a held one is possible.
+    between a committed item and a held one is possible. One sweep, latest
+    start first, suffices: a cut that retreats lands on a start, which no
+    span already passed can straddle.
     """
     if spot_result.new_frontier < state._spot_frontier:
         raise FrontierRegression(
@@ -171,13 +156,9 @@ def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput
         cut = min(cut, state._open_start)
     spans = [(w.start_frame, w.end_frame) for w in state._words]
     spans += [(c.start_frame, c.end_frame) for c in state._cands]
-    moved = True
-    while moved:
-        moved = False
-        for start, end in spans:
-            if start < cut <= end:
-                cut = start
-                moved = True
+    for start, end in sorted(spans, reverse=True):
+        if start < cut <= end:
+            cut = start
     if cut < state._boundary:
         raise InvariantViolation(f"commit boundary moved from {state._boundary} back to {cut}")
 

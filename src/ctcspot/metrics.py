@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .formats import check_duration
 from .graph import BiasEntry
 
 
@@ -78,6 +79,18 @@ class KeywordCounts:
     def fscore(self) -> float:
         return fscore(self.precision, self.recall)
 
+    def to_record(self, scope: str) -> dict:
+        return {
+            "type": "keyword_metrics",
+            "scope": scope,
+            "hits": self.hits,
+            "false_alarms": self.false_alarms,
+            "misses": self.misses,
+            "precision": self.precision,
+            "recall": self.recall,
+            "fscore": self.fscore,
+        }
+
 
 @dataclass
 class KeywordReport:
@@ -85,32 +98,8 @@ class KeywordReport:
     per_keyword: dict[str, KeywordCounts] = field(default_factory=dict)
 
     def to_records(self) -> list[dict]:
-        records = [
-            {
-                "type": "keyword_metrics",
-                "scope": "all",
-                "hits": self.total.hits,
-                "false_alarms": self.total.false_alarms,
-                "misses": self.total.misses,
-                "precision": self.total.precision,
-                "recall": self.total.recall,
-                "fscore": self.total.fscore,
-            }
-        ]
-        for surface, counts in sorted(self.per_keyword.items()):
-            records.append(
-                {
-                    "type": "keyword_metrics",
-                    "scope": surface,
-                    "hits": counts.hits,
-                    "false_alarms": counts.false_alarms,
-                    "misses": counts.misses,
-                    "precision": counts.precision,
-                    "recall": counts.recall,
-                    "fscore": counts.fscore,
-                }
-            )
-        return records
+        scopes = [("all", self.total), *sorted(self.per_keyword.items())]
+        return [counts.to_record(scope) for scope, counts in scopes]
 
 
 def _count_occurrences(
@@ -236,8 +225,7 @@ def runtime_report(timings: Sequence[ChunkTiming], chunk_ms: float) -> RuntimeRe
     (mean spot + merge time over the chunk duration, percent)."""
     if not timings:
         raise ValueError("need at least one timing sample")
-    if chunk_ms <= 0:
-        raise ValueError("chunk duration must be positive")
+    check_duration(chunk_ms, "chunk duration")
     for t in timings:
         if min(t.asr_ms, t.spot_ms, t.merge_ms) < 0:
             raise ValueError("negative step timing")

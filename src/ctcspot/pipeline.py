@@ -17,7 +17,7 @@ import numpy as np
 
 from .aligner import StreamingAligner, greedy_decode
 from .errors import SessionClosed
-from .formats import WordAlignment
+from .formats import WordAlignment, check_words
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
 from .spotter import SpotterConfig, SpottedCandidate, check_graph, dedup_overlaps, spot_offline
@@ -34,11 +34,14 @@ class StepTiming:
 
 
 def _check_sources(graph, cfg, vocab, external_words) -> None:
-    """A vocabulary must fit the graph, so aligner and spotter reject alike."""
+    """A vocabulary must fit the graph, so aligner and spotter reject alike;
+    external words are checked before any chunk, whatever the chunking."""
     if (vocab is None) == (external_words is None):
         raise ValueError("provide exactly one of vocab / external_words")
     if vocab is not None:
         check_graph(graph, len(vocab), cfg)
+    else:
+        check_words(external_words)
 
 
 class StreamingPipeline:

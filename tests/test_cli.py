@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -275,7 +276,7 @@ def test_synth_round_trip_through_spot(tmp_path, capsys):
     assert main(["synth", "--vocab", vocab, "--text", "go halsey", "--out", out,
                  "--ref-out", ref_out, "--seed", "3"]) == 0
     capsys.readouterr()
-    assert open(ref_out, encoding="utf-8").read().strip() == "go halsey"
+    assert Path(ref_out).read_text(encoding="utf-8").strip() == "go halsey"
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
     assert main(["spot", "--logits", out, "--vocab", vocab, "--bias", bias,
                  "--cb-weight", "2", "--min-per-frame-score", "-0.5"]) == 0
@@ -290,7 +291,7 @@ def test_synth_deterministic(tmp_path, capsys):
         assert main(["synth", "--vocab", vocab, "--text", "go now", "--out", out,
                      "--seed", "11"]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_synth_rejects_bad_spec(tmp_path, capsys):

@@ -1,30 +1,38 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctcspot import (
     BiasEntry,
+    MergePolicy,
     SpotterConfig,
     SpotterSession,
     StreamingAligner,
     StreamingPipeline,
     WordAlignment,
     build_graph,
+    merge_region,
+    offline_pipeline,
     spot_offline,
 )
+from ctcspot.cli import main
 from ctcspot.errors import (
+    BadDuration,
     BadMagic,
     ChunkTooSmall,
     DimensionMismatch,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
+    NonFiniteScore,
     OverlappingWords,
     ProtocolError,
     TruncatedPayload,
     UnnormalizedRows,
+    UnsortedInput,
 )
 from ctcspot.formats import (
     chunker,
@@ -71,17 +79,17 @@ def test_truncated_payload_and_bad_magic(tmp_path):
     rng = np.random.default_rng(1)
     path = str(tmp_path / "x.ctcl")
     write_logits(path, _normalized_f32(rng, 5, 4), 40.0)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     short = str(tmp_path / "short.ctcl")
-    open(short, "wb").write(blob[:-8])
+    Path(short).write_bytes(blob[:-8])
     with pytest.raises(TruncatedPayload):
         read_logits(short)
     long = str(tmp_path / "long.ctcl")
-    open(long, "wb").write(blob + b"\x00\x00")
+    Path(long).write_bytes(blob + b"\x00\x00")
     with pytest.raises(FormatError):
         read_logits(long)
     bad = str(tmp_path / "bad.ctcl")
-    open(bad, "wb").write(b"NOPE" + blob[4:])
+    Path(bad).write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(BadMagic):
         read_logits(bad)
 
@@ -95,9 +103,9 @@ def test_unnormalized_rows_strictness(tmp_path):
     good = _normalized_f32(rng, 4, 4)
     write_logits(path, good, 40.0)
     # corrupt the payload on disk, then read both lenient and strict
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[20:] = np.full(16, -0.7, dtype="<f4").tobytes()
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.warns(UserWarning):
         read_logits(path)
     with pytest.raises(UnnormalizedRows):
@@ -288,3 +296,132 @@ def test_alignments_empty_and_errors(tmp_path):
     path_obj.write_text("a\t0\t5\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_alignments(path)
+
+
+def test_alignment_errors_keep_their_types_and_exit_code():
+    """Both interval errors are merge-order errors and format errors (exit 2)."""
+    for error in (NegativeInterval, OverlappingWords):
+        assert issubclass(error, UnsortedInput)
+    assert issubclass(UnsortedInput, FormatError)
+
+
+NAN, INF = float("nan"), float("inf")
+ALIGNMENT_RULES = {
+    "inverted interval": ([WordAlignment("a", 5, 3, -1.0)], NegativeInterval),
+    "negative start": ([WordAlignment("a", -1, 3, -1.0)], NegativeInterval),
+    "overlap": (
+        [WordAlignment("a", 0, 5, -1.0), WordAlignment("b", 5, 9, -1.0)], OverlappingWords
+    ),
+    "unsorted": (
+        [WordAlignment("b", 10, 12, -1.0), WordAlignment("a", 0, 2, -1.0)], OverlappingWords
+    ),
+    "nan score": ([WordAlignment("a", 0, 2, NAN)], NonFiniteScore),
+    "+inf score": ([WordAlignment("a", 0, 2, INF)], NonFiniteScore),
+}
+# a file is sorted when read, so only words handed over in memory can be unsorted
+FILE_ENTRIES = ("read_alignments", "spot --alignments", "stream --alignments")
+MEMORY_ENTRIES = ("merge_region", "StreamingPipeline", "offline_pipeline")
+
+
+def _small_inputs(tmp_path):
+    """A 20-frame, 4-symbol utterance in memory and as logits, vocabulary
+    and bias files."""
+    lp = random_logprobs(np.random.default_rng(13), 20, 4)
+    write_logits(str(tmp_path / "x.ctcl"), lp, 40.0)
+    (tmp_path / "vocab.txt").write_text(
+        "".join(v + "\n" for v in synthetic_vocab(4)), encoding="utf-8"
+    )
+    (tmp_path / "bias.tsv").write_text("kw\t0,1\n", encoding="utf-8")
+    return lp, str(tmp_path / "x.ctcl"), str(tmp_path / "vocab.txt"), str(tmp_path / "bias.tsv")
+
+
+@pytest.mark.parametrize("rule,entry", [
+    (rule, entry)
+    for rule in ALIGNMENT_RULES
+    for entry in (*FILE_ENTRIES, *MEMORY_ENTRIES)
+    if rule != "unsorted" or entry in MEMORY_ENTRIES
+])
+def test_every_entry_point_rejects_malformed_alignments_alike(tmp_path, capsys, rule, entry):
+    words, error = ALIGNMENT_RULES[rule]
+    lp, logits, _, bias = _small_inputs(tmp_path)
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3, min_per_frame_score=-0.5)
+    path = str(tmp_path / "words.tsv")
+    write_alignments(path, words)
+    if entry in ("spot --alignments", "stream --alignments"):
+        command = entry.split()[0]
+        assert main([command, "--logits", logits, "--alignments", path, "--bias", bias]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before any record
+        assert "error" in err
+        return
+    entry_points = {
+        "read_alignments": lambda: read_alignments(path),
+        "merge_region": lambda: merge_region(words, [], MergePolicy(), graph.surfaces),
+        "StreamingPipeline": lambda: StreamingPipeline(graph, cfg, external_words=words),
+        "offline_pipeline": lambda: offline_pipeline(lp, graph, cfg, external_words=words),
+    }
+    with pytest.raises(error):
+        entry_points[entry]()
+
+
+def test_minus_infinity_path_score_stays_legal(tmp_path):
+    """-inf is a legal log 0, as in a log-probability cell; the greedy
+    aligner yields it for a frame that is -inf everywhere."""
+    path = str(tmp_path / "words.tsv")
+    words = [WordAlignment("a", 0, 2, -INF)]
+    write_alignments(path, words)
+    assert read_alignments(path) == words
+    assert merge_region(words, [], MergePolicy(), {}) == words
+
+
+@pytest.mark.parametrize("chunk_ms,frame_ms", [
+    (1120.0, 0.0), (1120.0, -40.0), (1120.0, NAN), (1120.0, INF), (NAN, 40.0), (INF, 40.0),
+])
+def test_chunker_durations_must_be_positive_and_finite(chunk_ms, frame_ms):
+    matrix = random_logprobs(np.random.default_rng(14), 8, 4)
+    with pytest.raises(BadDuration):
+        list(chunker(matrix, chunk_ms, frame_ms))
+
+
+@pytest.mark.parametrize("frame_ms", ["0", "-40", "nan", "inf"])
+def test_stream_envelope_frame_duration_checked_before_any_record(
+    tmp_path, capsys, monkeypatch, frame_ms
+):
+    lp, _, vocab, _ = _small_inputs(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [lp[:8], lp[8:]])
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    rc = main(["stream", "--stdin-envelope", "--vocab", vocab, "--frame-ms", frame_ms])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("frame_ms", ["0", "nan"])
+def test_synth_frame_duration_checked_before_any_record(tmp_path, capsys, frame_ms):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\u2581go\n<blank>\n", encoding="utf-8")
+    out_path = tmp_path / "x.ctcl"
+    rc = main(["synth", "--vocab", str(vocab), "--text", "go", "--out", str(out_path),
+               "--frame-ms", frame_ms])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and not out_path.exists()
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["--logits", "--stdin-envelope"])
+def test_stream_chunk_duration_must_be_finite(tmp_path, capsys, monkeypatch, chunk_ms, source):
+    lp, logits, vocab, _ = _small_inputs(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [lp])
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    inputs = [source, logits] if source == "--logits" else [source]
+    rc = main(["stream", *inputs, "--vocab", vocab, "--chunk-ms", chunk_ms])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "positive and finite" in err

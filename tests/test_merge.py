@@ -20,6 +20,7 @@ from ctcspot.errors import (
     DimensionMismatch,
     FrontierRegression,
     NonFiniteRows,
+    OverlappingWords,
     SessionClosed,
     UnsortedInput,
 )
@@ -118,6 +119,29 @@ def test_unsorted_inputs_rejected():
     cands = [_cand(0, 5, 9, -1.0), _cand(1, 0, 6, -1.0)]
     with pytest.raises(UnsortedInput):
         merge_region([], cands, MergePolicy(), SURFACES)
+    with pytest.raises(UnsortedInput):  # candidates obey the words' interval rule
+        merge_region([], [_cand(0, 6, 4, -1.0)], MergePolicy(), SURFACES)
+
+
+@pytest.mark.parametrize("sizes", [[20], [4, 16], [1] * 20])
+def test_bad_external_words_fail_at_construction_under_every_chunking(sizes):
+    """Out-of-order words must not commit under any chunking: the offline
+    path rejects them, so the streaming one must too, before any chunk."""
+    graph = build_graph([BiasEntry(0, "halsey", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3)
+    lp = random_logprobs(np.random.default_rng(31), 20, 4)
+    words = [WordAlignment("b", 10, 12, -1.0), WordAlignment("a", 0, 2, -1.0)]
+    with pytest.raises(OverlappingWords):
+        offline_pipeline(lp, graph, cfg, external_words=words)
+    outputs = []
+    with pytest.raises(OverlappingWords):
+        pipe = StreamingPipeline(graph, cfg, external_words=words)
+        t = 0
+        for n in sizes:
+            outputs.append(pipe.process_chunk(lp[t : t + n]))
+            t += n
+        outputs.append(pipe.flush())
+    assert outputs == []
 
 
 def test_replacement_count_monotone_in_threshold():
@@ -172,6 +196,20 @@ def test_commit_step_holds_straddling_word():
     # the held word commits once the frontier clears it
     out = commit_step(state, _spot_result(21))
     assert [w.word for w in out.committed_delta] == ["late"]
+
+
+def test_commit_step_cut_retreats_through_a_chain_of_straddlers():
+    state = CommitState(MergePolicy(), SURFACES)
+    state.add_words([WordAlignment("a", 0, 1, -1.0), WordAlignment("b", 5, 12, -1.0)])
+    out = commit_step(state, _spot_result(10, finalized=[_cand(0, 2, 7, -9.0)]))
+    # 10 splits "b", so the cut drops to 5, which splits the candidate: 2
+    assert out.commit_frontier == 2
+    assert [w.word for w in out.committed_delta] == ["a"]
+
+
+def test_commit_state_takes_only_policy_and_surfaces():
+    with pytest.raises(TypeError):
+        CommitState(MergePolicy(), SURFACES, [WordAlignment("a", 0, 1, -1.0)])
 
 
 def test_commit_step_waits_for_held_candidates_and_open_word():
