@@ -9,6 +9,10 @@ class EmptyTokenSequence(CtcspotError):
     """A biasing entry has no tokens."""
 
 
+class EmptySurface(CtcspotError):
+    """A biasing entry or bias-list line has an empty surface."""
+
+
 class DuplicateConflict(CtcspotError):
     """Two biasing entries collide (same tokens with different surfaces,
     or a reused keyword id)."""
@@ -77,6 +81,10 @@ class NegativeInterval(UnsortedInput):
 
 class OverlappingWords(UnsortedInput):
     """A word or candidate does not start after the previous one ends."""
+
+
+class BadTokenList(FormatError):
+    """A bias-list token id column is not a comma-separated list of integers."""
 
 
 class BadDuration(FormatError):

@@ -16,7 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BadTokenList,
     DuplicateConflict,
+    EmptySurface,
     EmptyTokenSequence,
     TokenizationError,
     TokenOutOfRange,
@@ -81,9 +83,14 @@ class ContextGraph:
         return sum(1 for k in self.table.terminals if k >= 0)
 
     @cached_property
+    def token_ids(self) -> frozenset[int]:
+        """Every token id stored in the trie."""
+        return frozenset(self.table.tokens[1:])  # node 0, the root, carries none
+
+    @cached_property
     def max_token_id(self) -> int:
         """Largest token id stored in the trie, -1 for an empty graph."""
-        return max(self.table.tokens)
+        return max(self.token_ids, default=-1)
 
 
 def build_graph(
@@ -108,7 +115,7 @@ def build_graph(
         if not entry.tokens:
             raise EmptyTokenSequence(f"entry {entry.keyword_id} ({entry.surface!r}) has no tokens")
         if not entry.surface:
-            raise ValueError(f"entry {entry.keyword_id} has an empty surface")
+            raise EmptySurface(f"entry {entry.keyword_id} has an empty surface")
         for tok in entry.tokens:
             if tok < 0 or (vocab_size is not None and tok >= vocab_size):
                 raise TokenOutOfRange(
@@ -207,19 +214,22 @@ def tokenize(
 
 
 def _bias_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
-    """(line number, surface, token id column or None) per bias-list entry."""
+    """(line number, stripped surface, token id column or None) per
+    bias-list entry; an empty surface raises :class:`EmptySurface`."""
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             surface, tab, id_col = line.partition("\t")
-            yield lineno, surface, id_col if tab else None
+            if not surface.strip():
+                raise EmptySurface(f"{path}:{lineno}: empty surface")
+            yield lineno, surface.strip(), id_col if tab else None
 
 
 def load_bias_surfaces(path: str) -> list[str]:
     """The surfaces of a bias list, ignoring any token columns."""
-    return [surface.strip() for _, surface, _ in _bias_lines(path)]
+    return [surface for _, surface, _ in _bias_lines(path)]
 
 
 def load_bias_list(
@@ -240,12 +250,12 @@ def load_bias_list(
             try:
                 tokens = tuple(int(x) for x in id_col.split(",") if x.strip())
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
+                raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
         else:
             if vocab is None:
                 raise ValueError(
                     f"{path}:{lineno}: entry {surface!r} has no token ids and no vocabulary was given"
                 )
             tokens = tuple(tokenize(surface, vocab, marker, skip))
-        entries.append(BiasEntry(len(entries), surface.strip(), tokens))
+        entries.append(BiasEntry(len(entries), surface, tokens))
     return entries

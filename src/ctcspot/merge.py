@@ -16,6 +16,7 @@ equal to merging the whole utterance at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -67,21 +68,33 @@ def merge_region(
     """Merge de-overlapped candidates into a sorted word sequence.
 
     Words must pass ``check_words`` and candidates ``check_intervals``.
-    Replacement sets are computed against the original words; candidates
-    are non-overlapping, and no two candidates can cover more than half of
-    the same word, so the decisions are independent.
+    Replacement sets are computed against the original words, each
+    candidate on its own. Candidates do not overlap each other, and with
+    ``intersection_threshold >= 0.5`` no two can cover more than half of
+    the same word, so the decisions are independent. Below 0.5 two
+    candidates can both cover one word; each is then checked against that
+    word's full path score, and both may replace it.
+
+    Words are sorted and disjoint, so their starts and ends are two sorted
+    lists, and the words a candidate overlaps are the contiguous run found
+    by one bisection in each. Only that run is tested, so the merge costs
+    O((C + W) log W) for C candidates and W words.
     """
     check_words(words)
     check_intervals(candidates)
+    starts = [w.start_frame for w in words]
+    ends = [w.end_frame for w in words]
     replaced: set[int] = set()
     added: list[WordAlignment] = []
     n_replaced = n_inserted = n_discarded = 0
     for cand in candidates:
+        lo = bisect_left(ends, cand.start_frame)  # words lo..hi-1 overlap cand
+        hi = bisect_right(starts, cand.end_frame)
         covered = [
             i
-            for i, w in enumerate(words)
-            if _overlap(cand, w)
-            > policy.intersection_threshold * (w.end_frame - w.start_frame + 1)
+            for i in range(lo, hi)
+            if _overlap(cand, words[i])
+            > policy.intersection_threshold * (ends[i] - starts[i] + 1)
         ]
         as_word = WordAlignment(
             surfaces[cand.keyword_id], cand.start_frame, cand.end_frame, cand.score
@@ -93,7 +106,7 @@ def merge_region(
                 n_replaced += 1
             else:
                 n_discarded += 1
-        elif policy.allow_insertion and not any(_overlap(cand, w) for w in words):
+        elif policy.allow_insertion and lo == hi:
             added.append(as_word)
             n_inserted += 1
         else:

@@ -27,12 +27,13 @@ input through :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TokenOutOfRange
 from .formats import check_logprobs, resolve_blank
 from .graph import ContextGraph, SearchTable
 
@@ -66,9 +67,12 @@ class SpotterConfig:
             raise ValueError("max_keyword_frames must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpottedCandidate:
-    """A completed keyword detection over an inclusive frame interval."""
+    """A completed keyword detection over an inclusive frame interval.
+
+    Slotted: the offline path makes tens of thousands per utterance.
+    """
 
     keyword_id: int
     start_frame: int
@@ -212,12 +216,15 @@ def _search(
 
 
 def check_graph(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int:
-    """Returns the blank id if it and the graph fit ``vocab_size`` symbols."""
+    """Returns the blank id if it and the graph fit ``vocab_size`` symbols
+    and no phrase holds the blank."""
     blank = resolve_blank(cfg.blank_id, vocab_size)
     if graph.max_token_id >= vocab_size:
         raise DimensionMismatch(
             f"graph token id {graph.max_token_id} outside vocabulary of size {vocab_size}"
         )
+    if blank in graph.token_ids:
+        raise TokenOutOfRange(f"blank id {blank} inside a phrase")
     return blank
 
 
@@ -259,16 +266,35 @@ def settle(
     candidate starts at or after the frontier and might beat it) or
     overlaps a held one; otherwise it is kept. With an infinite frontier
     nothing is held and the sweep is the whole-utterance de-overlap.
+
+    The kept intervals are disjoint, so their starts and ends form two
+    sorted lists, and "overlaps a kept one" is one bisection. Held
+    candidates need no list: each is held at the frontier or overlaps a held
+    one, so the union of their intervals runs without a gap from each held
+    start to the frontier or beyond. A candidate ending before the frontier
+    therefore overlaps a held one iff it ends at or after the earliest held
+    start, and the whole hold rule is ``end >= hold_line`` with
+    ``hold_line = min(frontier, earliest held start)``. The sweep makes
+    O(N log N) comparisons for N candidates, the sort included; list inserts
+    only move pointers.
     """
     kept: list[SpottedCandidate] = []
     held: list[SpottedCandidate] = []
+    k_start: list[int] = []
+    k_end: list[int] = []
+    hold_line = frontier
     for cand in sorted(pending, key=_greedy_order):
-        if any(cand.overlaps(k) for k in kept):
+        s, e = cand.start_frame, cand.end_frame
+        j = bisect_right(k_start, e) - 1  # the last kept interval starting at or before e
+        if j >= 0 and k_end[j] >= s:
             continue  # lost to a kept, better-ranked candidate
-        if cand.end_frame >= frontier or any(cand.overlaps(h) for h in held):
+        if e >= hold_line:
             held.append(cand)
+            hold_line = min(hold_line, s)
         else:
             kept.append(cand)
+            k_start.insert(j + 1, s)
+            k_end.insert(j + 1, e)
     kept.sort(key=_time_order)
     held.sort(key=_time_order)
     return kept, held

@@ -179,3 +179,75 @@ def reference_step_frame(state, row, t, children, tokens, terminals, root_childr
         for node, (score, start) in at_terminal.items()
     ]
     return survivors, cands
+
+
+def _reference_greedy_order(c) -> tuple:
+    return (-c.per_frame_score, -c.num_frames, c.keyword_id, c.start_frame, c.end_frame)
+
+
+def _reference_time_order(c) -> tuple:
+    return (c.start_frame, c.end_frame, c.keyword_id)
+
+
+def reference_settle(pending, frontier) -> tuple:
+    """The greedy de-overlap sweep by plain scans: each candidate is tested
+    against every kept and held one. The package's sweep bisects sorted
+    lists instead and must return the same (kept, held)."""
+    kept = []
+    held = []
+    for cand in sorted(pending, key=_reference_greedy_order):
+        if any(cand.overlaps(k) for k in kept):
+            continue  # lost to a kept, better-ranked candidate
+        if cand.end_frame >= frontier or any(cand.overlaps(h) for h in held):
+            held.append(cand)
+        else:
+            kept.append(cand)
+    kept.sort(key=_reference_time_order)
+    held.sort(key=_reference_time_order)
+    return kept, held
+
+
+def _reference_overlap(c, w) -> int:
+    return max(0, min(c.end_frame, w.end_frame) - max(c.start_frame, w.start_frame) + 1)
+
+
+def reference_merge_region(words, candidates, policy, surfaces, stats=None) -> list:
+    """The merge by plain scans: every word is tested against every
+    candidate. The package's merge bisects to each candidate's run of words
+    and must return the same words and ``stats``."""
+    from ctcspot import WordAlignment
+    from ctcspot.formats import check_intervals, check_words
+
+    check_words(words)
+    check_intervals(candidates)
+    replaced = set()
+    added = []
+    n_replaced = n_inserted = n_discarded = 0
+    for cand in candidates:
+        covered = [
+            i
+            for i, w in enumerate(words)
+            if _reference_overlap(cand, w)
+            > policy.intersection_threshold * (w.end_frame - w.start_frame + 1)
+        ]
+        as_word = WordAlignment(
+            surfaces[cand.keyword_id], cand.start_frame, cand.end_frame, cand.score
+        )
+        if covered:
+            if cand.score >= sum(words[i].path_score for i in covered) + policy.score_margin:
+                replaced.update(covered)
+                added.append(as_word)
+                n_replaced += 1
+            else:
+                n_discarded += 1
+        elif policy.allow_insertion and not any(_reference_overlap(cand, w) for w in words):
+            added.append(as_word)
+            n_inserted += 1
+        else:
+            n_discarded += 1
+    merged = [w for i, w in enumerate(words) if i not in replaced]
+    merged.extend(added)
+    merged.sort(key=lambda w: (w.start_frame, w.end_frame, w.word))
+    if stats is not None:
+        stats.update(replaced=n_replaced, inserted=n_inserted, discarded=n_discarded)
+    return merged

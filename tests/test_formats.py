@@ -14,6 +14,7 @@ from ctcspot import (
     StreamingPipeline,
     WordAlignment,
     build_graph,
+    load_bias_list,
     merge_region,
     offline_pipeline,
     spot_offline,
@@ -22,14 +23,18 @@ from ctcspot.cli import main
 from ctcspot.errors import (
     BadDuration,
     BadMagic,
+    BadTokenList,
     ChunkTooSmall,
     DimensionMismatch,
+    EmptySurface,
+    EmptyTokenSequence,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
     NonFiniteScore,
     OverlappingWords,
     ProtocolError,
+    TokenOutOfRange,
     TruncatedPayload,
     UnnormalizedRows,
     UnsortedInput,
@@ -45,6 +50,7 @@ from ctcspot.formats import (
     write_envelope,
     write_logits,
 )
+from ctcspot.graph import load_bias_surfaces
 
 from conftest import random_logprobs, synthetic_vocab
 
@@ -360,6 +366,51 @@ def test_every_entry_point_rejects_malformed_alignments_alike(tmp_path, capsys, 
         "merge_region": lambda: merge_region(words, [], MergePolicy(), graph.surfaces),
         "StreamingPipeline": lambda: StreamingPipeline(graph, cfg, external_words=words),
         "offline_pipeline": lambda: offline_pipeline(lp, graph, cfg, external_words=words),
+    }
+    with pytest.raises(error):
+        entry_points[entry]()
+
+
+# each line follows a good one; the vocabulary has 4 symbols and blank 3
+BIAS_RULES = {
+    "non-integer id": ("kw\tx,1", BadTokenList),
+    "float id": ("kw\t1.5", BadTokenList),
+    "negative id": ("kw\t-1", TokenOutOfRange),
+    "out-of-range id": ("kw\t4", TokenOutOfRange),
+    "blank id": ("kw\t0,3", TokenOutOfRange),
+    "empty id column": ("kw\t", EmptyTokenSequence),
+    "blank id column": ("kw\t , ", EmptyTokenSequence),
+    "empty surface": ("\t0,1", EmptySurface),
+    "blank surface": ("  \t0,1", EmptySurface),
+}
+# a bias list becomes a graph through load_bias_list and build_graph; the
+# surfaces-only reader sees the surface rules alone
+BIAS_ENTRIES = ("load_bias_list", "load_bias_surfaces", "spot --bias", "stream --bias")
+
+
+@pytest.mark.parametrize("rule,entry", [
+    (rule, entry)
+    for rule in BIAS_RULES
+    for entry in BIAS_ENTRIES
+    if entry != "load_bias_surfaces" or "surface" in rule
+])
+def test_every_entry_point_rejects_malformed_bias_lines_alike(tmp_path, capsys, rule, entry):
+    line, error = BIAS_RULES[rule]
+    _, logits, vocab, _ = _small_inputs(tmp_path)
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"ok\t0,1\n{line}\n", encoding="utf-8")
+    if entry in ("spot --bias", "stream --bias"):
+        command = entry.split()[0]
+        assert main([command, "--logits", logits, "--vocab", vocab, "--bias", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before any record
+        assert "error" in err
+        return
+    entry_points = {
+        "load_bias_list": lambda: build_graph(
+            load_bias_list(str(path), blank_id=3), vocab_size=4, blank_id=3
+        ),
+        "load_bias_surfaces": lambda: load_bias_surfaces(str(path)),
     }
     with pytest.raises(error):
         entry_points[entry]()

@@ -26,7 +26,13 @@ from ctcspot.errors import (
 )
 from ctcspot.streaming import HeldPreview, SpotChunkResult
 
-from conftest import random_entries, random_logprobs, random_partition, synthetic_vocab
+from conftest import (
+    random_entries,
+    random_logprobs,
+    random_partition,
+    reference_merge_region,
+    synthetic_vocab,
+)
 
 SURFACES = {0: "halsey", 1: "justin bieber", 2: "africa"}
 
@@ -104,6 +110,65 @@ def test_multiword_replacement_end_to_end():
         pipe.process_chunk(matrix[i : i + 1])
     pipe.flush()
     assert pipe.transcript == transcript
+
+
+def test_low_threshold_lets_two_candidates_replace_one_word():
+    """Below a threshold of 0.5 two candidates can each cover one word, and
+    each is checked against that word's full score on its own."""
+    word = WordAlignment("also", 0, 7, -4.0)
+    cands = [_cand(0, 0, 3, -3.0), _cand(2, 4, 7, -3.0)]
+    stats = {}
+    merged = merge_region([word], cands, MergePolicy(intersection_threshold=0.25), SURFACES,
+                          stats=stats)
+    assert [w.word for w in merged] == ["halsey", "africa"]
+    assert stats == {"replaced": 2, "inserted": 0, "discarded": 0}
+
+
+def _sorted_intervals(draw, max_items):
+    """Sorted, disjoint inclusive intervals with gaps of 0 to 3 frames."""
+    out = []
+    nxt = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, max_items))):
+        start = nxt + draw(st.integers(0, 3))
+        end = start + draw(st.integers(0, 5))
+        out.append((start, end))
+        nxt = end + 1
+    return out
+
+
+SCORES = st.one_of(st.sampled_from([-6.0, -4.0, -3.0, -2.0, -1.0, 0.0]), st.floats(-8.0, 0.0))
+
+
+@st.composite
+def merge_cases(draw):
+    """Words with gaps and candidates laid out independently of them, so
+    candidates cover, graze, straddle or miss words."""
+    words = [
+        WordAlignment(f"w{i}", s, e, draw(SCORES))
+        for i, (s, e) in enumerate(_sorted_intervals(draw, 10))
+    ]
+    cands = [
+        SpottedCandidate(draw(st.sampled_from(sorted(SURFACES))), s, e, draw(SCORES))
+        for s, e in _sorted_intervals(draw, 8)
+    ]
+    policy = MergePolicy(
+        intersection_threshold=draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])),
+        score_margin=draw(st.sampled_from([0.0, 1.0])),
+        allow_insertion=draw(st.booleans()),
+    )
+    return words, cands, policy
+
+
+@settings(max_examples=1000, deadline=None)
+@given(merge_cases())
+def test_merge_region_matches_the_scanning_reference(case):
+    """Bisecting to each candidate's run of words gives the same merged
+    words and the same counts as testing every word."""
+    words, cands, policy = case
+    stats, ref_stats = {}, {}
+    merged = merge_region(words, cands, policy, SURFACES, stats=stats)
+    assert merged == reference_merge_region(words, cands, policy, SURFACES, stats=ref_stats)
+    assert stats == ref_stats
 
 
 def test_insertion_disabled_by_policy():

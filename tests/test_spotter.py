@@ -9,21 +9,26 @@ from hypothesis import strategies as st
 from ctcspot import (
     BiasEntry,
     SpotterConfig,
+    SpotterSession,
     SpottedCandidate,
+    StreamingPipeline,
     brute_force_keyword_score,
     brute_force_scores_by_end,
     build_graph,
     dedup_overlaps,
+    offline_pipeline,
     spot_offline,
 )
-from ctcspot.errors import DimensionMismatch, NonFiniteRows
+from ctcspot.errors import DimensionMismatch, NonFiniteRows, TokenOutOfRange
 from ctcspot.spotter import _search, settle
 
 from conftest import (
     random_entries,
     random_logprobs,
+    reference_settle,
     reference_step_frame,
     reference_tables,
+    synthetic_vocab,
 )
 
 NO_PRUNE = dict(beam_threshold=float("inf"), min_per_frame_score=float("-inf"),
@@ -85,6 +90,29 @@ def test_token_id_outside_matrix_width():
     graph = build_graph([BiasEntry(0, "kw", (7,))])
     with pytest.raises(DimensionMismatch):
         spot_offline(lp, graph, SpotterConfig())
+
+
+BLANK_PHRASE_ENTRIES = {
+    "spot_offline": lambda g, cfg, lp, vocab: spot_offline(lp, g, cfg),
+    "SpotterSession": lambda g, cfg, lp, vocab: SpotterSession(g, cfg).process_chunk(lp),
+    "StreamingPipeline(vocab)": lambda g, cfg, lp, vocab: StreamingPipeline(g, cfg, vocab=vocab),
+    "StreamingPipeline(external_words)": lambda g, cfg, lp, vocab: StreamingPipeline(
+        g, cfg, external_words=[]
+    ).process_chunk(lp),
+    "offline_pipeline": lambda g, cfg, lp, vocab: offline_pipeline(lp, g, cfg, vocab=vocab),
+}
+
+
+@pytest.mark.parametrize("blank_id,phrase", [(None, (7,)), (2, (1, 2))])
+@pytest.mark.parametrize("entry", BLANK_PHRASE_ENTRIES)
+def test_every_entry_point_rejects_a_phrase_holding_the_blank(entry, blank_id, phrase):
+    """A graph built without a blank id may hold the blank; each entry point
+    that resolves the blank rejects it before any search."""
+    lp = np.full((6, 8), -np.log(8.0))
+    graph = build_graph([BiasEntry(0, "kw", phrase)], vocab_size=8)
+    cfg = SpotterConfig(blank_id=blank_id, min_per_frame_score=-3.0)
+    with pytest.raises(TokenOutOfRange):
+        BLANK_PHRASE_ENTRIES[entry](graph, cfg, lp, synthetic_vocab(8))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -219,6 +247,61 @@ def test_dedup_tie_prefers_longer_then_smaller_keyword():
     a = _cand(3, 2, 4, -1.0)
     b = _cand(1, 2, 4, -1.0)
     assert dedup_overlaps([a, b]) == [b]
+
+
+def test_candidates_are_slotted():
+    """A candidate carries no instance dict; the offline path holds tens of
+    thousands of them at once."""
+    cand = SpottedCandidate(0, 2, 5, -1.0)
+    assert not hasattr(cand, "__dict__")
+
+
+# A few per-frame scores make ranking ties common.
+PFS = [-2.0, -1.0, -0.5, 0.0]
+
+
+@st.composite
+def settle_cases(draw):
+    """Dense candidates over a few dozen frames: many overlap, share one
+    frame or touch end to start, and held ones chain into wide unions."""
+    cands = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(0, 24))
+        end = start + draw(st.integers(0, 6))
+        pfs = draw(st.one_of(st.sampled_from(PFS), st.floats(-3.0, 1.0)))
+        cands.append(SpottedCandidate(draw(st.integers(0, 3)), start, end, pfs * (end - start + 1)))
+    frontier = draw(st.one_of(st.integers(0, 32), st.just(math.inf)))
+    return cands, frontier
+
+
+@settings(max_examples=1000, deadline=None)
+@given(settle_cases())
+@example((  # a held chain whose last link overlaps only its first
+    [_cand(0, 9, 14, 0.0), _cand(1, 6, 9, -1.0), _cand(2, 11, 11, -2.0)], 12,
+))
+@example((  # a held chain: each link moves the hold line back
+    [_cand(0, 9, 14, 0.0), _cand(1, 6, 9, -1.0), _cand(2, 4, 7, -2.0)], 12,
+))
+@example((  # a held chain reached through the earliest held start
+    [_cand(0, 9, 14, 0.0), _cand(1, 12, 15, -1.0), _cand(2, 7, 9, -2.0)], 13,
+))
+@example((  # one shared frame with a kept candidate, on either side
+    [_cand(0, 5, 8, 0.0), _cand(1, 2, 5, -1.0), _cand(2, 8, 10, -1.0)], math.inf,
+))
+@example((  # one shared frame with a held candidate, on either side
+    [_cand(0, 5, 8, 0.0), _cand(1, 2, 5, -1.0), _cand(2, 8, 10, -1.0)], 6,
+))
+@example((  # touching a kept candidate end to start is no overlap
+    [_cand(0, 5, 8, 0.0), _cand(1, 2, 4, -1.0), _cand(2, 9, 10, -1.0)], math.inf,
+))
+@example((  # ending just before the earliest held start is no overlap
+    [_cand(0, 6, 12, 0.0), _cand(1, 3, 6, -1.0), _cand(2, 1, 2, -1.0)], 11,
+))
+def test_settle_matches_the_scanning_reference(case):
+    """The bisecting sweep keeps and holds exactly what a scan over every
+    kept and held candidate would, at a finite frontier and at infinity."""
+    pending, frontier = case
+    assert settle(pending, frontier) == reference_settle(pending, frontier)
 
 
 # A few distinct cell values make score ties between hypotheses common.
