@@ -12,6 +12,8 @@ The streaming form carries the previous argmax symbol and the open word
 across chunk boundaries; feeding the chunks of a matrix in order yields
 exactly the words of :func:`greedy_decode` on the whole matrix. A chunk is
 checked by :func:`ctcspot.formats.check_logprobs` before any state changes.
+After :meth:`StreamingAligner.flush`, feeding or flushing again raises
+:class:`~ctcspot.errors.SessionClosed`, as a spotter session does.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SessionClosed
 from .formats import WordAlignment, check_logprobs, resolve_blank
 from .graph import DEFAULT_WORD_MARKER
 
@@ -50,6 +53,7 @@ class StreamingAligner:
         self._prev = self._blank
         self._frames = 0
         self._open: _OpenWord | None = None
+        self._closed = False
 
     @property
     def frames_seen(self) -> int:
@@ -63,6 +67,10 @@ class StreamingAligner:
     def open_word_preview(self) -> str | None:
         return "".join(self._open.parts) if self._open is not None else None
 
+    def _require_open(self) -> None:
+        if self._closed:
+            raise SessionClosed("aligner was flushed")
+
     def _close(self) -> WordAlignment | None:
         if self._open is None:
             return None
@@ -74,6 +82,7 @@ class StreamingAligner:
 
     def feed(self, logprobs: np.ndarray) -> list[WordAlignment]:
         """Consume one chunk; returns words completed by this chunk."""
+        self._require_open()
         lp = check_logprobs(logprobs, len(self._vocab))
         n = lp.shape[0]
         if n == 0:
@@ -119,7 +128,9 @@ class StreamingAligner:
         return closed
 
     def flush(self) -> list[WordAlignment]:
-        """Close the word in progress, if any."""
+        """Close the word in progress, if any, and the aligner."""
+        self._require_open()
+        self._closed = True
         done = self._close()
         return [done] if done is not None else []
 

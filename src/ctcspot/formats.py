@@ -62,12 +62,15 @@ class WordAlignment:
 
 
 def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Return the matrix as float64 if it is 2-d, as wide as ``width`` (an
-    empty chunk fits any) and free of NaN and +inf; -inf is a legal log 0.
-    Run before any state changes: a NaN score fails every prune compare."""
+    """Return the matrix as C-contiguous native float64 if it is 2-d, as
+    wide as ``width`` (an empty chunk fits any) and free of NaN and +inf;
+    -inf is a legal log 0. Run before any state changes: a NaN score fails
+    every prune compare. The search reads each row through a memoryview,
+    which needs that layout."""
     lp = np.asarray(matrix, dtype=float)
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
+    lp = np.ascontiguousarray(lp)  # after the ndim check: it makes a 0-d input 1-d
     if width is not None and lp.shape[0] and lp.shape[1] != width:
         raise DimensionMismatch(f"chunk width {lp.shape[1]} != expected width {width}")
     if lp.size and not lp.max() < np.inf:  # max propagates NaN and +inf

@@ -43,10 +43,11 @@ def wer(ref: Sequence[str] | str, hyp: Sequence[str] | str) -> float:
 
 
 def corpus_wer(refs: Iterable[Sequence[str] | str], hyps: Iterable[Sequence[str] | str]) -> float:
-    """Corpus-level WER: summed edit distance over summed reference length."""
+    """Corpus-level WER: summed edit distance over summed reference length.
+    Raises ValueError when the two differ in count, as :func:`keyword_prf` does."""
     total_dist = 0
     total_len = 0
-    for ref, hyp in zip(refs, hyps):
+    for ref, hyp in zip(refs, hyps, strict=True):
         ref_words, hyp_words = _as_words(ref), _as_words(hyp)
         total_dist += edit_distance(ref_words, hyp_words)
         total_len += len(ref_words)

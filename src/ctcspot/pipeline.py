@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .aligner import StreamingAligner, greedy_decode
-from .errors import SessionClosed
 from .formats import WordAlignment, check_words
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
@@ -80,8 +79,6 @@ class StreamingPipeline:
 
     def _step(self, chunk: np.ndarray | None) -> ChunkOutput:
         """One timed align / spot / commit step; a chunk of None flushes."""
-        if self.spotter.closed:  # before the aligner, which has no closed state
-            raise SessionClosed("pipeline was flushed")
         t0 = time.perf_counter()
         aligner = self.aligner
         if aligner is not None:

@@ -16,6 +16,18 @@ root-child slot is pruned when a strictly better fresh entry would have
 displaced it. Any other fresh entry would be pruned at age 1 anyway, so the
 result equals admitting every root child.
 
+Live hypotheses are cut the same way before any dict work. The frame's best
+score has two lower bounds known before the frame's expansions: the top
+hypothesis's blank self-loop (every hypothesis takes it) and the best fresh
+entry (counted in the best). So an expansion scoring below ``cut = max(top +
+row[blank], fresh_best) - beam_threshold`` is below the beam floor and is
+never inserted. Nothing at or above either bound is skipped, so the best,
+the beam floor and the admission floor stay as they were; a skipped entry
+could only have won a slot that pruning then empties, and a fresh entry,
+at or above the floor, still replaces any lower one. Hypotheses over the
+age cap or under the per-frame floor are expanded all the same: their
+expansions count toward the best, and skipping them would move the floor.
+
 The per-frame step below drives both :func:`spot_offline` and the chunked
 session in :mod:`ctcspot.streaming`. Sharing it is what makes the two
 paths score identically for any chunking of the input. Likewise
@@ -111,6 +123,10 @@ def _step_frame(
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of this frame.
+    An expansion below ``cut``, the beam threshold under the larger of the
+    two lower bounds on that best (the top hypothesis's blank self-loop and
+    ``fresh_best``), is skipped before its dict probe: it would be pruned.
+    Age-capped hypotheses are still expanded, as they count in the best.
     """
     cb = cfg.cb_weight
     tokens = table.tokens
@@ -119,33 +135,38 @@ def _step_frame(
     terminals = table.terminals
     lp_blank = row[blank_id]
     nxt: _State = {}
+    # the frame's best is at least lo, so an expansion below cut is pruned anyway
+    lo = max(max(state.values())[0] + lp_blank, fresh_best) if state else fresh_best
+    cut = lo - cfg.beam_threshold
 
     for key, (score, start) in state.items():
-        node = key >> 1
-        ntok = tokens[node]
         # blank self-loop
-        k = (node << 1) | 1
         s = score + lp_blank
-        prev = nxt.get(k)
-        if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
-            nxt[k] = (s, start)
-        in_blank = key & 1
-        if not in_blank:
-            # repeated emission of the node's own token
-            k = node << 1
-            s = score + row[ntok]
+        if s >= cut:
+            k = key | 1
             prev = nxt.get(k)
             if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
                 nxt[k] = (s, start)
+        node = key >> 1
+        ntok = tokens[node]
+        in_blank = key & 1
+        if not in_blank:
+            # repeated emission of the node's own token
+            s = score + row[ntok]
+            if s >= cut:
+                prev = nxt.get(key)
+                if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                    nxt[key] = (s, start)
         child = first_child[node]
         while child >= 0:
             ctok = tokens[child]
             if in_blank or ctok != ntok:
-                k = child << 1
                 s = score + row[ctok] + cb
-                prev = nxt.get(k)
-                if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
-                    nxt[k] = (s, start)
+                if s >= cut:
+                    k = child << 1
+                    prev = nxt.get(k)
+                    if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                        nxt[k] = (s, start)
             child = next_sibling[child]
 
     # Fresh hypotheses enter at every root child, but a fresh entry is one
@@ -210,7 +231,7 @@ def _search(
     fresh_best = fresh.max(axis=1, initial=-np.inf).tolist()
     for i in range(lp.shape[0]):
         state, cands = _step_frame(
-            state, lp[i].tolist(), fresh[i], fresh_best[i], first_frame + i, table, cfg, blank_id
+            state, memoryview(lp[i]), fresh[i], fresh_best[i], first_frame + i, table, cfg, blank_id
         )
         yield state, cands
 
@@ -245,8 +266,10 @@ def spot_offline(
 
 
 def _greedy_order(c: SpottedCandidate) -> tuple:
-    # best per-frame score first, then longer, then stable identity fields
-    return (-c.per_frame_score, -c.num_frames, c.keyword_id, c.start_frame, c.end_frame)
+    # best per-frame score first, then longer, then stable identity fields;
+    # the per_frame_score and num_frames properties, inlined for the sort
+    n = c.end_frame - c.start_frame + 1
+    return (-(c.score / n), -n, c.keyword_id, c.start_frame, c.end_frame)
 
 
 def _time_order(c: SpottedCandidate) -> tuple:

@@ -71,10 +71,6 @@ class SpotterSession:
         return self._frames
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def commit_frontier(self) -> int:
         return self._frontier
 

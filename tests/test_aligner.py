@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctcspot import StreamingAligner, greedy_decode
-from ctcspot.errors import DimensionMismatch, NonFiniteRows
+from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
 
 from conftest import MARKER, collapse, random_logprobs, synthetic_vocab
 
@@ -87,6 +87,21 @@ def test_word_spanning_a_chunk_boundary():
     words = aligner.flush()
     assert [w.word for w in words] == ["hello"]
     assert (words[0].start_frame, words[0].end_frame) == (0, 3)
+
+
+def test_feed_and_flush_after_flush_raise_session_closed():
+    vocab = ["", f"{MARKER}he", "llo", "<blank>"]
+    lp = _forced([1, 1], 4)
+    aligner = StreamingAligner(vocab, blank_id=3)
+    aligner.feed(lp[:1])
+    assert [w.word for w in aligner.flush()] == ["he"]
+    with pytest.raises(SessionClosed):
+        aligner.feed(lp[1:])  # its argmax repeats the last symbol
+    with pytest.raises(SessionClosed):
+        aligner.feed(lp[:0])
+    with pytest.raises(SessionClosed):
+        aligner.flush()
+    assert aligner.frames_seen == 1
 
 
 def test_empty_chunk_changes_nothing():

@@ -103,6 +103,10 @@ def test_corpus_wer_weights_by_reference_length():
     refs = ["a b c d", "x"]
     hyps = ["a b c d", "y"]
     assert corpus_wer(refs, hyps) == pytest.approx(100.0 / 5)
+    with pytest.raises(ValueError):
+        corpus_wer(["a b", "c d e"], ["a b"])
+    with pytest.raises(ValueError):
+        corpus_wer(["a b"], ["a b", "c d e"])
 
 
 def test_runtime_report_examples():

@@ -352,6 +352,24 @@ def _cand_keys(cands):
                   max_keyword_frames=1, blank_id=2),
     [2, 1],
 ))
+@example((  # a child lands exactly on the beam floor that fresh_best sets
+    build_graph([BiasEntry(0, "ab", (0, 1))]),
+    np.array([[-1.0, -4.0, -4.0], [-1.0, -2.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=1.0, blank_id=2),
+    [1, 1],
+))
+@example((  # a child lands exactly on the beam floor that the top blank loop sets
+    build_graph([BiasEntry(0, "ab", (0, 1))]),
+    np.array([[0.0, -4.0, -4.0], [-4.0, -1.0, 0.0]]),
+    SpotterConfig(cb_weight=0.0, beam_threshold=1.0, blank_id=2),
+    [2],
+))
+@example((  # the top hypothesis is over the age cap, yet its blank loop sets best
+    build_graph([BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))]),
+    np.array([[0.0, -4.0, -4.0], [-4.0, -2.0, 0.0]]),
+    SpotterConfig(cb_weight=0.0, beam_threshold=1.0, max_keyword_frames=1, blank_id=2),
+    [1, 1],
+))
 def test_exact_admission_matches_full_admission(case):
     """Frame by frame over any chunking, the search admitting only fresh
     entries at or above the floor (or on a slot propagation filled) keeps

@@ -10,13 +10,20 @@ from ctcspot import (
     BiasEntry,
     SpotterConfig,
     SpotterSession,
+    StreamingPipeline,
     build_graph,
     dedup_overlaps,
     spot_offline,
 )
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
 
-from conftest import cand_key, random_entries, random_logprobs, random_partition
+from conftest import (
+    cand_key,
+    random_entries,
+    random_logprobs,
+    random_partition,
+    synthetic_vocab,
+)
 
 INVARIANT_CFG = dict(beam_threshold=7.0, min_per_frame_score=-5.0)
 
@@ -180,6 +187,47 @@ def test_random_partitions_match_offline():
         session = SpotterSession(graph, cfg)
         streamed = _run_chunks(session, lp, random_partition(rng, n_frames))
         assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "column-strided": lambda lp: np.repeat(lp, 2, axis=1)[:, ::2],
+    "big-endian": lambda lp: lp.astype(">f8"),
+}
+
+
+def _pipeline_words(graph, cfg, vocab, lp, sizes):
+    pipe = StreamingPipeline(graph, cfg, vocab=vocab)
+    i = 0
+    for n in sizes:
+        pipe.process_chunk(lp[i : i + n])
+        i += n
+    pipe.flush()
+    return pipe.emitted_words
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_input_layout_matches_the_c_contiguous_matrix(layout):
+    """The search reads each row through a memoryview of the checked
+    matrix. A Fortran-order, column-strided or big-endian input gives every
+    entry point the same candidates and words as its C-contiguous copy."""
+    rng = np.random.default_rng(24)
+    vocab_size = 7
+    vocab = synthetic_vocab(vocab_size, rng)
+    for _ in range(10):
+        graph = build_graph(random_entries(rng, 5, vocab=vocab_size, blank=6, max_len=3))
+        cfg = SpotterConfig(blank_id=6, max_keyword_frames=10_000, **INVARIANT_CFG)
+        lp = random_logprobs(rng, int(rng.integers(2, 40)), vocab_size)
+        other = LAYOUTS[layout](lp)
+        assert not (other.flags.c_contiguous and other.dtype.isnative)
+        sizes = random_partition(rng, lp.shape[0])
+        assert spot_offline(other, graph, cfg) == spot_offline(lp, graph, cfg)
+        assert _run_chunks(SpotterSession(graph, cfg), other, sizes) == _run_chunks(
+            SpotterSession(graph, cfg), lp, sizes
+        )
+        assert _pipeline_words(graph, cfg, vocab, other, sizes) == _pipeline_words(
+            graph, cfg, vocab, lp, sizes
+        )
 
 
 def test_chunk_width_must_stay_constant():
