@@ -35,8 +35,16 @@ from .metrics import (
     wer,
 )
 from .pipeline import StreamingPipeline, offline_pipeline
-from .spotter import SpotterConfig, SpottedCandidate, dedup_overlaps, spot_offline
-from .streaming import ActiveToken, HeldPreview, SpotChunkResult, SpotterSession
+from .spotter import (
+    ActiveToken,
+    HeldPreview,
+    SpotChunkResult,
+    SpotterConfig,
+    SpotterSession,
+    SpottedCandidate,
+    dedup_overlaps,
+    spot_offline,
+)
 from .synth import (
     ScriptSegment,
     SynthSpec,

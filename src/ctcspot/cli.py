@@ -69,12 +69,14 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alignments", help="external word alignment file instead of greedy decoding")
     p.add_argument("--blank-id", type=int, default=None, help="default: vocabulary size - 1")
     p.add_argument("--marker", default=DEFAULT_WORD_MARKER, help="word-boundary marker prefix")
-    p.add_argument("--cb-weight", type=float, default=3.0)
-    p.add_argument("--beam-threshold", type=float, default=7.0, help="'inf' disables pruning")
-    p.add_argument("--min-per-frame-score", type=float, default=-5.0)
-    p.add_argument("--max-keyword-frames", type=int, default=200)
-    p.add_argument("--intersection-threshold", type=float, default=0.5)
-    p.add_argument("--score-margin", type=float, default=0.0)
+    p.add_argument("--cb-weight", type=float, default=SpotterConfig.cb_weight)
+    p.add_argument("--beam-threshold", type=float, default=SpotterConfig.beam_threshold,
+                   help="'inf' disables pruning")
+    p.add_argument("--min-per-frame-score", type=float, default=SpotterConfig.min_per_frame_score)
+    p.add_argument("--max-keyword-frames", type=int, default=SpotterConfig.max_keyword_frames)
+    p.add_argument("--intersection-threshold", type=float,
+                   default=MergePolicy.intersection_threshold)
+    p.add_argument("--score-margin", type=float, default=MergePolicy.score_margin)
     p.add_argument("--no-insertion", action="store_true", help="never insert candidates into silence")
 
 

@@ -231,6 +231,8 @@ def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"line {lineno}: not a JSON record") from exc
+        if not isinstance(record, dict):
+            raise ProtocolError(f"line {lineno}: not a JSON object")
         kind = record.get("type")
         if kind == "end":
             ended = True

@@ -2,9 +2,9 @@
 
 Each biasing phrase is stored as a root-to-leaf path of token ids; phrases
 sharing a token prefix share the prefix's node chain. :func:`build_graph`
-freezes the trie into one :class:`SearchTable` of flat per-node lists,
-which every search over the graph reads. The CTC rules over those lists
-live in one place, the per-frame step of :mod:`ctcspot.spotter`.
+freezes the trie into a :class:`ContextGraph`, a frozen table of flat
+per-node lists that every search reads directly. The CTC rules over those
+lists live in one place, the per-frame step of :mod:`ctcspot.spotter`.
 """
 
 from __future__ import annotations
@@ -39,15 +39,18 @@ class BiasEntry:
 
 
 @dataclass(frozen=True, eq=False)
-class SearchTable:
-    """The trie frozen into flat per-node lists, the only form the search reads.
+class ContextGraph:
+    """The token trie frozen into flat per-node lists by :func:`build_graph`;
+    the search reads these lists directly. Safe for concurrent readers.
 
-    ``tokens[n]`` is the token on the edge into node n (-1 at the root),
-    ``terminals[n]`` the keyword id ending at n (-1 when none). The children
-    of n form a chain: ``first_child[n]``, then ``next_sibling`` of each
-    child, with -1 ending it. ``root_tok[i]`` is the token of the i-th root
-    child, ``root_keys[i]`` that child's non-blank search key (node << 1) and
-    ``root_slot`` maps the key back to i.
+    Node 0 is the root. ``tokens[n]`` is the token on the edge into node n
+    (-1 at the root), ``terminals[n]`` the keyword id ending at n (-1 when
+    none). The children of n form a chain: ``first_child[n]``, then
+    ``next_sibling`` of each child, with -1 ending it. ``root_tok[i]`` is
+    the token of the i-th root child, ``root_keys[i]`` that child's
+    non-blank search key (node << 1) and ``root_slot`` maps the key back to
+    i. ``entries`` are the kept bias entries and ``surfaces`` maps each
+    keyword id to its surface text.
     """
 
     tokens: list[int]
@@ -57,35 +60,21 @@ class SearchTable:
     root_tok: np.ndarray
     root_keys: list[int]
     root_slot: dict[int, int]
-
-
-class ContextGraph:
-    """Immutable token trie built by :func:`build_graph`.
-
-    Node 0 is the root and carries no token (token id -1). Safe for
-    concurrent readers once built; the search reads ``table``, and
-    ``surfaces`` maps each keyword id to its surface text.
-    """
-
-    def __init__(self, table: SearchTable, entries: list[BiasEntry]) -> None:
-        self.table = table
-        self.entries = entries
-        self.surfaces = {e.keyword_id: e.surface for e in entries}
-
-    # queries --------------------------------------------------------------
+    entries: list[BiasEntry]
+    surfaces: dict[int, str]
 
     @property
     def num_nodes(self) -> int:
-        return len(self.table.tokens)
+        return len(self.tokens)
 
     @property
     def num_terminals(self) -> int:
-        return sum(1 for k in self.table.terminals if k >= 0)
+        return sum(1 for k in self.terminals if k >= 0)
 
     @cached_property
     def token_ids(self) -> frozenset[int]:
         """Every token id stored in the trie."""
-        return frozenset(self.table.tokens[1:])  # node 0, the root, carries none
+        return frozenset(self.tokens[1:])  # node 0, the root, carries none
 
     @cached_property
     def max_token_id(self) -> int:
@@ -98,7 +87,7 @@ def build_graph(
     vocab_size: int | None = None,
     blank_id: int | None = None,
 ) -> ContextGraph:
-    """Build the trie from biasing entries and freeze its search table.
+    """Build the trie from biasing entries and freeze it.
 
     Entries with identical token sequences are deduplicated silently when
     their surfaces match and rejected otherwise. When ``vocab_size`` or
@@ -157,7 +146,7 @@ def build_graph(
         root_children.append(child)
         child = next_sibling[child]
     root_keys = [c << 1 for c in root_children]
-    table = SearchTable(
+    return ContextGraph(
         tokens=tokens,
         first_child=first_child,
         next_sibling=next_sibling,
@@ -165,8 +154,9 @@ def build_graph(
         root_tok=np.array([tokens[c] for c in root_children], dtype=np.intp),
         root_keys=root_keys,
         root_slot={k: i for i, k in enumerate(root_keys)},
+        entries=kept,
+        surfaces={e.keyword_id: e.surface for e in kept},
     )
-    return ContextGraph(table, kept)
 
 
 # vocabulary and bias-list files ------------------------------------------

@@ -16,14 +16,14 @@ equal to merging the whole utterance at once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .formats import WordAlignment, check_intervals, check_words
 from .errors import FrontierRegression, InvariantViolation
-from .spotter import SpottedCandidate
-from .streaming import SpotChunkResult
+from .spotter import SpotChunkResult, SpottedCandidate
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class MergePolicy:
     """Replacement rule tunables.
 
     intersection_threshold is the fraction of a word's interval a candidate
-    must cover (strict inequality); score_margin is the log-score slack the
-    candidate must beat the covered words by; allow_insertion enables
-    placing candidates into silence gaps.
+    must cover (strict inequality); score_margin, not NaN, is the log-score
+    slack the candidate must beat the covered words by (-inf: always, +inf:
+    never replace); allow_insertion enables placing candidates into gaps.
     """
 
     intersection_threshold: float = 0.5
@@ -43,6 +43,8 @@ class MergePolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.intersection_threshold <= 1.0:
             raise ValueError("intersection_threshold must be in (0, 1]")
+        if math.isnan(self.score_margin):
+            raise ValueError("score_margin must not be NaN")
 
 
 @dataclass

@@ -19,8 +19,14 @@ from .aligner import StreamingAligner, greedy_decode
 from .formats import WordAlignment, check_words
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
-from .spotter import SpotterConfig, SpottedCandidate, check_graph, dedup_overlaps, spot_offline
-from .streaming import SpotterSession
+from .spotter import (
+    SpotterConfig,
+    SpotterSession,
+    SpottedCandidate,
+    check_graph,
+    dedup_overlaps,
+    spot_offline,
+)
 
 
 @dataclass
@@ -72,7 +78,7 @@ class StreamingPipeline:
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
-        return self._step(np.asarray(logprobs, dtype=float))
+        return self._step(np.ascontiguousarray(logprobs, dtype=float))
 
     def flush(self) -> ChunkOutput:
         return self._step(None)
@@ -119,7 +125,7 @@ def offline_pipeline(
     cfg = cfg or SpotterConfig()
     _check_sources(graph, cfg, vocab, external_words)
     policy = policy or MergePolicy()
-    lp = np.asarray(logprobs, dtype=float)
+    lp = np.ascontiguousarray(logprobs, dtype=float)
     if vocab is not None:
         words = greedy_decode(lp, vocab, cfg.blank_id, marker)
     else:

@@ -8,7 +8,7 @@ hypotheses landing on the same (node, sub-state) recombine keeping the
 best score, and survivors of beam pruning and the age cap that sit on a
 terminal node are reported as keyword candidates.
 
-The search reads only the graph's frozen :class:`~ctcspot.graph.SearchTable`.
+The search reads the frozen :class:`~ctcspot.graph.ContextGraph` directly.
 Fresh-entry scores are computed per chunk with numpy; per frame, only the
 entries at or above the admission floor ``max(min_per_frame_score, best -
 beam_threshold)`` are inserted, and a live hypothesis below the floor on a
@@ -29,11 +29,18 @@ age cap or under the per-frame floor are expanded all the same: their
 expansions count toward the best, and skipping them would move the floor.
 
 The per-frame step below drives both :func:`spot_offline` and the chunked
-session in :mod:`ctcspot.streaming`. Sharing it is what makes the two
-paths score identically for any chunking of the input. Likewise
-:func:`settle` is the one greedy de-overlap sweep: the session runs it at
-its commit frontier, :func:`dedup_overlaps` at infinity. Both paths take
-input through :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`.
+:class:`SpotterSession`, which carries live hypotheses across chunk
+boundaries; sharing the step makes the two paths score identically for any
+chunking of the input. After each chunk the session's commit frontier is
+the earliest start frame among live hypotheses: nothing detected later can
+begin before it. :func:`settle` is the one greedy de-overlap sweep: the
+session runs it at its frontier, finalizing each candidate that neither a
+live hypothesis nor a held candidate can overturn, and
+:func:`dedup_overlaps` runs it at infinity. So the finalized stream equals
+whole-utterance spotting plus de-overlap for every chunking (given a large
+enough age cap). Both paths take input through
+:func:`ctcspot.formats.check_logprobs` and :func:`check_graph`; every chunk
+must be as wide as the first non-empty one.
 """
 
 from __future__ import annotations
@@ -45,9 +52,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, TokenOutOfRange
+from .errors import (
+    DimensionMismatch,
+    FrontierRegression,
+    InvariantViolation,
+    SessionClosed,
+    TokenOutOfRange,
+)
 from .formats import check_logprobs, resolve_blank
-from .graph import ContextGraph, SearchTable
+from .graph import ContextGraph
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,7 @@ def _step_frame(
     fresh: np.ndarray,
     fresh_best: float,
     t: int,
-    table: SearchTable,
+    graph: ContextGraph,
     cfg: SpotterConfig,
     blank_id: int,
 ) -> tuple[_State, list[SpottedCandidate]]:
@@ -129,10 +142,10 @@ def _step_frame(
     Age-capped hypotheses are still expanded, as they count in the best.
     """
     cb = cfg.cb_weight
-    tokens = table.tokens
-    first_child = table.first_child
-    next_sibling = table.next_sibling
-    terminals = table.terminals
+    tokens = graph.tokens
+    first_child = graph.first_child
+    next_sibling = graph.next_sibling
+    terminals = graph.terminals
     lp_blank = row[blank_id]
     nxt: _State = {}
     # the frame's best is at least lo, so an expansion below cut is pruned anyway
@@ -182,14 +195,14 @@ def _step_frame(
     floor = max(min_pfs, beam_floor)
     if fresh_best >= floor:
         admitted = (fresh >= floor).nonzero()[0]
-        root_keys = table.root_keys
+        root_keys = graph.root_keys
         for i, s in zip(admitted.tolist(), fresh[admitted].tolist()):
             k = root_keys[i]
             prev = nxt.get(k)
             if prev is None or s > prev[0]:
                 nxt[k] = (s, t)
 
-    root_slot = table.root_slot
+    root_slot = graph.root_slot
     max_age = cfg.max_keyword_frames
     survivors: _State = {}
     at_terminal: dict[int, tuple[float, int]] = {}
@@ -221,17 +234,17 @@ def _search(
     state: _State,
     lp: np.ndarray,
     first_frame: int,
-    table: SearchTable,
+    graph: ContextGraph,
     cfg: SpotterConfig,
     blank_id: int,
 ) -> Iterator[tuple[_State, list[SpottedCandidate]]]:
     """Run :func:`_step_frame` over the rows of ``lp`` (frames
     ``first_frame``, ...); yields (survivors, candidates) after each frame."""
-    fresh = lp[:, table.root_tok] + cfg.cb_weight
+    fresh = lp[:, graph.root_tok] + cfg.cb_weight
     fresh_best = fresh.max(axis=1, initial=-np.inf).tolist()
     for i in range(lp.shape[0]):
         state, cands = _step_frame(
-            state, memoryview(lp[i]), fresh[i], fresh_best[i], first_frame + i, table, cfg, blank_id
+            state, memoryview(lp[i]), fresh[i], fresh_best[i], first_frame + i, graph, cfg, blank_id
         )
         yield state, cands
 
@@ -260,7 +273,7 @@ def spot_offline(
     lp = check_logprobs(logprobs)
     blank = check_graph(graph, lp.shape[1], cfg)
     out: list[SpottedCandidate] = []
-    for _, cands in _search({}, lp, 0, graph.table, cfg, blank):
+    for _, cands in _search({}, lp, 0, graph, cfg, blank):
         out.extend(cands)
     return out
 
@@ -328,3 +341,114 @@ def dedup_overlaps(candidates: Iterable[SpottedCandidate]) -> list[SpottedCandid
     a candidate is dropped iff it overlaps an already kept, better-ranked
     one (see :func:`settle`). Output is sorted by start frame."""
     return settle(candidates, math.inf)[0]
+
+
+@dataclass(frozen=True)
+class ActiveToken:
+    """Snapshot of a live hypothesis."""
+
+    node: int
+    in_blank: bool
+    score: float
+    start_frame: int
+
+
+@dataclass(frozen=True)
+class HeldPreview:
+    """Hold-region contents: candidates not yet safe to finalize and the
+    number of live hypotheses."""
+
+    candidates: tuple[SpottedCandidate, ...]
+    active_tokens: int
+
+
+@dataclass(frozen=True)
+class SpotChunkResult:
+    new_frontier: int
+    finalized: list[SpottedCandidate]
+    held_preview: HeldPreview
+
+
+class SpotterSession:
+    """Single-writer chunked spotting session over one immutable graph."""
+
+    def __init__(self, graph: ContextGraph, cfg: SpotterConfig | None = None) -> None:
+        self.graph = graph
+        self.cfg = cfg or SpotterConfig()
+        self._state: _State = {}
+        self._pending: list[SpottedCandidate] = []
+        self._frames = 0
+        self._frontier = 0
+        self._vocab_size: int | None = None
+        self._blank: int | None = None
+        self._last_final_end = -1
+        self._closed = False
+
+    @property
+    def frames_seen(self) -> int:
+        return self._frames
+
+    @property
+    def commit_frontier(self) -> int:
+        return self._frontier
+
+    @property
+    def pending_candidates(self) -> tuple[SpottedCandidate, ...]:
+        return tuple(self._pending)
+
+    @property
+    def active_count(self) -> int:
+        return len(self._state)
+
+    def active_tokens(self) -> list[ActiveToken]:
+        return [
+            ActiveToken(key >> 1, bool(key & 1), score, start)
+            for key, (score, start) in self._state.items()
+        ]
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise SessionClosed("session was flushed")
+
+    def process_chunk(self, logprobs: np.ndarray) -> SpotChunkResult:
+        """Run token passing over one chunk and finalize what is safe."""
+        self._require_open()
+        lp = check_logprobs(logprobs, self._vocab_size)
+        if lp.shape[0]:
+            if self._vocab_size is None:
+                self._blank = check_graph(self.graph, lp.shape[1], self.cfg)
+                self._vocab_size = lp.shape[1]
+            frames = _search(self._state, lp, self._frames, self.graph, self.cfg, self._blank)
+            for self._state, cands in frames:
+                self._pending.extend(cands)
+            self._frames += lp.shape[0]
+        return self._finalize_step()
+
+    def flush(self) -> SpotChunkResult:
+        """Clear live hypotheses, finalize the hold region, close the session."""
+        self._require_open()
+        self._closed = True
+        self._state = {}
+        result = self._finalize_step()
+        if result.held_preview.candidates:
+            raise InvariantViolation("candidates still held after flush")
+        return result
+
+    def _finalize_step(self) -> SpotChunkResult:
+        frontier = min((v[1] for v in self._state.values()), default=self._frames)
+        if frontier < self._frontier:
+            raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
+        self._frontier = frontier
+        finalized, self._pending = settle(self._pending, frontier)
+        if finalized:
+            if finalized[0].start_frame <= self._last_final_end:
+                raise InvariantViolation(
+                    f"finalized candidate starting at {finalized[0].start_frame} overlaps one "
+                    f"ending at {self._last_final_end}"
+                )
+            self._last_final_end = finalized[-1].end_frame
+        return SpotChunkResult(
+            new_frontier=frontier,
+            finalized=finalized,
+            held_preview=HeldPreview(tuple(self._pending), len(self._state)),
+        )

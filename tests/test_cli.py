@@ -1,12 +1,13 @@
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ctcspot.cli import main
+from ctcspot.cli import build_parser, main
 from ctcspot.formats import write_alignments, write_envelope, write_logits
-from ctcspot import WordAlignment, generate, make_spec
+from ctcspot import MergePolicy, SpotterConfig, WordAlignment, generate, make_spec
 
 from conftest import MARKER
 
@@ -202,6 +203,39 @@ def test_stream_envelope_negative_frame_count_is_partial(tmp_path, capsys, monke
     assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
     final = next(r for r in _records(capsys) if r["type"] == "final")
     assert final["partial"] is True
+
+
+def test_stream_envelope_non_object_record_is_partial(tmp_path, capsys, monkeypatch):
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [matrix[:4]])
+    first, end = buf.getvalue().splitlines()
+    monkeypatch.setattr("sys.stdin", io.StringIO(first + "\n[1, 2]\n" + end + "\n"))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
+    final = next(r for r in _records(capsys) if r["type"] == "final")
+    assert final["partial"] is True
+
+
+@pytest.mark.parametrize("command", ["spot", "stream"])
+def test_nan_score_margin_exits_2_with_nothing_on_stdout(tmp_path, capsys, command):
+    logits, _ = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    assert main([command, "--logits", logits, "--vocab", vocab, "--score-margin", "nan"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["spot", "stream"])
+def test_engine_flag_defaults_are_the_config_defaults(command):
+    """Every engine flag left unset parses to the default of the field it
+    sets; --no-insertion left off is allow_insertion=True."""
+    args = build_parser().parse_args([command, "--logits", "x.ctcl"])
+    cfg, policy = SpotterConfig(), MergePolicy()
+    for field in fields(cfg):
+        assert getattr(args, field.name) == getattr(cfg, field.name), field.name
+    assert args.intersection_threshold == policy.intersection_threshold
+    assert args.score_margin == policy.score_margin
+    assert (not args.no_insertion) == policy.allow_insertion
 
 
 def test_stream_with_external_alignments(tmp_path, capsys):

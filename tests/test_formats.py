@@ -195,6 +195,10 @@ def test_envelope_protocol_errors():
     # garbage line
     with pytest.raises(ProtocolError):
         list(read_envelope(io.StringIO("not json\n")))
+    # JSON that is not an object
+    for line in ("[1, 2]", "null", '"chunk"', "5"):
+        with pytest.raises(ProtocolError):
+            list(read_envelope(io.StringIO(line + "\n" + lines[1] + "\n")))
     # payload length inconsistent with frame count
     import json
 

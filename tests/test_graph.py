@@ -25,14 +25,14 @@ def test_shared_prefix_structure():
     g = build_graph([BiasEntry(0, "a", (1, 2)), BiasEntry(1, "b", (1, 3))])
     assert g.num_nodes == 4
     assert g.num_terminals == 2
-    mid = child_map(g.table, 0)[1]
-    assert set(child_map(g.table, mid)) == {2, 3}
+    mid = child_map(g, 0)[1]
+    assert set(child_map(g, mid)) == {2, 3}
     for entry in g.entries:
         node = 0
         for tok in entry.tokens:
-            node = child_map(g.table, node)[tok]
-            assert g.table.tokens[node] == tok
-        assert g.table.terminals[node] == entry.keyword_id
+            node = child_map(g, node)[tok]
+            assert g.tokens[node] == tok
+        assert g.terminals[node] == entry.keyword_id
     assert g.surfaces == {0: "a", 1: "b"}
 
 
@@ -78,8 +78,8 @@ def test_prefix_sharing_matches_longest_common_prefix():
             lcp += 1
         node_a, node_b, shared = 0, 0, 0
         for x, y in zip(a.tokens, b.tokens):
-            node_a = child_map(g.table, node_a)[x]
-            node_b = child_map(g.table, node_b)[y]
+            node_a = child_map(g, node_a)[x]
+            node_b = child_map(g, node_b)[y]
             if node_a == node_b:
                 shared += 1
             else:

@@ -24,7 +24,7 @@ from ctcspot.errors import (
     SessionClosed,
     UnsortedInput,
 )
-from ctcspot.streaming import HeldPreview, SpotChunkResult
+from ctcspot.spotter import HeldPreview, SpotChunkResult
 
 from conftest import (
     random_entries,
@@ -68,6 +68,20 @@ def test_low_scoring_candidate_does_not_replace():
     merged = merge_region([word], [_cand(0, 0, 9, -0.5)], MergePolicy(score_margin=1.0), SURFACES)
     assert [w.word for w in merged] == ["also"]
     merged = merge_region([word], [_cand(0, 0, 9, 0.5)], MergePolicy(score_margin=1.0), SURFACES)
+    assert [w.word for w in merged] == ["halsey"]
+
+
+def test_nan_score_margin_is_rejected_and_infinities_are_the_extremes():
+    """A NaN margin fails every replacement compare, so it would silently
+    turn replacement off; -inf and +inf mean always and never replace."""
+    with pytest.raises(ValueError):
+        MergePolicy(score_margin=float("nan"))
+    word = WordAlignment("also", 0, 9, -100.0)
+    cand = _cand(0, 0, 9, -1.0)
+    merged = merge_region([word], [cand], MergePolicy(score_margin=float("inf")), SURFACES)
+    assert [w.word for w in merged] == ["also"]
+    weak = _cand(0, 0, 9, -1e9)
+    merged = merge_region([word], [weak], MergePolicy(score_margin=-float("inf")), SURFACES)
     assert [w.word for w in merged] == ["halsey"]
 
 
@@ -423,3 +437,32 @@ def test_rejected_chunk_leaves_aligner_and_spotter_in_step():
     with pytest.raises(SessionClosed):
         pipe.process_chunk(lp[4:])
     assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 4
+
+
+def test_each_pipeline_converts_a_fortran_chunk_once(monkeypatch):
+    """The pipeline makes the chunk C-contiguous float64 once, so the
+    aligner's and the spotter's input checks both return that one array."""
+    import ctcspot.aligner
+    import ctcspot.spotter
+
+    rng = np.random.default_rng(31)
+    vocab = synthetic_vocab(8, rng)
+    graph = build_graph(random_entries(rng, 4, vocab=8, blank=7))
+    chunk = np.asfortranarray(random_logprobs(rng, 28, 8))
+    checked = {}
+    for module in (ctcspot.aligner, ctcspot.spotter):
+        def wrapped(matrix, width=None, _name=module.__name__, _check=module.check_logprobs):
+            checked[_name] = out = _check(matrix, width)
+            return out
+        monkeypatch.setattr(module, "check_logprobs", wrapped)
+
+    pipe = StreamingPipeline(graph, SpotterConfig(blank_id=7), vocab=vocab)
+    pipe.process_chunk(chunk)
+    pipe.flush()
+    assert set(checked) == {"ctcspot.aligner", "ctcspot.spotter"}
+    assert np.shares_memory(checked["ctcspot.aligner"], checked["ctcspot.spotter"])
+
+    checked.clear()
+    offline_pipeline(chunk, graph, SpotterConfig(blank_id=7), vocab=vocab)
+    assert set(checked) == {"ctcspot.aligner", "ctcspot.spotter"}
+    assert np.shares_memory(checked["ctcspot.aligner"], checked["ctcspot.spotter"])

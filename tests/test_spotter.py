@@ -379,7 +379,7 @@ def test_exact_admission_matches_full_admission(case):
     state, ref_state = {}, {}
     t = 0
     for n in sizes:
-        for state, cands in _search(state, lp[t : t + n], t, graph.table, cfg, cfg.blank_id):
+        for state, cands in _search(state, lp[t : t + n], t, graph, cfg, cfg.blank_id):
             ref_state, ref_cands = reference_step_frame(
                 ref_state, lp[t].tolist(), t, *tables, cfg, cfg.blank_id
             )
