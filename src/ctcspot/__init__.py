@@ -36,7 +36,6 @@ from .metrics import (
 )
 from .pipeline import StreamingPipeline, offline_pipeline
 from .spotter import (
-    ActiveToken,
     HeldPreview,
     SpotChunkResult,
     SpotterConfig,
@@ -59,7 +58,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveToken",
     "BiasEntry",
     "ChunkOutput",
     "ChunkTiming",

@@ -65,8 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bias", help="bias list file (surface<TAB>token,token,...)")
-    p.add_argument("--vocab", help="vocabulary file, one token string per line")
-    p.add_argument("--alignments", help="external word alignment file instead of greedy decoding")
+    words = p.add_mutually_exclusive_group(required=True)
+    words.add_argument("--vocab", help="vocabulary file, one token string per line")
+    words.add_argument("--alignments", help="external word alignment file instead of greedy decoding")
     p.add_argument("--blank-id", type=int, default=None, help="default: vocabulary size - 1")
     p.add_argument("--marker", default=DEFAULT_WORD_MARKER, help="word-boundary marker prefix")
     p.add_argument("--cb-weight", type=float, default=SpotterConfig.cb_weight)
@@ -144,9 +145,7 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 def _engine_setup(args: argparse.Namespace, vocab_size: int):
     """Shared spot/stream wiring: vocab or alignments, graph, config, policy."""
-    vocab = load_vocab(args.vocab) if args.vocab else None
-    if (vocab is None) == (args.alignments is None):
-        raise UsageError("provide exactly one of --vocab / --alignments")
+    vocab = load_vocab(args.vocab) if args.vocab is not None else None
     cfg = SpotterConfig(
         cb_weight=args.cb_weight,
         beam_threshold=args.beam_threshold,
@@ -166,12 +165,8 @@ def _engine_setup(args: argparse.Namespace, vocab_size: int):
         else []
     )
     graph = build_graph(entries, vocab_size=vocab_size, blank_id=blank)
-    words = read_alignments(args.alignments) if args.alignments else None
+    words = read_alignments(args.alignments) if args.alignments is not None else None
     return graph, cfg, policy, vocab, words
-
-
-class UsageError(Exception):
-    pass
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
@@ -339,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"ctcspot: error: {exc}", file=sys.stderr)
-        return 1
     except ProtocolError as exc:
         print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
         return 3

@@ -155,11 +155,10 @@ def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> Non
         fp.write(lp.tobytes(order="C"))
 
 
-def read_logits(path: str, strict: bool = False) -> tuple[np.ndarray, float]:
+def read_logits(path: str) -> tuple[np.ndarray, float]:
     """Returns (float64 matrix, frame_duration_ms).
 
-    NaN or +inf cells always raise; row normalization problems raise in
-    strict mode and warn otherwise.
+    NaN or +inf cells raise; unnormalized rows only warn.
     """
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
@@ -177,7 +176,7 @@ def read_logits(path: str, strict: bool = False) -> tuple[np.ndarray, float]:
     if len(payload) > expected:
         raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
     matrix = np.frombuffer(payload, dtype="<f4").reshape(n_frames, vocab).astype(float)
-    validate_logprob_matrix(matrix, strict=strict)
+    validate_logprob_matrix(matrix, strict=False)
     return matrix, float(frame_ms)
 
 
@@ -199,20 +198,15 @@ def chunker(
 # chunk stream envelope -----------------------------------------------------
 
 
-def envelope_chunk_record(chunk: np.ndarray) -> str:
-    payload = np.ascontiguousarray(chunk, dtype="<f4").tobytes()
-    return json.dumps(
-        {
+def write_envelope(fp: IO[str], chunks: Iterable[np.ndarray]) -> None:
+    for chunk in chunks:
+        payload = np.ascontiguousarray(chunk, dtype="<f4").tobytes()
+        record = {
             "type": "chunk",
             "n_frames": int(chunk.shape[0]),
             "frames": base64.b64encode(payload).decode("ascii"),
         }
-    )
-
-
-def write_envelope(fp: IO[str], chunks: Iterable[np.ndarray]) -> None:
-    for chunk in chunks:
-        fp.write(envelope_chunk_record(chunk) + "\n")
+        fp.write(json.dumps(record) + "\n")
     fp.write(json.dumps({"type": "end"}) + "\n")
 
 

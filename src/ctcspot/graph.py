@@ -67,10 +67,6 @@ class ContextGraph:
     def num_nodes(self) -> int:
         return len(self.tokens)
 
-    @property
-    def num_terminals(self) -> int:
-        return sum(1 for k in self.terminals if k >= 0)
-
     @cached_property
     def token_ids(self) -> frozenset[int]:
         """Every token id stored in the trie."""

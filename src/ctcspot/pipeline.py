@@ -3,8 +3,8 @@
 :class:`StreamingPipeline` wires a spotter session, a streaming greedy
 aligner (or an externally supplied word alignment) and a commit state into
 the chunk-in, committed-words-out loop. :func:`offline_pipeline` is the
-whole-utterance reference path; for any chunking with a sufficient age
-cap, the streaming transcript equals the offline one exactly.
+whole-utterance reference path; for any chunking and any age cap, the
+streaming transcript equals the offline one exactly.
 """
 
 from __future__ import annotations

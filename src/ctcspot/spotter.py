@@ -37,8 +37,8 @@ begin before it. :func:`settle` is the one greedy de-overlap sweep: the
 session runs it at its frontier, finalizing each candidate that neither a
 live hypothesis nor a held candidate can overturn, and
 :func:`dedup_overlaps` runs it at infinity. So the finalized stream equals
-whole-utterance spotting plus de-overlap for every chunking (given a large
-enough age cap). Both paths take input through
+whole-utterance spotting plus de-overlap for every chunking and every age
+cap, which both paths apply in the same step. Both paths take input through
 :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`; every chunk
 must be as wide as the first non-empty one.
 """
@@ -344,16 +344,6 @@ def dedup_overlaps(candidates: Iterable[SpottedCandidate]) -> list[SpottedCandid
 
 
 @dataclass(frozen=True)
-class ActiveToken:
-    """Snapshot of a live hypothesis."""
-
-    node: int
-    in_blank: bool
-    score: float
-    start_frame: int
-
-
-@dataclass(frozen=True)
 class HeldPreview:
     """Hold-region contents: candidates not yet safe to finalize and the
     number of live hypotheses."""
@@ -391,20 +381,6 @@ class SpotterSession:
     @property
     def commit_frontier(self) -> int:
         return self._frontier
-
-    @property
-    def pending_candidates(self) -> tuple[SpottedCandidate, ...]:
-        return tuple(self._pending)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._state)
-
-    def active_tokens(self) -> list[ActiveToken]:
-        return [
-            ActiveToken(key >> 1, bool(key & 1), score, start)
-            for key, (score, start) in self._state.items()
-        ]
 
     def _require_open(self) -> None:
         if self._closed:

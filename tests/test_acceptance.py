@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 import time
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_criterion_1_chunk_invariance():
             cb_weight=float(rng.choice([0.0, 3.0])),
             beam_threshold=float(rng.choice([7.0, float("inf")])),
             min_per_frame_score=-5.0,
-            max_keyword_frames=int(rng.integers(n_frames, 2 * n_frames + 2)),
+            max_keyword_frames=int(rng.integers(1, 2 * n_frames + 2)),
             blank_id=blank,
         )
         vocab = _vocab(vocab_size)
@@ -169,8 +170,10 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_commit_safety_with_binding_age_cap():
     # invariants are also asserted inside every criterion-1 run; here the
-    # age cap binds, so equivalence is off the table but safety must hold
+    # age cap is shorter than the utterance, and where it changes what is
+    # spotted the stream must still equal offline
     rng = np.random.default_rng(99)
+    binding = 0
     for _ in range(150):
         n_frames = int(rng.integers(2, 50))
         vocab_size = int(rng.integers(3, 10))
@@ -184,8 +187,18 @@ def test_criterion_3_commit_safety_with_binding_age_cap():
         )
         lp = random_logprobs(rng, n_frames, vocab_size)
         sizes = random_partition(rng, n_frames)
-        _stream_run(graph, cfg, _vocab(vocab_size), lp, sizes)
-    print("\n[acceptance] criterion 3 (commit safety & monotonicity): PASS")
+        vocab = _vocab(vocab_size)
+        streamed, streamed_text = _stream_run(graph, cfg, vocab, lp, sizes)
+        offline_cands = spot_offline(lp, graph, cfg)
+        uncapped = replace(cfg, max_keyword_frames=n_frames)
+        binding += offline_cands != spot_offline(lp, graph, uncapped)
+        assert sorted(map(cand_key, streamed)) == sorted(
+            map(cand_key, dedup_overlaps(offline_cands))
+        )
+        assert streamed_text == offline_pipeline(lp, graph, cfg, vocab=vocab)[0]
+    assert binding >= 50, binding
+    print(f"\n[acceptance] criterion 3 (commit safety & monotonicity, "
+          f"cap binding in {binding} of 150 runs): PASS")
 
 
 def _straddle_matrix():

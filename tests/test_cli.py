@@ -89,7 +89,34 @@ def test_spot_missing_file_fails(tmp_path, capsys):
 
 def test_spot_requires_vocab_or_alignments(tmp_path, capsys):
     logits, _ = _synth_logits(tmp_path)
-    assert main(["spot", "--logits", logits]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["spot", "--logits", logits])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("sources", ["neither", "both"])
+@pytest.mark.parametrize("frames", [True, False])
+def test_stream_word_source_is_checked_before_any_input(tmp_path, capsys, monkeypatch,
+                                                          sources, frames):
+    """Exactly one of --vocab / --alignments is a usage rule: exit 1 with
+    nothing on stdout and stdin unread, whether or not it carries frames."""
+    _, matrix = _synth_logits(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [matrix[:4]] if frames else [])
+    stdin = io.StringIO(buf.getvalue())
+    monkeypatch.setattr("sys.stdin", stdin)
+    argv = ["stream", "--stdin-envelope"]
+    if sources == "both":
+        words_path = str(tmp_path / "words.tsv")
+        write_alignments(words_path, [WordAlignment("play", 2, 4, -0.4)])
+        argv += ["--vocab", _write_vocab(tmp_path), "--alignments", words_path]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--vocab" in captured.err and "--alignments" in captured.err
+    assert stdin.tell() == 0  # stdin unread
 
 
 def test_stream_single_chunk_equals_spot(tmp_path, capsys):
@@ -229,7 +256,7 @@ def test_nan_score_margin_exits_2_with_nothing_on_stdout(tmp_path, capsys, comma
 def test_engine_flag_defaults_are_the_config_defaults(command):
     """Every engine flag left unset parses to the default of the field it
     sets; --no-insertion left off is allow_insertion=True."""
-    args = build_parser().parse_args([command, "--logits", "x.ctcl"])
+    args = build_parser().parse_args([command, "--logits", "x.ctcl", "--vocab", "v.txt"])
     cfg, policy = SpotterConfig(), MergePolicy()
     for field in fields(cfg):
         assert getattr(args, field.name) == getattr(cfg, field.name), field.name

@@ -108,14 +108,14 @@ def test_unnormalized_rows_strictness(tmp_path):
         write_logits(path, matrix, 40.0)
     good = _normalized_f32(rng, 4, 4)
     write_logits(path, good, 40.0)
-    # corrupt the payload on disk, then read both lenient and strict
+    # corrupt the payload on disk: reading only warns, the strict check raises
     blob = bytearray(Path(path).read_bytes())
     blob[20:] = np.full(16, -0.7, dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(blob))
     with pytest.warns(UserWarning):
-        read_logits(path)
+        matrix, _ = read_logits(path)
     with pytest.raises(UnnormalizedRows):
-        read_logits(path, strict=True)
+        validate_logprob_matrix(matrix, strict=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -17,14 +17,14 @@ from conftest import MARKER, child_map, random_entries
 def test_empty_bias_list():
     g = build_graph([])
     assert g.num_nodes == 1
-    assert g.num_terminals == 0
+    assert sum(k >= 0 for k in g.terminals) == 0
     assert g.max_token_id == -1
 
 
 def test_shared_prefix_structure():
     g = build_graph([BiasEntry(0, "a", (1, 2)), BiasEntry(1, "b", (1, 3))])
     assert g.num_nodes == 4
-    assert g.num_terminals == 2
+    assert sum(k >= 0 for k in g.terminals) == 2
     mid = child_map(g, 0)[1]
     assert set(child_map(g, mid)) == {2, 3}
     for entry in g.entries:
@@ -41,13 +41,13 @@ def test_bias_list_at_production_scale():
     entries = random_entries(rng, 1107, vocab=1024, blank=1023, max_len=8)
     assert len(entries) == 1107
     g = build_graph(entries, vocab_size=1024)
-    assert g.num_terminals == 1107
+    assert sum(k >= 0 for k in g.terminals) == 1107
     assert g.num_nodes <= 1 + sum(len(e.tokens) for e in entries)
 
 
 def test_duplicate_phrase_dedup_and_conflict():
     g = build_graph([BiasEntry(0, "same", (1, 2)), BiasEntry(1, "same", (1, 2))])
-    assert g.num_terminals == 1
+    assert sum(k >= 0 for k in g.terminals) == 1
     assert len(g.entries) == 1
     with pytest.raises(DuplicateConflict):
         build_graph([BiasEntry(0, "one", (1, 2)), BiasEntry(1, "two", (1, 2))])

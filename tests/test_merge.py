@@ -361,8 +361,9 @@ def pipeline_cases(draw):
         cb_weight=draw(st.sampled_from([0.0, 1.0, 3.0])),
         beam_threshold=draw(st.sampled_from([0.5, 2.0, 7.0, float("inf")])),
         min_per_frame_score=draw(st.sampled_from([float("-inf"), -5.0, -1.0])),
-        # the guarantee holds for an age cap no shorter than the utterance
-        max_keyword_frames=draw(st.integers(n_frames, 2 * n_frames + 2)),
+        # both paths apply the age cap in the same per-frame step, so any cap
+        # keeps the guarantee, including caps shorter than the utterance
+        max_keyword_frames=draw(st.integers(1, 2 * n_frames + 2)),
         blank_id=draw(st.sampled_from([None, blank])),
     )
     policy = MergePolicy(

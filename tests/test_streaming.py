@@ -32,21 +32,29 @@ def _run_chunks(session, lp, sizes):
     """Feed lp in the given chunk sizes, checking session invariants."""
     finalized = []
     frontiers = []
+    held, frontier = (), 0
+
+    def take(res):
+        nonlocal held, frontier
+        # no live hypothesis starts before the last frontier, so a newly
+        # finalized candidate was held then or starts at or after it
+        for c in res.finalized:
+            assert c in held or c.start_frame >= frontier
+        held, frontier = res.held_preview.candidates, res.new_frontier
+        finalized.extend(res.finalized)
+        frontiers.append(res.new_frontier)
+
     i = 0
     for n in sizes:
         res = session.process_chunk(lp[i : i + n])
         i += n
-        finalized.extend(res.finalized)
-        frontiers.append(res.new_frontier)
+        take(res)
         assert res.new_frontier <= session.frames_seen
         assert all(c.end_frame < res.new_frontier for c in res.finalized)
         assert session.frames_seen - res.new_frontier <= session.cfg.max_keyword_frames
-        for tok in session.active_tokens():
-            assert tok.start_frame >= res.new_frontier
     assert i == lp.shape[0]
     res = session.flush()
-    finalized.extend(res.finalized)
-    frontiers.append(res.new_frontier)
+    take(res)
     assert res.new_frontier == session.frames_seen
     assert frontiers == sorted(frontiers)
     # committed intervals never overlap, in order of finalization
@@ -60,9 +68,9 @@ def _run_chunks(session, lp, sizes):
 def test_fresh_and_empty_graph_sessions():
     graph = build_graph([])
     session = SpotterSession(graph, SpotterConfig())
-    assert session.active_count == 0
     res = session.flush()
     assert res.new_frontier == 0 and not res.finalized
+    assert res.held_preview.active_tokens == 0
     session = SpotterSession(graph, SpotterConfig())
     lp = random_logprobs(np.random.default_rng(0), 12, 5)
     res = session.process_chunk(lp)
@@ -89,7 +97,7 @@ def test_hold_region_bounded_by_age_cap():
         assert session.frames_seen - session.commit_frontier <= 1
 
 
-def test_blank_dominant_chunk_leaves_no_active_tokens():
+def test_blank_dominant_chunk_leaves_no_live_hypotheses():
     # fresh spawns starve on near-certain blank: per-frame score is far
     # below the floor, so the frontier tracks the frame counter
     graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
@@ -97,7 +105,7 @@ def test_blank_dominant_chunk_leaves_no_active_tokens():
     session = SpotterSession(graph, cfg)
     cold = np.log(np.array([[1e-8, 1e-8, 1e-8, 1 - 3e-8]] * 6))
     res = session.process_chunk(cold)
-    assert session.active_count == 0
+    assert res.held_preview.active_tokens == 0
     assert res.new_frontier == session.frames_seen == 6
 
 
@@ -109,11 +117,10 @@ def test_age_cap_clears_lingering_hypotheses():
                         min_per_frame_score=-5.0, max_keyword_frames=6)
     session = SpotterSession(graph, cfg)
     hot = np.log(np.array([[0.9, 0.04, 0.03, 0.03]] * 2))
-    session.process_chunk(hot)
-    assert session.active_count > 0
+    assert session.process_chunk(hot).held_preview.active_tokens > 0
     cold = np.log(np.array([[1e-8, 1e-8, 1e-8, 1 - 3e-8]] * 8))
     res = session.process_chunk(cold)
-    assert session.active_count == 0
+    assert res.held_preview.active_tokens == 0
     assert res.new_frontier == session.frames_seen == 10
 
 
@@ -242,29 +249,32 @@ def test_empty_chunk_is_a_no_op():
     graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
     session = SpotterSession(graph, SpotterConfig(blank_id=3))
     lp = random_logprobs(np.random.default_rng(4), 5, 4)
-    session.process_chunk(lp[:2])
-    before = (session.frames_seen, session.commit_frontier, session.active_count,
-              session.pending_candidates)
+    prev = session.process_chunk(lp[:2])
+    before = (session.frames_seen, session.commit_frontier)
     res = session.process_chunk(lp[2:2])
     assert not res.finalized
-    after = (session.frames_seen, session.commit_frontier, session.active_count,
-             session.pending_candidates)
-    assert before == after
+    assert res.held_preview == prev.held_preview
+    assert (session.frames_seen, session.commit_frontier) == before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_chunk_is_rejected(bad):
-    """A NaN hypothesis fails every prune compare and would pin the frontier."""
+    """A NaN hypothesis fails every prune compare and would pin the frontier.
+    The rejected chunk leaves no trace: the valid rest streams as offline."""
     graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
-    session = SpotterSession(graph, SpotterConfig(blank_id=3, **INVARIANT_CFG))
+    cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG)
+    session = SpotterSession(graph, cfg)
     lp = random_logprobs(np.random.default_rng(9), 8, 4)
-    session.process_chunk(lp[:4])
-    state = (session.frames_seen, session.commit_frontier, session.active_tokens())
+    finalized = list(session.process_chunk(lp[:4]).finalized)
+    state = (session.frames_seen, session.commit_frontier)
     chunk = lp[4:].copy()
     chunk[1, 0] = bad
     with pytest.raises(NonFiniteRows):
         session.process_chunk(chunk)
-    assert (session.frames_seen, session.commit_frontier, session.active_tokens()) == state
+    assert (session.frames_seen, session.commit_frontier) == state
+    finalized += session.process_chunk(lp[4:]).finalized
+    finalized += session.flush().finalized
+    assert finalized == dedup_overlaps(spot_offline(lp, graph, cfg))
 
 
 def test_minus_infinity_cells_are_legal_in_a_chunk():
