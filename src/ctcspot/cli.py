@@ -143,9 +143,11 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
-def _engine_setup(args: argparse.Namespace, vocab_size: int):
-    """Shared spot/stream wiring: vocab or alignments, graph, config, policy."""
-    vocab = load_vocab(args.vocab) if args.vocab is not None else None
+def _engine_setup(args: argparse.Namespace):
+    """Shared spot/stream wiring, done before any input is read: config,
+    policy, the vocabulary or the alignments, and the bias entries. With a
+    vocabulary, the bias list is tokenized around the blank that its size
+    resolves; input of another width fails at the aligner."""
     cfg = SpotterConfig(
         cb_weight=args.cb_weight,
         beam_threshold=args.beam_threshold,
@@ -158,20 +160,30 @@ def _engine_setup(args: argparse.Namespace, vocab_size: int):
         score_margin=args.score_margin,
         allow_insertion=not args.no_insertion,
     )
-    blank = resolve_blank(cfg.blank_id, vocab_size)
+    vocab = load_vocab(args.vocab) if args.vocab is not None else None
     entries = (
-        load_bias_list(args.bias, vocab=vocab, marker=args.marker, blank_id=blank)
+        load_bias_list(
+            args.bias,
+            vocab=vocab,
+            marker=args.marker,
+            blank_id=None if vocab is None else resolve_blank(cfg.blank_id, len(vocab)),
+        )
         if args.bias
         else []
     )
-    graph = build_graph(entries, vocab_size=vocab_size, blank_id=blank)
     words = read_alignments(args.alignments) if args.alignments is not None else None
-    return graph, cfg, policy, vocab, words
+    return cfg, policy, vocab, words, entries
+
+
+def _graph(entries, cfg: SpotterConfig, width: int):
+    """The bias graph for input ``width`` symbols wide, checked against it."""
+    return build_graph(entries, vocab_size=width, blank_id=resolve_blank(cfg.blank_id, width))
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
+    cfg, policy, vocab, words, entries = _engine_setup(args)
     matrix, _frame_ms = read_logits(args.logits)
-    graph, cfg, policy, vocab, words = _engine_setup(args, matrix.shape[1])
+    graph = _graph(entries, cfg, matrix.shape[1])
     _emit(_manifest(args))
     transcript, merged, candidates = offline_pipeline(
         matrix, graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
@@ -195,6 +207,7 @@ def cmd_spot(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     check_duration(args.frame_ms, "--frame-ms")
     check_duration(args.chunk_ms, "--chunk-ms")
+    cfg, policy, vocab, words, entries = _engine_setup(args)
     if args.logits:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
@@ -217,7 +230,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if pipeline is None:
                 if chunk.shape[0] == 0:
                     continue  # cannot size the engine from an empty chunk
-                graph, cfg, policy, vocab, words = _engine_setup(args, chunk.shape[1])
+                graph = _graph(entries, cfg, chunk.shape[1])
                 pipeline = StreamingPipeline(
                     graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
                 )

@@ -80,7 +80,8 @@ class NegativeInterval(UnsortedInput):
 
 
 class OverlappingWords(UnsortedInput):
-    """A word or candidate does not start after the previous one ends."""
+    """A word or candidate does not start after the previous one ends, or
+    reaches the commit layer behind its commit boundary."""
 
 
 class BadTokenList(FormatError):

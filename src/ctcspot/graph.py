@@ -4,7 +4,8 @@ Each biasing phrase is stored as a root-to-leaf path of token ids; phrases
 sharing a token prefix share the prefix's node chain. :func:`build_graph`
 freezes the trie into a :class:`ContextGraph`, a frozen table of flat
 per-node lists that every search reads directly. The CTC rules over those
-lists live in one place, the per-frame step of :mod:`ctcspot.spotter`.
+lists live in one place, the chunk search ``_search`` of
+:mod:`ctcspot.spotter`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ def build_graph(
     """Build the trie from biasing entries and freeze it.
 
     Entries with identical token sequences are deduplicated silently when
-    their surfaces match and rejected otherwise. When ``vocab_size`` or
-    ``blank_id`` are given, token ids are validated against them.
+    their surfaces match and rejected otherwise. A negative keyword id,
+    which the table could not tell from "no keyword", raises
+    ``ValueError``. When ``vocab_size`` or ``blank_id`` are given, token ids
+    are validated against them.
     """
     tokens, first_child, next_sibling, terminals = [-1], [-1], [-1], [-1]
     # child lookup while building, keyed by token << 32 | parent (node ids
@@ -97,6 +100,8 @@ def build_graph(
     by_tokens: dict[tuple[int, ...], BiasEntry] = {}
     seen_ids: set[int] = set()
     for entry in entries:
+        if entry.keyword_id < 0:  # terminals use -1 for "no keyword"
+            raise ValueError(f"entry {entry.surface!r}: keyword id {entry.keyword_id} is negative")
         if not entry.tokens:
             raise EmptyTokenSequence(f"entry {entry.keyword_id} ({entry.surface!r}) has no tokens")
         if not entry.surface:
@@ -175,6 +180,12 @@ def tokenize(
     Spaces are mapped to the word-boundary marker before matching, so a
     phrase like "justin bieber" matches marker-prefixed pieces.
     """
+    return _match(text, marker, *_piece_table(vocab, skip_ids))
+
+
+def _piece_table(vocab: Sequence[str], skip_ids: Iterable[int]) -> tuple[dict[str, int], int]:
+    """``{piece: first token id}`` over the non-empty pieces of ``vocab``
+    outside ``skip_ids``, and the length of the longest piece."""
     skip = set(skip_ids)
     table: dict[str, int] = {}
     for tid, piece in enumerate(vocab):
@@ -183,7 +194,10 @@ def tokenize(
         table.setdefault(piece, tid)
     if not table:
         raise TokenizationError("vocabulary has no usable pieces")
-    longest = max(len(p) for p in table)
+    return table, max(len(p) for p in table)
+
+
+def _match(text: str, marker: str, table: dict[str, int], longest: int) -> list[int]:
     normalized = marker + text.strip().replace(" ", marker)
     out: list[int] = []
     i = 0
@@ -230,7 +244,7 @@ def load_bias_list(
     token column are tokenized against ``vocab`` (required in that case).
     """
     entries: list[BiasEntry] = []
-    skip = {blank_id} if blank_id is not None else set()
+    pieces = None  # the vocabulary's piece table, built at the first line that needs it
     for lineno, surface, id_col in _bias_lines(path):
         if id_col is not None:
             try:
@@ -242,6 +256,8 @@ def load_bias_list(
                 raise ValueError(
                     f"{path}:{lineno}: entry {surface!r} has no token ids and no vocabulary was given"
                 )
-            tokens = tuple(tokenize(surface, vocab, marker, skip))
+            if pieces is None:
+                pieces = _piece_table(vocab, () if blank_id is None else (blank_id,))
+            tokens = tuple(_match(surface, marker, *pieces))
         entries.append(BiasEntry(len(entries), surface, tokens))
     return entries

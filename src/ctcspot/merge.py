@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .formats import WordAlignment, check_intervals, check_words
-from .errors import FrontierRegression, InvariantViolation
+from .errors import FrontierRegression, InvariantViolation, OverlappingWords
 from .spotter import SpotChunkResult, SpottedCandidate
 
 
@@ -123,7 +123,9 @@ def merge_region(
 
 @dataclass
 class CommitState:
-    """Buffered words and candidates awaiting a safe commit boundary."""
+    """Buffered words and candidates awaiting a safe commit boundary. Each
+    arrives in time order, at or after the boundary (:meth:`add_words`,
+    :func:`commit_step`)."""
 
     policy: MergePolicy
     surfaces: Mapping[int, str]
@@ -136,7 +138,18 @@ class CommitState:
     _spot_frontier: int = field(default=0, init=False)
 
     def add_words(self, words: Iterable[WordAlignment]) -> None:
-        self._words.extend(words)
+        self._words.extend(self._appendable(self._words, words))
+
+    def _appendable(self, buffered: list, items: Iterable) -> list:
+        """``items`` as a list if each starts at or after the commit
+        boundary and after the item buffered before it ends, else
+        :class:`OverlappingWords`: emitted output is append-only, so an item
+        behind the boundary could only come out after later words."""
+        items = list(items)
+        if items and items[0].start_frame < self._boundary:
+            raise OverlappingWords(f"{items[0]} starts before commit boundary {self._boundary}")
+        check_intervals(buffered[-1:] + items)
+        return items
 
     def set_open_word(self, start: int | None, preview: str = "") -> None:
         self._open_start = start
@@ -161,8 +174,9 @@ def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput
         raise FrontierRegression(
             f"spot frontier moved from {state._spot_frontier} back to {spot_result.new_frontier}"
         )
+    finalized = state._appendable(state._cands, spot_result.finalized)
     state._spot_frontier = spot_result.new_frontier
-    state._cands.extend(spot_result.finalized)
+    state._cands.extend(finalized)
 
     cut = spot_result.new_frontier
     for held in spot_result.held_preview.candidates:

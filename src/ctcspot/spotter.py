@@ -28,17 +28,18 @@ at or above the floor, still replaces any lower one. Hypotheses over the
 age cap or under the per-frame floor are expanded all the same: their
 expansions count toward the best, and skipping them would move the floor.
 
-The per-frame step below drives both :func:`spot_offline` and the chunked
-:class:`SpotterSession`, which carries live hypotheses across chunk
-boundaries; sharing the step makes the two paths score identically for any
-chunking of the input. After each chunk the session's commit frontier is
-the earliest start frame among live hypotheses: nothing detected later can
-begin before it. :func:`settle` is the one greedy de-overlap sweep: the
-session runs it at its frontier, finalizing each candidate that neither a
-live hypothesis nor a held candidate can overturn, and
-:func:`dedup_overlaps` runs it at infinity. So the finalized stream equals
-whole-utterance spotting plus de-overlap for every chunking and every age
-cap, which both paths apply in the same step. Both paths take input through
+One chunk search, :func:`_search`, drives both :func:`spot_offline` (one
+call over the utterance) and the chunked :class:`SpotterSession` (one call
+per chunk), which carries live hypotheses across chunk boundaries; sharing
+the search makes the two paths score identically for any chunking of the
+input. After each chunk the session's commit frontier is the earliest start
+frame among live hypotheses: nothing detected later can begin before it.
+:func:`settle` is the one greedy de-overlap sweep: the session runs it at
+its frontier, finalizing each candidate that neither a live hypothesis nor
+a held candidate can overturn, and :func:`dedup_overlaps` runs it at
+infinity. So the finalized stream equals whole-utterance spotting plus
+de-overlap for every chunking and every age cap, which both paths apply in
+the same search. Both paths take input through
 :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`; every chunk
 must be as wide as the first non-empty one.
 """
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -120,116 +121,6 @@ class SpottedCandidate:
 _State = dict[int, tuple[float, int]]
 
 
-def _step_frame(
-    state: _State,
-    row: Sequence[float],
-    fresh: np.ndarray,
-    fresh_best: float,
-    t: int,
-    graph: ContextGraph,
-    cfg: SpotterConfig,
-    blank_id: int,
-) -> tuple[_State, list[SpottedCandidate]]:
-    """Advance every hypothesis one frame; returns (survivors, candidates).
-
-    ``fresh`` holds this frame's score of a fresh entry at each root child
-    (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
-    Recombination keeps the higher score, ties keep the earlier start.
-    Pruning measures each score against the best score of this frame.
-    An expansion below ``cut``, the beam threshold under the larger of the
-    two lower bounds on that best (the top hypothesis's blank self-loop and
-    ``fresh_best``), is skipped before its dict probe: it would be pruned.
-    Age-capped hypotheses are still expanded, as they count in the best.
-    """
-    cb = cfg.cb_weight
-    tokens = graph.tokens
-    first_child = graph.first_child
-    next_sibling = graph.next_sibling
-    terminals = graph.terminals
-    lp_blank = row[blank_id]
-    nxt: _State = {}
-    # the frame's best is at least lo, so an expansion below cut is pruned anyway
-    lo = max(max(state.values())[0] + lp_blank, fresh_best) if state else fresh_best
-    cut = lo - cfg.beam_threshold
-
-    for key, (score, start) in state.items():
-        # blank self-loop
-        s = score + lp_blank
-        if s >= cut:
-            k = key | 1
-            prev = nxt.get(k)
-            if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
-                nxt[k] = (s, start)
-        node = key >> 1
-        ntok = tokens[node]
-        in_blank = key & 1
-        if not in_blank:
-            # repeated emission of the node's own token
-            s = score + row[ntok]
-            if s >= cut:
-                prev = nxt.get(key)
-                if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
-                    nxt[key] = (s, start)
-        child = first_child[node]
-        while child >= 0:
-            ctok = tokens[child]
-            if in_blank or ctok != ntok:
-                s = score + row[ctok] + cb
-                if s >= cut:
-                    k = child << 1
-                    prev = nxt.get(k)
-                    if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
-                        nxt[k] = (s, start)
-            child = next_sibling[child]
-
-    # Fresh hypotheses enter at every root child, but a fresh entry is one
-    # frame old, so it survives pruning only at or above the age-1 floor.
-    # The frame's best score counts every fresh entry, so only two kinds can
-    # change the outcome: entries at or above the floor, admitted here, and
-    # entries below it on a slot propagation filled. Such an entry replaces
-    # the live one only when strictly greater (ties keep the earlier start)
-    # and is then pruned itself, so the live one is dropped in pruning below.
-    best = max(max(nxt.values())[0], fresh_best) if nxt else fresh_best
-    beam_floor = best - cfg.beam_threshold
-    min_pfs = cfg.min_per_frame_score
-    floor = max(min_pfs, beam_floor)
-    if fresh_best >= floor:
-        admitted = (fresh >= floor).nonzero()[0]
-        root_keys = graph.root_keys
-        for i, s in zip(admitted.tolist(), fresh[admitted].tolist()):
-            k = root_keys[i]
-            prev = nxt.get(k)
-            if prev is None or s > prev[0]:
-                nxt[k] = (s, t)
-
-    root_slot = graph.root_slot
-    max_age = cfg.max_keyword_frames
-    survivors: _State = {}
-    at_terminal: dict[int, tuple[float, int]] = {}
-    for key, val in nxt.items():
-        score, start = val
-        age = t - start + 1
-        if score < beam_floor or age > max_age or score < min_pfs * age:
-            continue
-        if score < floor:  # never a fresh entry, which is admitted at or above it
-            i = root_slot.get(key)
-            if i is not None and fresh[i] > score:
-                continue
-        survivors[key] = val
-        node = key >> 1
-        if terminals[node] >= 0:
-            prev = at_terminal.get(node)
-            if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):
-                at_terminal[node] = val
-
-    # survivors already satisfy the per-frame floor, so all terminals qualify
-    cands = [
-        SpottedCandidate(terminals[node], start, t, score)
-        for node, (score, start) in at_terminal.items()
-    ]
-    return survivors, cands
-
-
 def _search(
     state: _State,
     lp: np.ndarray,
@@ -237,16 +128,114 @@ def _search(
     graph: ContextGraph,
     cfg: SpotterConfig,
     blank_id: int,
-) -> Iterator[tuple[_State, list[SpottedCandidate]]]:
-    """Run :func:`_step_frame` over the rows of ``lp`` (frames
-    ``first_frame``, ...); yields (survivors, candidates) after each frame."""
-    fresh = lp[:, graph.root_tok] + cfg.cb_weight
-    fresh_best = fresh.max(axis=1, initial=-np.inf).tolist()
-    for i in range(lp.shape[0]):
-        state, cands = _step_frame(
-            state, memoryview(lp[i]), fresh[i], fresh_best[i], first_frame + i, graph, cfg, blank_id
-        )
-        yield state, cands
+    out: list[SpottedCandidate],
+) -> _State:
+    """Advance every hypothesis over the rows of ``lp`` (frames
+    ``first_frame``, ...); appends each frame's candidates to ``out`` and
+    returns the survivors of the last frame.
+
+    ``fresh`` holds a frame's score of a fresh entry at each root child
+    (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
+    Recombination keeps the higher score, ties keep the earlier start.
+    Pruning measures each score against the best score of its frame.
+    An expansion below ``cut``, the beam threshold under the larger of the
+    two lower bounds on that best (the top hypothesis's blank self-loop and
+    ``fresh_best``), is skipped before its dict probe: it would be pruned.
+    Age-capped hypotheses are still expanded, as they count in the best.
+    """
+    cb = cfg.cb_weight
+    beam_threshold = cfg.beam_threshold
+    min_pfs = cfg.min_per_frame_score
+    max_age = cfg.max_keyword_frames
+    tokens = graph.tokens
+    first_child = graph.first_child
+    next_sibling = graph.next_sibling
+    terminals = graph.terminals
+    root_keys = graph.root_keys
+    root_slot = graph.root_slot
+    fresh_rows = lp[:, graph.root_tok] + cb
+    fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
+
+    for i, fresh_best in enumerate(fresh_bests):
+        t = first_frame + i
+        row = memoryview(lp[i])
+        fresh = fresh_rows[i]
+        lp_blank = row[blank_id]
+        nxt: _State = {}
+        # the frame's best is at least lo, so an expansion below cut is pruned anyway
+        lo = max(max(state.values())[0] + lp_blank, fresh_best) if state else fresh_best
+        cut = lo - beam_threshold
+
+        for key, (score, start) in state.items():
+            # blank self-loop
+            s = score + lp_blank
+            if s >= cut:
+                k = key | 1
+                prev = nxt.get(k)
+                if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                    nxt[k] = (s, start)
+            node = key >> 1
+            ntok = tokens[node]
+            in_blank = key & 1
+            if not in_blank:
+                # repeated emission of the node's own token
+                s = score + row[ntok]
+                if s >= cut:
+                    prev = nxt.get(key)
+                    if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                        nxt[key] = (s, start)
+            child = first_child[node]
+            while child >= 0:
+                ctok = tokens[child]
+                if in_blank or ctok != ntok:
+                    s = score + row[ctok] + cb
+                    if s >= cut:
+                        k = child << 1
+                        prev = nxt.get(k)
+                        if prev is None or s > prev[0] or (s == prev[0] and start < prev[1]):
+                            nxt[k] = (s, start)
+                child = next_sibling[child]
+
+        # Fresh hypotheses enter at every root child, but a fresh entry is one
+        # frame old, so it survives pruning only at or above the age-1 floor.
+        # The frame's best score counts every fresh entry, so only two kinds can
+        # change the outcome: entries at or above the floor, admitted here, and
+        # entries below it on a slot propagation filled. Such an entry replaces
+        # the live one only when strictly greater (ties keep the earlier start)
+        # and is then pruned itself, so the live one is dropped in pruning below.
+        best = max(max(nxt.values())[0], fresh_best) if nxt else fresh_best
+        beam_floor = best - beam_threshold
+        floor = max(min_pfs, beam_floor)
+        if fresh_best >= floor:
+            admitted = (fresh >= floor).nonzero()[0]
+            for j, s in zip(admitted.tolist(), fresh[admitted].tolist()):
+                k = root_keys[j]
+                prev = nxt.get(k)
+                if prev is None or s > prev[0]:
+                    nxt[k] = (s, t)
+
+        state = {}
+        at_terminal: dict[int, tuple[float, int]] = {}
+        for key, val in nxt.items():
+            score, start = val
+            age = t - start + 1
+            if score < beam_floor or age > max_age or score < min_pfs * age:
+                continue
+            if score < floor:  # never a fresh entry, which is admitted at or above it
+                j = root_slot.get(key)
+                if j is not None and fresh[j] > score:
+                    continue
+            state[key] = val
+            node = key >> 1
+            if terminals[node] >= 0:
+                prev = at_terminal.get(node)
+                if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):
+                    at_terminal[node] = val
+
+        # survivors already satisfy the per-frame floor, so all terminals qualify
+        for node, (score, start) in at_terminal.items():
+            out.append(SpottedCandidate(terminals[node], start, t, score))
+    return state
 
 
 def check_graph(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int:
@@ -273,8 +262,7 @@ def spot_offline(
     lp = check_logprobs(logprobs)
     blank = check_graph(graph, lp.shape[1], cfg)
     out: list[SpottedCandidate] = []
-    for _, cands in _search({}, lp, 0, graph, cfg, blank):
-        out.extend(cands)
+    _search({}, lp, 0, graph, cfg, blank, out)
     return out
 
 
@@ -394,9 +382,9 @@ class SpotterSession:
             if self._vocab_size is None:
                 self._blank = check_graph(self.graph, lp.shape[1], self.cfg)
                 self._vocab_size = lp.shape[1]
-            frames = _search(self._state, lp, self._frames, self.graph, self.cfg, self._blank)
-            for self._state, cands in frames:
-                self._pending.extend(cands)
+            self._state = _search(
+                self._state, lp, self._frames, self.graph, self.cfg, self._blank, self._pending
+            )
             self._frames += lp.shape[0]
         return self._finalize_step()
 

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OracleBoundExceeded
+from .formats import resolve_blank
 
 ORACLE_MAX_FRAMES = 12
 ORACLE_MAX_VOCAB = 5
@@ -57,15 +58,13 @@ def make_spec(
     temperature: float = 1.0,
 ) -> SynthSpec:
     """Validate and normalize a spec; plain (token, duration, peak) tuples
-    are accepted as segments."""
-    blank = blank_id if blank_id is not None else vocab_size - 1
+    are accepted as segments. The blank follows
+    :func:`ctcspot.formats.resolve_blank` and raises its
+    :class:`~ctcspot.errors.DimensionMismatch`."""
+    blank = resolve_blank(blank_id, vocab_size)
     segments = tuple(
         seg if isinstance(seg, ScriptSegment) else ScriptSegment(*seg) for seg in script
     )
-    if vocab_size < 2:
-        raise ValueError(f"vocab_size {vocab_size} is too small")
-    if not 0 <= blank < vocab_size:
-        raise ValueError(f"blank id {blank} outside vocabulary")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     for seg in segments:

@@ -119,6 +119,41 @@ def test_stream_word_source_is_checked_before_any_input(tmp_path, capsys, monkey
     assert stdin.tell() == 0  # stdin unread
 
 
+class _UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+    readline = read
+
+    def __iter__(self):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("bad", ["vocab", "bias", "alignments", "bias line"])
+def test_stream_loads_its_files_before_any_input(tmp_path, capsys, monkeypatch, bad):
+    """A missing --vocab, --bias or --alignments file, or a bad bias line,
+    fails before stdin is read: exit 2, the file named, nothing on stdout."""
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    missing = str(tmp_path / "missing.txt")
+    words_path = str(tmp_path / "words.tsv")
+    write_alignments(words_path, [WordAlignment("play", 2, 4, -0.4)])
+    vocab = _write_vocab(tmp_path)
+    argv = ["stream", "--stdin-envelope"]
+    if bad == "vocab":
+        argv += ["--vocab", missing]
+    elif bad == "bias":
+        argv += ["--vocab", vocab, "--bias", missing]
+    elif bad == "alignments":
+        argv += ["--alignments", missing]
+    else:
+        missing = _write_bias(tmp_path, ["halsey\t1,x\n"])
+        argv += ["--alignments", words_path, "--bias", missing]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert missing in captured.err
+
+
 def test_stream_single_chunk_equals_spot(tmp_path, capsys):
     logits, matrix = _synth_logits(tmp_path)
     vocab = _write_vocab(tmp_path)

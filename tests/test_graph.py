@@ -64,6 +64,8 @@ def test_build_validation_errors():
         build_graph([BiasEntry(0, "x", (-1,))])
     with pytest.raises(TokenOutOfRange):
         build_graph([BiasEntry(0, "x", (3,))], vocab_size=8, blank_id=3)
+    with pytest.raises(ValueError, match="keyword id -1"):  # -1 marks "no keyword"
+        build_graph([BiasEntry(-1, "x", (1,))])
 
 
 def test_prefix_sharing_matches_longest_common_prefix():
@@ -110,6 +112,44 @@ def test_bias_file_tokenized_via_vocab(tmp_path):
     bias_path.write_text("halsey\n", encoding="utf-8")
     entries = load_bias_list(str(bias_path), vocab=vocab, blank_id=3)
     assert entries[0].tokens == (0, 1)
+
+
+class _CountingVocab(list):
+    """A vocabulary that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_surface_only_bias_list_loads_as_tokenize_reads_each_line(tmp_path):
+    rng = np.random.default_rng(23)
+    letters = "abcdefghij"
+    multi = {"".join(rng.choice(list(letters), size=int(rng.integers(2, 4)))) for _ in range(40)}
+    pieces = [MARKER, *letters, *sorted(multi), *(MARKER + p for p in sorted(multi)[:15])]
+    # the blank holds a piece no other token has, so skipping it matters
+    plain = [*pieces, "abcabc"]
+    blank = len(plain) - 1
+    surfaces = [
+        " ".join(
+            "".join(rng.choice(list(letters), size=int(rng.integers(1, 8))))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        for _ in range(200)
+    ]
+    surfaces.append("abcabc abcabc")
+    path = tmp_path / "bias.txt"
+    path.write_text("".join(f"{s}\n" for s in surfaces), encoding="utf-8")
+    vocab = _CountingVocab(plain)
+    entries = load_bias_list(str(path), vocab=vocab, blank_id=blank)
+    expected = [
+        BiasEntry(i, s, tuple(tokenize(s, plain, MARKER, {blank}))) for i, s in enumerate(surfaces)
+    ]
+    assert entries == expected
+    assert all(blank not in e.tokens for e in entries)
+    assert vocab.passes == 1  # one piece table per list, not one per line
 
 
 def test_tokenizer_greedy_longest_match():

@@ -308,6 +308,41 @@ def test_commit_step_waits_for_held_candidates_and_open_word():
     assert out.held_text_preview.endswith("a?")
 
 
+def test_commit_layer_refuses_input_behind_its_boundary():
+    # emitted output is append-only, so a word or candidate ending before
+    # the boundary cannot be emitted after the words already out
+    state = CommitState(MergePolicy(), SURFACES)
+    state.add_words([WordAlignment("late", 10, 12, -1.0)])
+    assert commit_step(state, _spot_result(20)).commit_frontier == 20
+    with pytest.raises(OverlappingWords):
+        state.add_words([WordAlignment("early", 5, 6, -1.0)])
+    with pytest.raises(OverlappingWords):
+        state.add_words([WordAlignment("straddles", 19, 22, -1.0)])
+    with pytest.raises(OverlappingWords):
+        commit_step(state, _spot_result(30, finalized=[_cand(0, 5, 6, -0.1)]))
+    # the refused calls changed nothing: the frontier is still 20
+    state.add_words([WordAlignment("next", 20, 22, -1.0)])
+    commit_step(state, _spot_result(25))
+    assert state.transcript == "late next"
+
+
+def test_commit_layer_refuses_overlap_with_the_buffered_item_before_it():
+    state = CommitState(MergePolicy(), SURFACES)
+    state.add_words([WordAlignment("a", 0, 4, -1.0)])
+    with pytest.raises(OverlappingWords):
+        state.add_words([WordAlignment("b", 4, 6, -1.0)])
+    with pytest.raises(OverlappingWords):  # nothing of a refused batch is added
+        state.add_words([WordAlignment("b", 5, 6, -1.0), WordAlignment("c", 6, 7, -1.0)])
+    # the candidate straddles the frontier, so it stays buffered
+    out = commit_step(state, _spot_result(3, finalized=[_cand(0, 1, 3, -0.1)]))
+    assert out.commit_frontier == 0
+    with pytest.raises(OverlappingWords):
+        commit_step(state, _spot_result(9, finalized=[_cand(1, 3, 5, -0.1)]))
+    state.add_words([WordAlignment("b", 5, 6, -1.0)])
+    commit_step(state, _spot_result(9, finalized=[_cand(1, 4, 5, -0.1)]))
+    assert state.transcript == "halsey b"  # the first candidate replaces "a"
+
+
 def test_frontier_regression_detected():
     state = CommitState(MergePolicy(), SURFACES)
     commit_step(state, _spot_result(5))

@@ -371,19 +371,27 @@ def _cand_keys(cands):
     [1, 1],
 ))
 def test_exact_admission_matches_full_admission(case):
-    """Frame by frame over any chunking, the search admitting only fresh
-    entries at or above the floor (or on a slot propagation filled) keeps
-    the same survivors and candidates as admitting every root child."""
+    """Frame by frame, the search admitting only fresh entries at or above
+    the floor (or on a slot propagation filled) keeps the same survivors
+    and candidates as admitting every root child; searching each chunk of
+    any chunking in one call ends in the same state with the same
+    candidates."""
     graph, lp, cfg, sizes = case
     tables = reference_tables(graph)
-    state, ref_state = {}, {}
-    t = 0
+    state, ref_state, per_frame = {}, {}, []
+    for t in range(lp.shape[0]):
+        cands = []
+        state = _search(state, lp[t : t + 1], t, graph, cfg, cfg.blank_id, cands)
+        ref_state, ref_cands = reference_step_frame(
+            ref_state, lp[t].tolist(), t, *tables, cfg, cfg.blank_id
+        )
+        assert state == ref_state, t
+        assert _cand_keys(cands) == _cand_keys(ref_cands), t
+        per_frame.extend(cands)
+    chunked_state, chunked, t = {}, [], 0
     for n in sizes:
-        for state, cands in _search(state, lp[t : t + n], t, graph, cfg, cfg.blank_id):
-            ref_state, ref_cands = reference_step_frame(
-                ref_state, lp[t].tolist(), t, *tables, cfg, cfg.blank_id
-            )
-            assert state == ref_state, t
-            assert _cand_keys(cands) == _cand_keys(ref_cands), t
-            t += 1
+        chunked_state = _search(chunked_state, lp[t : t + n], t, graph, cfg, cfg.blank_id, chunked)
+        t += n
     assert t == lp.shape[0]
+    assert chunked_state == state
+    assert chunked == per_frame

@@ -16,7 +16,7 @@ from ctcspot import (
     spot_offline,
     word_script,
 )
-from ctcspot.errors import OracleBoundExceeded
+from ctcspot.errors import DimensionMismatch, OracleBoundExceeded
 from ctcspot.formats import row_norm_error
 
 from conftest import collapse
@@ -69,6 +69,17 @@ def test_spec_validation():
         make_spec(0, 4, None, [ScriptSegment(0, 1, 0.5, shadow_token=0, shadow_prob=0.3)])
     with pytest.raises(ValueError):
         make_spec(0, 4, None, [ScriptSegment(0, 1, 0.7, shadow_token=1, shadow_prob=0.5)])
+
+
+def test_spec_blank_follows_the_one_blank_rule():
+    # the rule of formats.resolve_blank, with its error type
+    with pytest.raises(DimensionMismatch):
+        make_spec(0, 1, None, [(0, 1, 0.5)])
+    with pytest.raises(DimensionMismatch):
+        make_spec(0, 4, 4, [(0, 1, 0.5)])
+    with pytest.raises(DimensionMismatch):
+        make_spec(0, 4, -1, [(0, 1, 0.5)])
+    assert make_spec(0, 4, None, [(0, 1, 0.5)]).blank_id == 3
 
 
 def test_oracle_guard_and_empty_cases():
