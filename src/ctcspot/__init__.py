@@ -14,6 +14,7 @@ from .graph import (
     DEFAULT_WORD_MARKER,
     BiasEntry,
     ContextGraph,
+    Tokenizer,
     build_graph,
     load_bias_list,
     load_vocab,
@@ -43,13 +44,11 @@ from .spotter import (
     SpottedCandidate,
     dedup_overlaps,
     spot_offline,
+    spot_undominated,
 )
 from .synth import (
     ScriptSegment,
     SynthSpec,
-    brute_force_keyword_score,
-    brute_force_scores_by_end,
-    ctc_collapse,
     generate,
     make_spec,
     word_script,
@@ -77,13 +76,11 @@ __all__ = [
     "StreamingAligner",
     "StreamingPipeline",
     "SynthSpec",
+    "Tokenizer",
     "WordAlignment",
-    "brute_force_keyword_score",
-    "brute_force_scores_by_end",
     "build_graph",
     "commit_step",
     "corpus_wer",
-    "ctc_collapse",
     "dedup_overlaps",
     "edit_distance",
     "format_keyword_table",
@@ -99,6 +96,7 @@ __all__ = [
     "offline_pipeline",
     "runtime_report",
     "spot_offline",
+    "spot_undominated",
     "tokenize",
     "wer",
     "word_script",

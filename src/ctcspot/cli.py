@@ -34,11 +34,11 @@ from .formats import (
 )
 from .graph import (
     DEFAULT_WORD_MARKER,
+    Tokenizer,
     build_graph,
     load_bias_list,
     load_bias_surfaces,
     load_vocab,
-    tokenize,
 )
 from .merge import MergePolicy
 from .metrics import (
@@ -311,9 +311,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     vocab = load_vocab(args.vocab)
     blank = resolve_blank(args.blank_id, len(vocab))
-    token_seqs = [
-        tokenize(word, vocab, args.marker, skip_ids={blank}) for word in args.text.split()
-    ]
+    tokenizer = Tokenizer(vocab, args.marker, skip_ids={blank})
+    token_seqs = [tokenizer(word) for word in args.text.split()]
     script = word_script(
         token_seqs,
         blank_id=blank,

@@ -67,6 +67,10 @@ class NonFiniteRows(FormatError):
     """Log-probability rows contain NaN or +inf (-inf is a legal log 0)."""
 
 
+class PositiveLogProbs(FormatError):
+    """Log-probability rows hold a cell above 0, which no probability has."""
+
+
 class NonFiniteScore(FormatError):
     """An external word's path score is NaN or +inf (-inf is a legal log 0)."""
 
@@ -98,7 +102,3 @@ class ChunkTooSmall(FormatError):
 
 class ProtocolError(CtcspotError):
     """Chunk stream envelope violated the record protocol."""
-
-
-class OracleBoundExceeded(CtcspotError):
-    """Brute-force enumeration was asked to exceed its hard size bound."""

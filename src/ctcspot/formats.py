@@ -39,6 +39,7 @@ from .errors import (
     NonFiniteRows,
     NonFiniteScore,
     OverlappingWords,
+    PositiveLogProbs,
     ProtocolError,
     TruncatedPayload,
     UnnormalizedRows,
@@ -63,19 +64,24 @@ class WordAlignment:
 
 def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
     """Return the matrix as C-contiguous native float64 if it is 2-d, as
-    wide as ``width`` (an empty chunk fits any) and free of NaN and +inf;
-    -inf is a legal log 0. Run before any state changes: a NaN score fails
-    every prune compare. The search reads each row through a memoryview,
-    which needs that layout."""
+    wide as ``width`` (an empty chunk fits any), free of NaN and +inf and
+    with no cell above 0; -inf is a legal log 0. Run before any state
+    changes: a NaN score fails every prune compare, and the spotter's
+    commit frontier bounds future scores by taking every cell to be at most
+    0. The search reads each row through a memoryview, which needs that
+    layout."""
     lp = np.asarray(matrix, dtype=float)
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
     lp = np.ascontiguousarray(lp)  # after the ndim check: it makes a 0-d input 1-d
     if width is not None and lp.shape[0] and lp.shape[1] != width:
         raise DimensionMismatch(f"chunk width {lp.shape[1]} != expected width {width}")
-    if lp.size and not lp.max() < np.inf:  # max propagates NaN and +inf
+    if lp.size and not lp.max() <= 0.0:  # max propagates NaN
         rows = np.flatnonzero(~(lp < np.inf).all(axis=1))
-        raise NonFiniteRows(f"rows {rows[:5].tolist()} hold NaN or +inf (not finite)")
+        if rows.size:
+            raise NonFiniteRows(f"rows {rows[:5].tolist()} hold NaN or +inf (not finite)")
+        rows = np.flatnonzero((lp > 0.0).any(axis=1))
+        raise PositiveLogProbs(f"rows {rows[:5].tolist()} hold a log-probability above 0")
     return lp
 
 

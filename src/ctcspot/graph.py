@@ -50,14 +50,16 @@ class ContextGraph:
     ``next_sibling`` of each child, with -1 ending it. ``root_tok[i]`` is
     the token of the i-th root child, ``root_keys[i]`` that child's
     non-blank search key (node << 1) and ``root_slot`` maps the key back to
-    i. ``entries`` are the kept bias entries and ``surfaces`` maps each
-    keyword id to its surface text.
+    i. ``heights[n]`` is how many tokens below n its deepest terminal lies
+    (0 when n is a leaf). ``entries`` are the kept bias entries and
+    ``surfaces`` maps each keyword id to its surface text.
     """
 
     tokens: list[int]
     first_child: list[int]
     next_sibling: list[int]
     terminals: list[int]
+    heights: list[int]
     root_tok: np.ndarray
     root_keys: list[int]
     root_slot: dict[int, int]
@@ -92,7 +94,7 @@ def build_graph(
     ``ValueError``. When ``vocab_size`` or ``blank_id`` are given, token ids
     are validated against them.
     """
-    tokens, first_child, next_sibling, terminals = [-1], [-1], [-1], [-1]
+    tokens, first_child, next_sibling, terminals, heights = [-1], [-1], [-1], [-1], [0]
     # child lookup while building, keyed by token << 32 | parent (node ids
     # stay below 2**32); dropped on return, so only the flat lists remain
     edges: dict[int, int] = {}
@@ -127,7 +129,11 @@ def build_graph(
         seen_ids.add(entry.keyword_id)
         by_tokens[entry.tokens] = entry
         node = ROOT
+        below = len(entry.tokens)  # tokens of the phrase below the current node
+        if heights[ROOT] < below:
+            heights[ROOT] = below
         for tok in entry.tokens:
+            below -= 1
             key = tok << 32 | node
             child = edges.get(key)
             if child is None:
@@ -137,6 +143,9 @@ def build_graph(
                 next_sibling.append(first_child[node])
                 first_child[node] = child
                 terminals.append(-1)
+                heights.append(below)
+            elif heights[child] < below:
+                heights[child] = below
             node = child
         terminals[node] = entry.keyword_id
         kept.append(entry)
@@ -152,6 +161,7 @@ def build_graph(
         first_child=first_child,
         next_sibling=next_sibling,
         terminals=terminals,
+        heights=heights,
         root_tok=np.array([tokens[c] for c in root_children], dtype=np.intp),
         root_keys=root_keys,
         root_slot={k: i for i, k in enumerate(root_keys)},
@@ -169,48 +179,57 @@ def load_vocab(path: str) -> list[str]:
         return [line.rstrip("\r\n") for line in fp]
 
 
+class Tokenizer:
+    """Greedy longest-match tokenization against one vocabulary.
+
+    The ``{piece: first token id}`` table over the non-empty pieces outside
+    ``skip_ids`` is built once, so tokenizing many texts costs one pass
+    over the vocabulary. Spaces are mapped to the word-boundary marker
+    before matching, so a phrase like "justin bieber" matches
+    marker-prefixed pieces.
+    """
+
+    def __init__(
+        self, vocab: Sequence[str], marker: str = DEFAULT_WORD_MARKER, skip_ids: Iterable[int] = ()
+    ) -> None:
+        skip = set(skip_ids)
+        table: dict[str, int] = {}
+        for tid, piece in enumerate(vocab):
+            if tid in skip or not piece:
+                continue
+            table.setdefault(piece, tid)
+        if not table:
+            raise TokenizationError("vocabulary has no usable pieces")
+        self.marker = marker
+        self._table = table
+        self._longest = max(len(p) for p in table)
+
+    def __call__(self, text: str) -> list[int]:
+        table, longest = self._table, self._longest
+        normalized = self.marker + text.strip().replace(" ", self.marker)
+        out: list[int] = []
+        i = 0
+        while i < len(normalized):
+            for span in range(min(longest, len(normalized) - i), 0, -1):
+                tid = table.get(normalized[i : i + span])
+                if tid is not None:
+                    out.append(tid)
+                    i += span
+                    break
+            else:
+                raise TokenizationError(f"no vocabulary piece matches {normalized[i:]!r}")
+        return out
+
+
 def tokenize(
     text: str,
     vocab: Sequence[str],
     marker: str = DEFAULT_WORD_MARKER,
     skip_ids: Iterable[int] = (),
 ) -> list[int]:
-    """Greedy longest-match tokenization of ``text`` against ``vocab``.
-
-    Spaces are mapped to the word-boundary marker before matching, so a
-    phrase like "justin bieber" matches marker-prefixed pieces.
-    """
-    return _match(text, marker, *_piece_table(vocab, skip_ids))
-
-
-def _piece_table(vocab: Sequence[str], skip_ids: Iterable[int]) -> tuple[dict[str, int], int]:
-    """``{piece: first token id}`` over the non-empty pieces of ``vocab``
-    outside ``skip_ids``, and the length of the longest piece."""
-    skip = set(skip_ids)
-    table: dict[str, int] = {}
-    for tid, piece in enumerate(vocab):
-        if tid in skip or not piece:
-            continue
-        table.setdefault(piece, tid)
-    if not table:
-        raise TokenizationError("vocabulary has no usable pieces")
-    return table, max(len(p) for p in table)
-
-
-def _match(text: str, marker: str, table: dict[str, int], longest: int) -> list[int]:
-    normalized = marker + text.strip().replace(" ", marker)
-    out: list[int] = []
-    i = 0
-    while i < len(normalized):
-        for span in range(min(longest, len(normalized) - i), 0, -1):
-            tid = table.get(normalized[i : i + span])
-            if tid is not None:
-                out.append(tid)
-                i += span
-                break
-        else:
-            raise TokenizationError(f"no vocabulary piece matches {normalized[i:]!r}")
-    return out
+    """Greedy longest-match tokenization of one ``text`` against ``vocab``;
+    build a :class:`Tokenizer` to tokenize many."""
+    return Tokenizer(vocab, marker, skip_ids)(text)
 
 
 def _bias_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
@@ -244,7 +263,7 @@ def load_bias_list(
     token column are tokenized against ``vocab`` (required in that case).
     """
     entries: list[BiasEntry] = []
-    pieces = None  # the vocabulary's piece table, built at the first line that needs it
+    tokenizer = None  # built at the first line that needs it
     for lineno, surface, id_col in _bias_lines(path):
         if id_col is not None:
             try:
@@ -256,8 +275,8 @@ def load_bias_list(
                 raise ValueError(
                     f"{path}:{lineno}: entry {surface!r} has no token ids and no vocabulary was given"
                 )
-            if pieces is None:
-                pieces = _piece_table(vocab, () if blank_id is None else (blank_id,))
-            tokens = tuple(_match(surface, marker, *pieces))
+            if tokenizer is None:
+                tokenizer = Tokenizer(vocab, marker, () if blank_id is None else (blank_id,))
+            tokens = tuple(tokenizer(surface))
         entries.append(BiasEntry(len(entries), surface, tokens))
     return entries

@@ -19,13 +19,14 @@ from .aligner import StreamingAligner, greedy_decode
 from .formats import WordAlignment, check_words
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
-from .spotter import (
+from .spotter import (  # noqa: F401  (spot_offline: bench/drive.py patches it here by name)
     SpotterConfig,
     SpotterSession,
     SpottedCandidate,
     check_graph,
     dedup_overlaps,
     spot_offline,
+    spot_undominated,
 )
 
 
@@ -130,6 +131,6 @@ def offline_pipeline(
         words = greedy_decode(lp, vocab, cfg.blank_id, marker)
     else:
         words = list(external_words)
-    candidates = dedup_overlaps(spot_offline(lp, graph, cfg))
+    candidates = dedup_overlaps(spot_undominated(lp, graph, cfg))
     merged = merge_region(words, candidates, policy, graph.surfaces)
     return " ".join(w.word for w in merged), merged, candidates

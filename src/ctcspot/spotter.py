@@ -28,20 +28,36 @@ at or above the floor, still replaces any lower one. Hypotheses over the
 age cap or under the per-frame floor are expanded all the same: their
 expansions count toward the best, and skipping them would move the floor.
 
-One chunk search, :func:`_search`, drives both :func:`spot_offline` (one
-call over the utterance) and the chunked :class:`SpotterSession` (one call
-per chunk), which carries live hypotheses across chunk boundaries; sharing
-the search makes the two paths score identically for any chunking of the
-input. After each chunk the session's commit frontier is the earliest start
-frame among live hypotheses: nothing detected later can begin before it.
-:func:`settle` is the one greedy de-overlap sweep: the session runs it at
-its frontier, finalizing each candidate that neither a live hypothesis nor
-a held candidate can overturn, and :func:`dedup_overlaps` runs it at
-infinity. So the finalized stream equals whole-utterance spotting plus
-de-overlap for every chunking and every age cap, which both paths apply in
-the same search. Both paths take input through
-:func:`ctcspot.formats.check_logprobs` and :func:`check_graph`; every chunk
-must be as wide as the first non-empty one.
+One chunk search, :func:`_search`, drives :func:`spot_offline` and
+:func:`spot_undominated` (one call over the utterance) and the chunked
+:class:`SpotterSession` (one call per chunk), which carries live hypotheses
+across chunk boundaries; sharing the search makes the paths score
+identically for any chunking of the input. :func:`settle` is the one
+greedy de-overlap sweep: the session runs it at its commit frontier,
+finalizing each candidate that neither a live hypothesis nor a held
+candidate can overturn, and :func:`dedup_overlaps` runs it at infinity.
+
+Dominance. The sweep never keeps a candidate C that contains a strictly
+better-ranked candidate E (E starts no earlier and ends no later): E is
+visited first and is either kept or dropped by a kept K overlapping it,
+and E and K both overlap C. E ends no later than C, so it is emitted by
+the time C is. The session and :func:`spot_undominated` keep a rank index
+(:class:`_RankIndex`) and drop such terminals frame by frame, before a
+candidate object is made; a dropped candidate changes no other decision,
+so the kept list stays the same. :func:`spot_offline` keeps every
+candidate: it is the reference the enumeration oracle checks.
+
+The commit frontier is the earliest start among live hypotheses that can
+still emit a candidate. Log-probabilities are at most 0, so
+:func:`_bound` caps the per-frame score of anything a hypothesis or its
+descendants can emit; when an emitted candidate starting at or after the
+hypothesis's start beats it, all of that would be dropped, and the
+hypothesis stays in the search without holding the frontier. Nothing
+emitted later begins before the frontier, so the finalized stream equals
+whole-utterance spotting plus de-overlap for every chunking and every age
+cap, which both paths apply in the same search. Both paths take input
+through :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`;
+every chunk must be as wide as the first non-empty one.
 """
 
 from __future__ import annotations
@@ -121,6 +137,71 @@ class SpottedCandidate:
 _State = dict[int, tuple[float, int]]
 
 
+def _rank(keyword_id: int, start: int, end: int, score: float) -> tuple:
+    """The greedy sweep's order, smallest first: best per-frame score, then
+    longer, then stable identity fields. Distinct candidates never tie."""
+    n = end - start + 1
+    return (-(score / n), -n, keyword_id, start, end)
+
+
+def _greedy_order(c: SpottedCandidate) -> tuple:
+    return _rank(c.keyword_id, c.start_frame, c.end_frame, c.score)
+
+
+_UNRANKED = (math.inf, math.inf)  # ranks after every candidate
+
+
+class _RankIndex:
+    """``best[f - base]`` is the best rank among the candidates emitted so
+    far that start at or after frame f, for f from ``base`` on.
+
+    A candidate whose start entry ranks strictly better than itself
+    contains a better-ranked candidate, so the greedy sweep never keeps
+    it. Entries only improve. An update walks down from the candidate's
+    start and stops at the first entry at least as good, or at ``base``.
+    """
+
+    __slots__ = ("base", "best")
+
+    def __init__(self) -> None:
+        self.base = 0
+        self.best: list[tuple] = []
+
+    def best_per_frame(self, start: int) -> float:
+        """The best per-frame score among emitted candidates starting at or
+        after ``start``; -inf when there is none."""
+        return -self.best[start - self.base][0]
+
+    def trim(self, floor: int) -> None:
+        """Forget the entries below ``floor``."""
+        del self.best[: floor - self.base]
+        self.base = floor
+
+
+_MARGIN = 1 + 1e-9
+
+
+def _bound(score: float, age: int, height: int, cb: float) -> float:
+    """An upper bound on the per-frame score of every candidate a live
+    hypothesis can still emit, or that any of its descendants can.
+
+    Such a candidate consumes some k in 0..``height`` more tokens over at
+    least max(k, 1) more frames. Each log-probability is at most 0 and each
+    token adds ``cb``, so its score is at most ``score + cb*k``; where that
+    is not positive, its per-frame score is at most 0. The sum is taken one
+    ``cb`` at a time, as the search adds them, so the float result bounds
+    the search's float scores too, and a descendant's bound (more frames,
+    fewer tokens left) is never above its ancestor's.
+    """
+    bound = score / (age + 1) if score > 0 else 0.0  # k = 0
+    num = score
+    for k in range(1, height + 1):
+        num += cb
+        if num > 0 and num / (age + k) > bound:
+            bound = num / (age + k)
+    return bound
+
+
 def _search(
     state: _State,
     lp: np.ndarray,
@@ -129,10 +210,13 @@ def _search(
     cfg: SpotterConfig,
     blank_id: int,
     out: list[SpottedCandidate],
+    ranks: _RankIndex | None = None,
 ) -> _State:
     """Advance every hypothesis over the rows of ``lp`` (frames
     ``first_frame``, ...); appends each frame's candidates to ``out`` and
-    returns the survivors of the last frame.
+    returns the survivors of the last frame. With a rank index, each
+    frame's terminals all enter it first, and then only the candidates no
+    contained candidate outranks are appended; with None, every one is.
 
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
@@ -155,6 +239,10 @@ def _search(
     root_slot = graph.root_slot
     fresh_rows = lp[:, graph.root_tok] + cb
     fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
+    if ranks is not None:
+        best_rank = ranks.best
+        base = ranks.base
+        best_rank.extend([_UNRANKED] * len(fresh_bests))
 
     for i, fresh_best in enumerate(fresh_bests):
         t = first_frame + i
@@ -233,8 +321,28 @@ def _search(
                     at_terminal[node] = val
 
         # survivors already satisfy the per-frame floor, so all terminals qualify
-        for node, (score, start) in at_terminal.items():
-            out.append(SpottedCandidate(terminals[node], start, t, score))
+        if ranks is None:
+            for node, (score, start) in at_terminal.items():
+                out.append(SpottedCandidate(terminals[node], start, t, score))
+        elif at_terminal:
+            # a terminal ranked below its start entry is dropped and changes no
+            # entry; most lose on the rank's first field, before the tuple is built
+            ranked = []
+            for node, (score, start) in at_terminal.items():
+                f = start - base
+                if -(score / (t - start + 1)) > best_rank[f][0]:
+                    continue
+                kw = terminals[node]
+                r = _rank(kw, start, t, score)
+                if r < best_rank[f]:
+                    ranked.append((r, kw, start, score))
+                    while f >= 0 and r < best_rank[f]:
+                        best_rank[f] = r
+                        f -= 1
+            # then drop those that a later terminal of the same frame outranks
+            for r, kw, start, score in ranked:
+                if not best_rank[start - base] < r:
+                    out.append(SpottedCandidate(kw, start, t, score))
     return state
 
 
@@ -251,6 +359,17 @@ def check_graph(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int
     return blank
 
 
+def _spot_utterance(
+    logprobs: np.ndarray, graph: ContextGraph, cfg: SpotterConfig | None, ranks: _RankIndex | None
+) -> list[SpottedCandidate]:
+    cfg = cfg or SpotterConfig()
+    lp = check_logprobs(logprobs)
+    blank = check_graph(graph, lp.shape[1], cfg)
+    out: list[SpottedCandidate] = []
+    _search({}, lp, 0, graph, cfg, blank, out, ranks)
+    return out
+
+
 def spot_offline(
     logprobs: np.ndarray,
     graph: ContextGraph,
@@ -258,19 +377,18 @@ def spot_offline(
 ) -> list[SpottedCandidate]:
     """Whole-utterance spotting. Returns every candidate above the
     per-frame score floor, before any de-overlapping."""
-    cfg = cfg or SpotterConfig()
-    lp = check_logprobs(logprobs)
-    blank = check_graph(graph, lp.shape[1], cfg)
-    out: list[SpottedCandidate] = []
-    _search({}, lp, 0, graph, cfg, blank, out)
-    return out
+    return _spot_utterance(logprobs, graph, cfg, None)
 
 
-def _greedy_order(c: SpottedCandidate) -> tuple:
-    # best per-frame score first, then longer, then stable identity fields;
-    # the per_frame_score and num_frames properties, inlined for the sort
-    n = c.end_frame - c.start_frame + 1
-    return (-(c.score / n), -n, c.keyword_id, c.start_frame, c.end_frame)
+def spot_undominated(
+    logprobs: np.ndarray,
+    graph: ContextGraph,
+    cfg: SpotterConfig | None = None,
+) -> list[SpottedCandidate]:
+    """Whole-utterance spotting without the candidates that the greedy
+    sweep can never keep: those of :func:`spot_offline` that contain a
+    better-ranked one. :func:`dedup_overlaps` returns the same for both."""
+    return _spot_utterance(logprobs, graph, cfg, _RankIndex())
 
 
 def _time_order(c: SpottedCandidate) -> tuple:
@@ -290,6 +408,10 @@ def settle(
     candidate starts at or after the frontier and might beat it) or
     overlaps a held one; otherwise it is kept. With an infinite frontier
     nothing is held and the sweep is the whole-utterance de-overlap.
+    A candidate that contains a better-ranked one is never kept, so
+    ``pending`` may leave such candidates out (the session records none),
+    and then the frontier need not wait for live hypotheses that can only
+    record more of them.
 
     The kept intervals are disjoint, so their starts and ends form two
     sorted lists, and "overlaps a kept one" is one bisection. Held
@@ -354,6 +476,7 @@ class SpotterSession:
         self.graph = graph
         self.cfg = cfg or SpotterConfig()
         self._state: _State = {}
+        self._ranks = _RankIndex()
         self._pending: list[SpottedCandidate] = []
         self._frames = 0
         self._frontier = 0
@@ -383,7 +506,14 @@ class SpotterSession:
                 self._blank = check_graph(self.graph, lp.shape[1], self.cfg)
                 self._vocab_size = lp.shape[1]
             self._state = _search(
-                self._state, lp, self._frames, self.graph, self.cfg, self._blank, self._pending
+                self._state,
+                lp,
+                self._frames,
+                self.graph,
+                self.cfg,
+                self._blank,
+                self._pending,
+                self._ranks,
             )
             self._frames += lp.shape[0]
         return self._finalize_step()
@@ -398,8 +528,28 @@ class SpotterSession:
             raise InvariantViolation("candidates still held after flush")
         return result
 
+    def _commit_frontier(self) -> int:
+        """The earliest start among live hypotheses that may still emit a
+        candidate: one is passed over when an emitted candidate starting at
+        or after its start beats its :func:`_bound` per frame, since every
+        candidate it or a descendant could emit would contain that one."""
+        frontier = end = self._frames
+        ranks = self._ranks
+        heights = self.graph.heights
+        cb = self.cfg.cb_weight
+        for key, (score, start) in self._state.items():
+            if start >= frontier:
+                continue
+            beaten = ranks.best_per_frame(start)  # -inf when nothing was emitted
+            # bounds are never negative; the relative margin absorbs float rounding
+            if beaten > 0 and beaten > _bound(score, end - start, heights[key >> 1], cb) * _MARGIN:
+                continue  # all it can still emit will be dropped
+            frontier = start
+        return frontier
+
     def _finalize_step(self) -> SpotChunkResult:
-        frontier = min((v[1] for v in self._state.values()), default=self._frames)
+        frontier = self._commit_frontier()
+        self._ranks.trim(min((v[1] for v in self._state.values()), default=self._frames))
         if frontier < self._frontier:
             raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
         self._frontier = frontier

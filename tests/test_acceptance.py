@@ -17,7 +17,6 @@ from ctcspot import (
     SpotterConfig,
     SpotterSession,
     StreamingPipeline,
-    brute_force_scores_by_end,
     build_graph,
     dedup_overlaps,
     fscore,
@@ -39,6 +38,7 @@ from conftest import (
     random_partition,
     synthetic_vocab,
 )
+from oracle import brute_force_scores_by_end
 
 _VOCAB_CACHE: dict[int, list[str]] = {}
 

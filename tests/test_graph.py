@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ctcspot import BiasEntry, build_graph, load_bias_list, load_vocab, tokenize
+from ctcspot import BiasEntry, Tokenizer, build_graph, load_bias_list, load_vocab, tokenize
 from ctcspot.errors import (
     DuplicateConflict,
     EmptyTokenSequence,
@@ -159,3 +159,42 @@ def test_tokenizer_greedy_longest_match():
     assert tokenize("the there", vocab) == [0, 1]
     with pytest.raises(TokenizationError):
         tokenize("qqq", vocab)
+
+
+def test_one_tokenizer_matches_tokenize_word_by_word():
+    rng = np.random.default_rng(29)
+    letters = "abcdefgh"
+    pieces = [MARKER, *letters, "ab", "bca", f"{MARKER}ab", f"{MARKER}hgf", "ghab"]
+    vocab = _CountingVocab([*pieces, "<blank>"])
+    blank = len(vocab) - 1
+    words = [
+        "".join(rng.choice(list(letters), size=int(rng.integers(1, 9)))) for _ in range(300)
+    ]
+    tokenizer = Tokenizer(vocab, MARKER, {blank})
+    assert vocab.passes == 1
+    assert [tokenizer(w) for w in words] == [tokenize(w, vocab, MARKER, {blank}) for w in words]
+    assert vocab.passes == 1 + len(words)  # tokenize builds its table per call
+
+
+def _deepest_terminal_below(graph, node) -> int:
+    """Tokens from ``node`` down to its deepest terminal (itself included),
+    by a walk over the sibling chains."""
+    deepest = 0 if graph.terminals[node] >= 0 else -1
+    child = graph.first_child[node]
+    while child >= 0:
+        below = _deepest_terminal_below(graph, child)
+        if below >= 0:
+            deepest = max(deepest, below + 1)
+        child = graph.next_sibling[child]
+    return deepest
+
+
+def test_heights_are_the_depth_of_the_deepest_terminal_below_each_node():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        entries = random_entries(rng, int(rng.integers(1, 40)), vocab=5, blank=4, max_len=6)
+        graph = build_graph(entries)
+        expected = [_deepest_terminal_below(graph, n) for n in range(graph.num_nodes)]
+        assert graph.heights == expected
+        assert min(expected) >= 0  # every node lies on a phrase, so has a terminal below
+    assert build_graph([]).heights == [0]

@@ -12,8 +12,6 @@ from ctcspot import (
     SpotterSession,
     SpottedCandidate,
     StreamingPipeline,
-    brute_force_keyword_score,
-    brute_force_scores_by_end,
     build_graph,
     dedup_overlaps,
     offline_pipeline,
@@ -30,6 +28,7 @@ from conftest import (
     reference_tables,
     synthetic_vocab,
 )
+from oracle import brute_force_keyword_score, brute_force_scores_by_end
 
 NO_PRUNE = dict(beam_threshold=float("inf"), min_per_frame_score=float("-inf"),
                 max_keyword_frames=10_000)

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import textwrap
@@ -13,9 +14,13 @@ from ctcspot import (
     StreamingPipeline,
     build_graph,
     dedup_overlaps,
+    generate,
+    make_spec,
+    offline_pipeline,
     spot_offline,
+    word_script,
 )
-from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
+from ctcspot.errors import DimensionMismatch, NonFiniteRows, PositiveLogProbs, SessionClosed
 
 from conftest import (
     cand_key,
@@ -150,19 +155,41 @@ def test_keyword_across_chunk_boundary():
     assert collected[0].start_frame < 3 <= collected[0].end_frame
 
 
-def test_flush_finalizes_held_candidate():
+def _kw_then_end_of_chunk():
     blank_row = [0.01, 0.01, 0.01, 0.97]
     t0_row = [0.95, 0.01, 0.01, 0.03]
     t1_row = [0.01, 0.95, 0.01, 0.03]
-    lp = np.log(np.array([blank_row, t0_row, t1_row]))
-    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    return np.log(np.array([blank_row, t0_row, t1_row]))
+
+
+def test_flush_finalizes_held_candidate():
+    # the hypothesis on "kw" can still grow into "kw2", whose candidate
+    # could beat kw's per frame, so it holds the frontier until flush
+    entries = [BiasEntry(0, "kw", (0, 1)), BiasEntry(1, "kw2", (0, 1, 2))]
+    graph = build_graph(entries, vocab_size=4)
     cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG, max_keyword_frames=200)
     session = SpotterSession(graph, cfg)
-    res = session.process_chunk(lp)
+    res = session.process_chunk(_kw_then_end_of_chunk())
     assert not res.finalized  # the hypothesis is still alive at chunk end
     assert res.held_preview.candidates
     final = session.flush()
     assert len(final.finalized) == 1
+    assert final.new_frontier == 3
+
+
+def test_hypothesis_beaten_by_its_own_candidate_does_not_hold_the_frontier():
+    # on a leaf, the live hypothesis can only emit longer candidates for
+    # the same keyword, each ranked below the one it already emitted
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG, max_keyword_frames=200)
+    session = SpotterSession(graph, cfg)
+    res = session.process_chunk(_kw_then_end_of_chunk())
+    assert res.held_preview.active_tokens > 0
+    assert [(c.keyword_id, c.start_frame, c.end_frame) for c in res.finalized] == [(0, 1, 2)]
+    assert not res.held_preview.candidates
+    assert res.new_frontier == 3
+    final = session.flush()
+    assert not final.finalized
     assert final.new_frontier == 3
 
 
@@ -277,6 +304,30 @@ def test_non_finite_chunk_is_rejected(bad):
     assert finalized == dedup_overlaps(spot_offline(lp, graph, cfg))
 
 
+def test_positive_cell_is_rejected_before_any_state_changes():
+    """The frontier bounds what a live hypothesis can still score by taking
+    every cell to be at most 0, so a cell above 0 is refused on both paths;
+    a rejected chunk leaves the aligner and the spotter in step."""
+    rng = np.random.default_rng(43)
+    vocab = synthetic_vocab(4, rng)
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG)
+    lp = random_logprobs(rng, 8, 4)
+    bad = lp.copy()
+    bad[5, 1] = 0.25
+    with pytest.raises(PositiveLogProbs):
+        spot_offline(bad, graph, cfg)
+    pipe = StreamingPipeline(graph, cfg, vocab=vocab)
+    pipe.process_chunk(lp[:4])
+    with pytest.raises(PositiveLogProbs):
+        pipe.process_chunk(bad[4:])
+    assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 4
+    lp[5, 1] = 0.0  # log 1 is a legal cell
+    pipe.process_chunk(lp[4:])
+    pipe.flush()
+    assert pipe.transcript == offline_pipeline(lp, graph, cfg, vocab=vocab)[0]
+
+
 def test_minus_infinity_cells_are_legal_in_a_chunk():
     graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
     cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG)
@@ -313,3 +364,62 @@ def test_session_invariant_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def test_streaming_at_160_ms_under_python_O_matches_offline(tmp_path):
+    """One synth utterance streamed in 160 ms chunks by an interpreter that
+    strips asserts gives the offline transcript and candidates exactly."""
+    rng = np.random.default_rng(41)
+    vocab = synthetic_vocab(12, rng)
+    blank = len(vocab) - 1
+    entries = random_entries(rng, 6, len(vocab), blank, max_len=3)
+    words = [
+        entries[i % len(entries)].tokens if i % 3 == 0 else (int(rng.integers(0, blank)),)
+        for i in range(40)
+    ]
+    script = word_script(words, blank, frames_per_token=2, gap_frames=2, peak=0.7)
+    lp, _ = generate(make_spec(7, len(vocab), blank, script))
+    np.save(tmp_path / "utt.npy", lp)
+    setup = {"vocab": vocab, "entries": [[e.keyword_id, e.surface, e.tokens] for e in entries]}
+    (tmp_path / "setup.json").write_text(json.dumps(setup), encoding="utf-8")
+    child = textwrap.dedent(
+        """
+        import json, sys
+        import numpy as np
+        from ctcspot import BiasEntry, SpotterConfig, SpotterSession, StreamingPipeline, build_graph
+        from ctcspot.formats import chunker
+
+        assert False, "asserts must be stripped in this interpreter"
+        setup = json.load(open(sys.argv[1] + "/setup.json", encoding="utf-8"))
+        lp = np.load(sys.argv[1] + "/utt.npy")
+        graph = build_graph(BiasEntry(k, s, tuple(t)) for k, s, t in setup["entries"])
+        cfg = SpotterConfig(blank_id=len(setup["vocab"]) - 1)
+        pipe = StreamingPipeline(graph, cfg, vocab=setup["vocab"])
+        session = SpotterSession(graph, cfg)
+        finalized = []
+        for chunk in chunker(lp, 160.0, 40.0):
+            pipe.process_chunk(chunk)
+            finalized += session.process_chunk(chunk).finalized
+        pipe.flush()
+        finalized += session.flush().finalized
+        cands = [[c.keyword_id, c.start_frame, c.end_frame, c.score] for c in finalized]
+        print(json.dumps({"transcript": pipe.transcript, "candidates": cands}))
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child, str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    streamed = json.loads(proc.stdout)
+
+    graph = build_graph(entries)
+    cfg = SpotterConfig(blank_id=blank)
+    offline = dedup_overlaps(spot_offline(lp, graph, cfg))
+    assert offline
+    assert streamed["candidates"] == [
+        [c.keyword_id, c.start_frame, c.end_frame, c.score] for c in offline
+    ]
+    assert streamed["transcript"] == offline_pipeline(lp, graph, cfg, vocab=vocab)[0]

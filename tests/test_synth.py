@@ -7,8 +7,6 @@ from ctcspot import (
     BiasEntry,
     ScriptSegment,
     SpotterConfig,
-    brute_force_keyword_score,
-    brute_force_scores_by_end,
     build_graph,
     generate,
     greedy_decode,
@@ -16,10 +14,11 @@ from ctcspot import (
     spot_offline,
     word_script,
 )
-from ctcspot.errors import DimensionMismatch, OracleBoundExceeded
+from ctcspot.errors import DimensionMismatch
 from ctcspot.formats import row_norm_error
 
 from conftest import collapse
+from oracle import OracleBoundExceeded, brute_force_keyword_score, brute_force_scores_by_end
 
 
 def test_generate_is_deterministic_and_normalized():
