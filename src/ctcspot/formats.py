@@ -183,7 +183,7 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
         raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
     matrix = np.frombuffer(payload, dtype="<f4").reshape(n_frames, vocab).astype(float)
     validate_logprob_matrix(matrix, strict=False)
-    return matrix, float(frame_ms)
+    return matrix, check_duration(frame_ms, f"{path}: frame duration")
 
 
 def chunker(

@@ -48,16 +48,16 @@ so the kept list stays the same. :func:`spot_offline` keeps every
 candidate: it is the reference the enumeration oracle checks.
 
 The commit frontier is the earliest start among live hypotheses that can
-still emit a candidate. Log-probabilities are at most 0, so
-:func:`_bound` caps the per-frame score of anything a hypothesis or its
-descendants can emit; when an emitted candidate starting at or after the
-hypothesis's start beats it, all of that would be dropped, and the
-hypothesis stays in the search without holding the frontier. Nothing
-emitted later begins before the frontier, so the finalized stream equals
-whole-utterance spotting plus de-overlap for every chunking and every age
-cap, which both paths apply in the same search. Both paths take input
-through :func:`ctcspot.formats.check_logprobs` and :func:`check_graph`;
-every chunk must be as wide as the first non-empty one.
+still emit a candidate. Log-probabilities are at most 0, so :func:`_bound`
+caps the per-frame score of anything a hypothesis or its descendants can
+emit; when an emitted candidate starting at or after the hypothesis's
+start beats it, all of that would be dropped, and the hypothesis stays in
+the search without holding the frontier, or the rank index once past it.
+Nothing emitted later begins before the frontier, so the finalized stream
+equals whole-utterance spotting plus de-overlap for every chunking and age
+cap, which both paths apply in the same search. Both take input through
+:func:`ctcspot.formats.check_logprobs` and :func:`check_graph`; every
+chunk must be as wide as the first non-empty one.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class _RankIndex:
     far that start at or after frame f, for f from ``base`` on.
 
     A candidate whose start entry ranks strictly better than itself
-    contains a better-ranked candidate, so the greedy sweep never keeps
-    it. Entries only improve. An update walks down from the candidate's
-    start and stops at the first entry at least as good, or at ``base``.
+    contains a better one and is never kept. Entries only improve; an
+    update walks down from the candidate's start to the first entry at
+    least as good, or to ``base``, which a session keeps at its frontier.
     """
 
     __slots__ = ("base", "best")
@@ -178,9 +178,6 @@ class _RankIndex:
         self.base = floor
 
 
-_MARGIN = 1 + 1e-9
-
-
 def _bound(score: float, age: int, height: int, cb: float) -> float:
     """An upper bound on the per-frame score of every candidate a live
     hypothesis can still emit, or that any of its descendants can.
@@ -188,10 +185,11 @@ def _bound(score: float, age: int, height: int, cb: float) -> float:
     Such a candidate consumes some k in 0..``height`` more tokens over at
     least max(k, 1) more frames. Each log-probability is at most 0 and each
     token adds ``cb``, so its score is at most ``score + cb*k``; where that
-    is not positive, its per-frame score is at most 0. The sum is taken one
-    ``cb`` at a time, as the search adds them, so the float result bounds
-    the search's float scores too, and a descendant's bound (more frames,
-    fewer tokens left) is never above its ancestor's.
+    is not positive, its per-frame score is at most 0. No margin is needed
+    in float: ``num`` adds one ``cb`` at a time, as the search does, and
+    rounded addition and division are monotone, so no float per-frame score
+    exceeds ``num / (age + k)``. Nor is a descendant's bound (more frames,
+    fewer tokens left) ever above its ancestor's.
     """
     bound = score / (age + 1) if score > 0 else 0.0  # k = 0
     num = score
@@ -215,8 +213,8 @@ def _search(
     """Advance every hypothesis over the rows of ``lp`` (frames
     ``first_frame``, ...); appends each frame's candidates to ``out`` and
     returns the survivors of the last frame. With a rank index, each
-    frame's terminals all enter it first, and then only the candidates no
-    contained candidate outranks are appended; with None, every one is.
+    frame's terminals from its base on enter it first, and then only those
+    no contained candidate outranks are appended; with None, every one is.
 
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
@@ -330,7 +328,7 @@ def _search(
             ranked = []
             for node, (score, start) in at_terminal.items():
                 f = start - base
-                if -(score / (t - start + 1)) > best_rank[f][0]:
+                if f < 0 or -(score / (t - start + 1)) > best_rank[f][0]:
                     continue
                 kw = terminals[node]
                 r = _rank(kw, start, t, score)
@@ -532,27 +530,28 @@ class SpotterSession:
         """The earliest start among live hypotheses that may still emit a
         candidate: one is passed over when an emitted candidate starting at
         or after its start beats its :func:`_bound` per frame, since every
-        candidate it or a descendant could emit would contain that one."""
+        candidate it or a descendant could emit would contain that one, and
+        one starting below the index's base descends from one passed over."""
         frontier = end = self._frames
-        ranks = self._ranks
+        base = self._ranks.base  # the previous frontier
         heights = self.graph.heights
         cb = self.cfg.cb_weight
         for key, (score, start) in self._state.items():
-            if start >= frontier:
+            if start >= frontier or start < base:
                 continue
-            beaten = ranks.best_per_frame(start)  # -inf when nothing was emitted
-            # bounds are never negative; the relative margin absorbs float rounding
-            if beaten > 0 and beaten > _bound(score, end - start, heights[key >> 1], cb) * _MARGIN:
+            beaten = self._ranks.best_per_frame(start)  # -inf when nothing was emitted
+            # bounds are never negative, and exact in float
+            if beaten > 0 and beaten > _bound(score, end - start, heights[key >> 1], cb):
                 continue  # all it can still emit will be dropped
             frontier = start
         return frontier
 
     def _finalize_step(self) -> SpotChunkResult:
         frontier = self._commit_frontier()
-        self._ranks.trim(min((v[1] for v in self._state.values()), default=self._frames))
         if frontier < self._frontier:
             raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
         self._frontier = frontier
+        self._ranks.trim(frontier)
         finalized, self._pending = settle(self._pending, frontier)
         if finalized:
             if finalized[0].start_frame <= self._last_final_end:

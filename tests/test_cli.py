@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -285,6 +286,21 @@ def test_nan_score_margin_exits_2_with_nothing_on_stdout(tmp_path, capsys, comma
     vocab = _write_vocab(tmp_path)
     assert main([command, "--logits", logits, "--vocab", vocab, "--score-margin", "nan"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["spot", "stream"])
+@pytest.mark.parametrize("frame_ms", [float("nan"), 0.0, -40.0, float("inf")])
+def test_bad_header_frame_duration_exits_2_with_nothing_on_stdout(tmp_path, capsys, command,
+                                                                  frame_ms):
+    logits, _ = _synth_logits(tmp_path)
+    with open(logits, "r+b") as fp:
+        fp.seek(16)  # the header's f32 frame duration
+        fp.write(struct.pack("<f", frame_ms))
+    vocab = _write_vocab(tmp_path)
+    assert main([command, "--logits", logits, "--vocab", vocab]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frame duration" in captured.err
 
 
 @pytest.mark.parametrize("command", ["spot", "stream"])

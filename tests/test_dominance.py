@@ -2,12 +2,16 @@
 kept by the greedy sweep, so it is never emitted, and a live hypothesis
 that can only emit such candidates does not hold the commit frontier."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcspot import (
     BiasEntry,
+    HeldPreview,
+    SpotChunkResult,
     SpotterConfig,
     SpotterSession,
     build_graph,
@@ -15,13 +19,13 @@ from ctcspot import (
     spot_offline,
     spot_undominated,
 )
-from ctcspot.spotter import _search
+from ctcspot.spotter import _bound, _search, settle
 
 from conftest import _reference_greedy_order, random_entries, random_logprobs
 
 
 @st.composite
-def dominance_cases(draw):
+def dominance_cases(draw, max_frames=30):
     """Random graphs, matrices, configurations and chunkings; quantized
     cells make ties in score and per-frame score common."""
     vocab = draw(st.integers(2, 6))
@@ -32,7 +36,7 @@ def dominance_cases(draw):
     )
     unique = list(dict.fromkeys(tuple(p) for p in phrases))
     graph = build_graph([BiasEntry(i, f"kw{i}", p) for i, p in enumerate(unique)])
-    n_frames = draw(st.integers(1, 30))
+    n_frames = draw(st.integers(1, max_frames))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lp = random_logprobs(rng, n_frames, vocab)
     if draw(st.booleans()):
@@ -108,8 +112,8 @@ def test_tightened_frontier_never_trails_the_earliest_live_start_nor_regresses(c
 
 
 def test_rank_index_stays_bounded_on_a_long_blank_dominant_stream():
-    """The index covers only the frames from the earliest live start on,
-    and the age cap bounds how far back that lies, whatever the length."""
+    """The index covers exactly the frames from the commit frontier on, and
+    the age cap bounds how far back that lies, whatever the length."""
     rng = np.random.default_rng(37)
     vocab, blank = 8, 7
     graph = build_graph(random_entries(rng, 30, vocab, blank, max_len=4))
@@ -120,8 +124,118 @@ def test_rank_index_stays_bounded_on_a_long_blank_dominant_stream():
     session = SpotterSession(graph, cfg)
     covered = []
     for t in range(0, 5000, 4):
-        session.process_chunk(lp[t : t + 4])
+        res = session.process_chunk(lp[t : t + 4])
+        assert session._ranks.base == res.new_frontier
+        assert len(session._ranks.best) == session.frames_seen - res.new_frontier
         covered.append(len(session._ranks.best))
     assert max(covered) <= cfg.max_keyword_frames
     session.flush()
     assert session._ranks.best == []
+
+
+class _TwoFloorSession(SpotterSession):
+    """The session with a second floor: the rank index is trimmed at the
+    earliest live start, and every live hypothesis before the running
+    frontier is bounded, however long ago its lineage was passed over.
+    Nothing starts below the index's base, so the search drops no
+    terminal by its start. Like the session, it compares bounds with no
+    float margin (see :func:`test_bound_needs_no_float_margin`)."""
+
+    def _commit_frontier(self) -> int:
+        frontier = end = self._frames
+        for key, (score, start) in self._state.items():
+            if start >= frontier:
+                continue
+            bound = _bound(score, end - start, self.graph.heights[key >> 1], self.cfg.cb_weight)
+            if self._ranks.best_per_frame(start) > bound:
+                continue
+            frontier = start
+        return frontier
+
+    def _finalize_step(self) -> SpotChunkResult:
+        frontier = self._commit_frontier()
+        self._ranks.trim(min((start for _, start in self._state.values()), default=self._frames))
+        assert frontier >= self._frontier
+        self._frontier = frontier
+        finalized, self._pending = settle(self._pending, frontier)
+        return SpotChunkResult(frontier, finalized, HeldPreview(tuple(self._pending), len(self._state)))
+
+
+@st.composite
+def long_cases(draw):
+    """Longer streams in more chunks, often sharper and blank-heavy, so that
+    lineages passed over at one chunk often live on into later ones."""
+    graph, lp, cfg, _ = draw(dominance_cases(max_frames=120))
+    lp = lp * draw(st.sampled_from([1.0, 4.0]))
+    lp[:, cfg.blank_id] += draw(st.sampled_from([0.0, 3.0]))
+    lp = np.minimum(lp - np.log(np.exp(lp).sum(axis=1, keepdims=True)), 0.0)
+    cuts = sorted([0, len(lp), *draw(st.lists(st.integers(0, len(lp)), max_size=40))])
+    return graph, lp, cfg, [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_cases())
+@example((  # "b" from frame 0 is passed over in the first chunk and lives on in the second
+    build_graph([BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))]),
+    np.array([[-0.8, -0.6, -4.6], [-3.1, -1.0, -0.6], [-2.7, -0.6, -1.0], [-3.0, -4.3, -0.1]]),
+    SpotterConfig(blank_id=2),
+    [2, 2],
+))
+def test_one_floor_session_equals_the_two_floor_session(case):
+    """Trimming the index at the commit frontier and passing over, unbounded,
+    every hypothesis that starts before the previous frontier changes no
+    chunk result and no flush result; the index then covers exactly the
+    uncommitted frames."""
+    graph, lp, cfg, sizes = case
+    session, reference = SpotterSession(graph, cfg), _TwoFloorSession(graph, cfg)
+    t = 0
+    for n in sizes:
+        res = session.process_chunk(lp[t : t + n])
+        assert res == reference.process_chunk(lp[t : t + n])
+        t += n
+        assert session._ranks.base == res.new_frontier
+        assert len(session._ranks.best) == session.frames_seen - res.new_frontier
+    assert session.flush() == reference.flush()
+    assert session._ranks.best == []
+
+
+_magnitudes = st.floats(1e-12, 1e12)
+_signs = st.sampled_from([1.0, -1.0])
+_log_probs = st.one_of(
+    st.floats(max_value=0.0),  # -0.0 and -inf among them
+    st.floats(-2.2250738585072014e-308, 0.0),  # subnormals
+    _magnitudes.map(lambda m: -m),
+)
+
+
+@st.composite
+def lineages(draw):
+    """A live hypothesis (score, age, height, with the graph's ``cb``) and
+    the score one lineage below it reaches, summed as the search sums it:
+    ``s + x`` on a blank or repeat frame and ``s + x + cb`` on a token, for
+    k <= height tokens over at least max(k, 1) frames."""
+    score = draw(_magnitudes) * draw(_signs)
+    cb = draw(_magnitudes) * draw(_signs)
+    age = draw(st.integers(1, 200))
+    height = draw(st.integers(0, 6))
+    k = draw(st.integers(0, height))
+    frames = draw(st.integers(max(k, 1), max(k, 1) + 8))
+    tokens = draw(st.permutations([True] * k + [False] * (frames - k)))
+    s = score
+    for token in tokens:
+        x = draw(_log_probs)
+        s = s + x + cb if token else s + x
+    return score, cb, age, height, k, frames, s
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lineages())
+@example((3.0, 1.0, 1, 1, 1, 1, 3.0 + -0.0 + 1.0))  # one token in one frame
+@example((1.0, 1e-12, 3, 2, 0, 1, 1.0 + -math.inf))
+def test_bound_needs_no_float_margin(lineage):
+    """Every float per-frame score a lineage can reach is at most the float
+    bound, and so is the descendant's own bound."""
+    score, cb, age, height, k, frames, s = lineage
+    bound = _bound(score, age, height, cb)
+    assert s / (age + frames) <= bound
+    assert _bound(s, age + frames, height - k, cb) <= bound

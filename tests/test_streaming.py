@@ -358,7 +358,7 @@ def test_session_invariant_survives_python_O():
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, "-B", "-O", "-c", script],
         capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
@@ -408,7 +408,7 @@ def test_streaming_at_160_ms_under_python_O_matches_offline(tmp_path):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", child, str(tmp_path)],
+        [sys.executable, "-B", "-O", "-c", child, str(tmp_path)],
         capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
