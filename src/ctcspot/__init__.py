@@ -18,7 +18,6 @@ from .graph import (
     build_graph,
     load_bias_list,
     load_vocab,
-    tokenize,
 )
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
 from .metrics import (
@@ -97,7 +96,6 @@ __all__ = [
     "runtime_report",
     "spot_offline",
     "spot_undominated",
-    "tokenize",
     "wer",
     "word_script",
 ]

@@ -2,11 +2,12 @@
 
 Per frame the argmax symbol is chosen; repeats are collapsed, then blanks
 dropped. Tokens are grouped into words at the word-boundary marker (the
-leading-space convention of BPE vocabularies, with a plain-space
-fallback). A word's interval runs from the frame that emitted its first
-token through the last frame whose argmax belongs to one of its tokens,
-and its path score sums the argmax log-probabilities over that interval,
-interior blanks included.
+leading-space convention of BPE vocabularies): only a piece that starts
+with the marker begins a word, as in :class:`ctcspot.graph.Tokenizer`. A
+word's interval runs from the frame that emitted its first token through
+the last frame whose argmax belongs to one of its tokens, and its path
+score sums the argmax log-probabilities over that interval, interior
+blanks included.
 
 The streaming form carries the previous argmax symbol and the open word
 across chunk boundaries; feeding the chunks of a matrix in order yields
@@ -106,12 +107,8 @@ class StreamingAligner:
                 w.end = t
             else:
                 piece = self._vocab[sym]
-                if piece.startswith(marker):
-                    text, boundary = piece[len(marker):], True
-                elif piece.startswith(" "):
-                    text, boundary = piece[1:], True
-                else:
-                    text, boundary = piece, False
+                boundary = piece.startswith(marker)
+                text = piece[len(marker):] if boundary else piece
                 if boundary or self._open is None:
                     done = self._close()
                     if done is not None:

@@ -26,6 +26,7 @@ from .formats import (
     LOGITS_VERSION,
     check_duration,
     chunker,
+    frames_per_chunk,
     read_alignments,
     read_envelope,
     read_logits,
@@ -50,7 +51,7 @@ from .metrics import (
     runtime_report,
 )
 from .pipeline import StreamingPipeline, offline_pipeline
-from .spotter import SpotterConfig
+from .spotter import SpotterConfig, check_graph
 from .synth import generate, make_spec, word_script
 
 CHUNK_MS_CHOICES = (160.0, 560.0, 1120.0)  # common streaming latency settings
@@ -177,7 +178,9 @@ def _engine_setup(args: argparse.Namespace):
 
 def _graph(entries, cfg: SpotterConfig, width: int):
     """The bias graph for input ``width`` symbols wide, checked against it."""
-    return build_graph(entries, vocab_size=width, blank_id=resolve_blank(cfg.blank_id, width))
+    graph = build_graph(entries, vocab_size=width)
+    check_graph(graph, width, cfg)
+    return graph
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
@@ -259,6 +262,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     if pipeline is None:
         if partial:
+            _emit(_manifest(args))
             _emit({"type": "final", "transcript": "", "partial": True})
             return 3
         raise FormatError("input stream carried no frames")
@@ -273,9 +277,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "partial": partial,
         }
     )
-    # envelope chunks may differ in length, so the report uses their mean
+    # the chunk the chunker cuts; envelope chunks may differ in length, so
+    # there the report uses their mean
     chunk_ms = (
-        args.chunk_ms if args.logits
+        frames_per_chunk(args.chunk_ms, frame_ms) * frame_ms if args.logits
         else frame_ms * pipeline.spotter.frames_seen / len(timings)
     )
     report = runtime_report(timings, chunk_ms)
@@ -303,8 +308,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if record["scope"] == "all" or args.per_keyword:
             _emit(record)
     print(f"WER: {overall:.2f}   F-score (P/R): {report.total.fscore:.2f} "
-          f"({report.total.precision:.2f}/{report.total.recall:.2f})")
-    print(format_keyword_table(report, per_keyword=args.per_keyword))
+          f"({report.total.precision:.2f}/{report.total.recall:.2f})", file=sys.stderr)
+    print(format_keyword_table(report, per_keyword=args.per_keyword), file=sys.stderr)
     return 0
 
 

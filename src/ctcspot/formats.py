@@ -13,8 +13,8 @@ External word alignments: tab-separated text, one record per word:
 :class:`WordAlignment` is that record and the greedy aligner's output.
 
 The input rules of every entry point live here once: :func:`check_logprobs`,
-:func:`resolve_blank`, :func:`check_intervals`, :func:`check_words` and
-:func:`check_duration`.
+:func:`resolve_blank`, :func:`check_intervals`, :func:`check_words`,
+:func:`check_duration` and :func:`frames_per_chunk`.
 """
 
 from __future__ import annotations
@@ -186,19 +186,26 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
     return matrix, check_duration(frame_ms, f"{path}: frame duration")
 
 
-def chunker(
-    matrix: np.ndarray, chunk_ms: float, frame_duration_ms: float
-) -> Iterator[np.ndarray]:
-    """Split a matrix into fixed-duration chunks; the last may be ragged."""
+def frames_per_chunk(chunk_ms: float, frame_duration_ms: float) -> int:
+    """The chunk rule: a chunk of ``chunk_ms`` holds the whole frames that
+    fit in it, and at least one."""
     check_duration(frame_duration_ms, "frame duration")
     if chunk_ms < frame_duration_ms:
         raise ChunkTooSmall(
             f"chunk of {chunk_ms} ms holds no whole {frame_duration_ms} ms frame"
         )
-    frames_per_chunk = int(check_duration(chunk_ms, "chunk duration") // frame_duration_ms)
+    return int(check_duration(chunk_ms, "chunk duration") // frame_duration_ms)
+
+
+def chunker(
+    matrix: np.ndarray, chunk_ms: float, frame_duration_ms: float
+) -> Iterator[np.ndarray]:
+    """Split a matrix into chunks of :func:`frames_per_chunk` frames; the
+    last may be ragged."""
+    n = frames_per_chunk(chunk_ms, frame_duration_ms)
     lp = np.asarray(matrix, dtype=float)
-    for i in range(0, lp.shape[0], frames_per_chunk):
-        yield lp[i : i + frames_per_chunk]
+    for i in range(0, lp.shape[0], n):
+        yield lp[i : i + n]
 
 
 # chunk stream envelope -----------------------------------------------------

@@ -51,8 +51,8 @@ class ContextGraph:
     the token of the i-th root child, ``root_keys[i]`` that child's
     non-blank search key (node << 1) and ``root_slot`` maps the key back to
     i. ``heights[n]`` is how many tokens below n its deepest terminal lies
-    (0 when n is a leaf). ``entries`` are the kept bias entries and
-    ``surfaces`` maps each keyword id to its surface text.
+    (0 when n is a leaf). ``surfaces`` maps each keyword id to its surface
+    text.
     """
 
     tokens: list[int]
@@ -63,7 +63,6 @@ class ContextGraph:
     root_tok: np.ndarray
     root_keys: list[int]
     root_slot: dict[int, int]
-    entries: list[BiasEntry]
     surfaces: dict[int, str]
 
     @property
@@ -81,26 +80,22 @@ class ContextGraph:
         return max(self.token_ids, default=-1)
 
 
-def build_graph(
-    entries: Iterable[BiasEntry],
-    vocab_size: int | None = None,
-    blank_id: int | None = None,
-) -> ContextGraph:
+def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> ContextGraph:
     """Build the trie from biasing entries and freeze it.
 
     Entries with identical token sequences are deduplicated silently when
     their surfaces match and rejected otherwise. A negative keyword id,
     which the table could not tell from "no keyword", raises
-    ``ValueError``. When ``vocab_size`` or ``blank_id`` are given, token ids
-    are validated against them.
+    ``ValueError``. Token ids must not be negative nor, when ``vocab_size``
+    is given, reach it; :func:`ctcspot.spotter.check_graph` rejects a phrase
+    holding the blank.
     """
     tokens, first_child, next_sibling, terminals, heights = [-1], [-1], [-1], [-1], [0]
     # child lookup while building, keyed by token << 32 | parent (node ids
     # stay below 2**32); dropped on return, so only the flat lists remain
     edges: dict[int, int] = {}
-    kept: list[BiasEntry] = []
+    surfaces: dict[int, str] = {}
     by_tokens: dict[tuple[int, ...], BiasEntry] = {}
-    seen_ids: set[int] = set()
     for entry in entries:
         if entry.keyword_id < 0:  # terminals use -1 for "no keyword"
             raise ValueError(f"entry {entry.surface!r}: keyword id {entry.keyword_id} is negative")
@@ -113,10 +108,6 @@ def build_graph(
                 raise TokenOutOfRange(
                     f"entry {entry.surface!r}: token {tok} outside vocabulary of size {vocab_size}"
                 )
-            if blank_id is not None and tok == blank_id:
-                raise TokenOutOfRange(
-                    f"entry {entry.surface!r}: blank id {blank_id} inside a phrase"
-                )
         prev = by_tokens.get(entry.tokens)
         if prev is not None:
             if prev.surface == entry.surface:
@@ -124,9 +115,9 @@ def build_graph(
             raise DuplicateConflict(
                 f"entries {prev.surface!r} and {entry.surface!r} share tokens {list(entry.tokens)}"
             )
-        if entry.keyword_id in seen_ids:
+        if entry.keyword_id in surfaces:
             raise DuplicateConflict(f"keyword id {entry.keyword_id} used twice")
-        seen_ids.add(entry.keyword_id)
+        surfaces[entry.keyword_id] = entry.surface
         by_tokens[entry.tokens] = entry
         node = ROOT
         below = len(entry.tokens)  # tokens of the phrase below the current node
@@ -148,7 +139,6 @@ def build_graph(
                 heights[child] = below
             node = child
         terminals[node] = entry.keyword_id
-        kept.append(entry)
 
     root_children = []
     child = first_child[ROOT]
@@ -165,8 +155,7 @@ def build_graph(
         root_tok=np.array([tokens[c] for c in root_children], dtype=np.intp),
         root_keys=root_keys,
         root_slot={k: i for i, k in enumerate(root_keys)},
-        entries=kept,
-        surfaces={e.keyword_id: e.surface for e in kept},
+        surfaces=surfaces,
     )
 
 
@@ -219,17 +208,6 @@ class Tokenizer:
             else:
                 raise TokenizationError(f"no vocabulary piece matches {normalized[i:]!r}")
         return out
-
-
-def tokenize(
-    text: str,
-    vocab: Sequence[str],
-    marker: str = DEFAULT_WORD_MARKER,
-    skip_ids: Iterable[int] = (),
-) -> list[int]:
-    """Greedy longest-match tokenization of one ``text`` against ``vocab``;
-    build a :class:`Tokenizer` to tokenize many."""
-    return Tokenizer(vocab, marker, skip_ids)(text)
 
 
 def _bias_lines(path: str) -> Iterator[tuple[int, str, str | None]]:

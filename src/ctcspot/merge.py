@@ -160,7 +160,9 @@ class CommitState:
         return " ".join(w.word for w in self.emitted)
 
 
-def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput:
+def commit_step(
+    state: CommitState, spot_result: SpotChunkResult, final: bool = False
+) -> ChunkOutput:
     """Merge and emit every buffered word and candidate that is settled.
 
     The commit boundary starts at the spot frontier, is pulled back to the
@@ -168,7 +170,10 @@ def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput
     below any buffered word or candidate it would split, so no interaction
     between a committed item and a held one is possible. One sweep, latest
     start first, suffices: a cut that retreats lands on a start, which no
-    span already passed can straddle.
+    span already passed can straddle. At the ``final`` step nothing more
+    can arrive, so the boundary starts past every buffered item, external
+    words that end after the last frame included, as in the whole-utterance
+    merge.
     """
     if spot_result.new_frontier < state._spot_frontier:
         raise FrontierRegression(
@@ -179,6 +184,8 @@ def commit_step(state: CommitState, spot_result: SpotChunkResult) -> ChunkOutput
     state._cands.extend(finalized)
 
     cut = spot_result.new_frontier
+    if final:
+        cut = max([cut, *(w.end_frame + 1 for w in state._words)])
     for held in spot_result.held_preview.candidates:
         cut = min(cut, held.start_frame)
     if state._open_start is not None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .formats import check_duration
-from .graph import BiasEntry
 
 
 def _as_words(text: Sequence[str] | str) -> list[str]:
@@ -126,15 +125,15 @@ def _count_occurrences(
 def keyword_prf(
     refs: Sequence[Sequence[str] | str],
     hyps: Sequence[Sequence[str] | str],
-    bias_list: Iterable[BiasEntry | str],
+    surfaces: Iterable[str],
 ) -> KeywordReport:
-    """Occurrence-level precision/recall/F-score over the bias phrases."""
+    """Occurrence-level precision/recall/F-score over the bias phrase
+    ``surfaces``."""
     if len(refs) != len(hyps):
         raise ValueError(f"{len(refs)} references vs {len(hyps)} hypotheses")
     phrases: list[tuple[str, tuple[str, ...]]] = []
     seen: set[tuple[str, ...]] = set()
-    for item in bias_list:
-        surface = item.surface if isinstance(item, BiasEntry) else item
+    for surface in surfaces:
         normalized = tuple(surface.lower().split())
         if not normalized or normalized in seen:
             continue

@@ -94,7 +94,7 @@ class StreamingPipeline:
         t1 = time.perf_counter()
         spot_result = self.spotter.flush() if chunk is None else self.spotter.process_chunk(chunk)
         t2 = time.perf_counter()
-        out = commit_step(self.commit, spot_result)
+        out = commit_step(self.commit, spot_result, final=chunk is None)
         t3 = time.perf_counter()
         self.timings.append(
             StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)

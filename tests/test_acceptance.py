@@ -376,12 +376,11 @@ def test_criterion_7_merge_invariants_over_random_suite():
         if not cands:
             continue
         checked += 1
-        surfaces = {e.keyword_id: e.surface for e in graph.entries}
         prev = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             stats = {}
             merge_region(words, cands, MergePolicy(intersection_threshold=threshold),
-                         surfaces, stats=stats)
+                         graph.surfaces, stats=stats)
             if prev is not None:
                 assert stats["replaced"] <= prev
             prev = stats["replaced"]

@@ -132,3 +132,22 @@ def test_non_finite_chunk_rejected_before_any_state_changes(bad):
     with pytest.raises(NonFiniteRows):
         aligner.feed(chunk)
     assert state == (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+
+
+def test_lone_marker_piece_forms_no_word_at_any_chunking():
+    """A piece that is the marker alone opens a word with no text; when the
+    next word start or the flush closes it, it forms no word."""
+    vocab = [MARKER, f"{MARKER}a", "b", "<blank>"]
+    rows = [0, 0, 3, 1, 2, 0, 2, 3, 0]
+    lp = _forced(rows, 4)
+    offline = greedy_decode(lp, vocab, blank_id=3)
+    assert [(w.word, w.start_frame, w.end_frame) for w in offline] == [("ab", 3, 4), ("b", 5, 6)]
+    n = len(rows)
+    for mask in range(2 ** (n - 1)):  # every chunking into non-empty chunks
+        cuts = [0, *(i for i in range(1, n) if mask >> (i - 1) & 1), n]
+        aligner = StreamingAligner(vocab, blank_id=3)
+        words = []
+        for a, b in zip(cuts, cuts[1:]):
+            words += aligner.feed(lp[a:b])
+        words += aligner.flush()
+        assert words == offline

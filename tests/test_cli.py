@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import struct
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ctcspot.cli import build_parser, main
-from ctcspot.formats import write_alignments, write_envelope, write_logits
+from ctcspot.formats import read_logits, write_alignments, write_envelope, write_logits
 from ctcspot import MergePolicy, SpotterConfig, WordAlignment, generate, make_spec
 
 from conftest import MARKER
@@ -16,9 +17,9 @@ VOCAB = [f"{MARKER}play", f"{MARKER}hal", "sey", f"{MARKER}now", f"{MARKER}go", 
 BLANK = 5
 
 
-def _write_vocab(tmp_path):
+def _write_vocab(tmp_path, vocab=VOCAB):
     path = tmp_path / "vocab.txt"
-    path.write_text("".join(v + "\n" for v in VOCAB), encoding="utf-8")
+    path.write_text("".join(v + "\n" for v in vocab), encoding="utf-8")
     return str(path)
 
 
@@ -29,8 +30,9 @@ def _write_bias(tmp_path, lines):
 
 
 def _records(capsys):
+    """Every non-empty stdout line, each of which must be a JSON record."""
     out = capsys.readouterr().out
-    return [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    return [json.loads(line) for line in out.splitlines() if line.strip()]
 
 
 def _synth_logits(tmp_path, name="utt.ctcl"):
@@ -264,7 +266,9 @@ def test_stream_envelope_negative_frame_count_is_partial(tmp_path, capsys, monke
     record["n_frames"] = -1
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record) + "\n" + end + "\n"))
     assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
-    final = next(r for r in _records(capsys) if r["type"] == "final")
+    records = _records(capsys)
+    assert records[0]["type"] == "manifest"
+    final = next(r for r in records if r["type"] == "final")
     assert final["partial"] is True
 
 
@@ -442,3 +446,181 @@ def test_biasing_improves_fscore_on_synthetic_corpus(tmp_path, capsys):
         agg = next(r for r in _records(capsys) if r["type"] == "keyword_metrics")
         scores[name] = agg["fscore"]
     assert scores["biased"] > scores["baseline"]
+
+
+def _envelope(chunks) -> str:
+    buf = io.StringIO()
+    write_envelope(buf, chunks)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("run", ["synth", "spot", "stream --logits", "stream --stdin-envelope",
+                                 "eval", "eval --per-keyword"])
+def test_every_stdout_line_is_a_json_record(tmp_path, capsys, monkeypatch, run):
+    """stdout carries only JSON records, the manifest first; summaries and
+    tables go to stderr."""
+    vocab = _write_vocab(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    logits, ref = str(tmp_path / "utt.ctcl"), str(tmp_path / "ref.txt")
+    synth = ["synth", "--vocab", vocab, "--text", "play halsey now", "--out", logits,
+             "--ref-out", ref, "--seed", "7"]
+    assert main(synth) == 0
+    if run != "synth":
+        capsys.readouterr()
+        matrix, _ = read_logits(logits)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:4], matrix[4:]])))
+        engine = ["--vocab", vocab, "--bias", bias, "--cb-weight", "2",
+                  "--min-per-frame-score", "-0.5"]
+        argv = {
+            "spot": ["spot", "--logits", logits, *engine],
+            "stream --logits": ["stream", "--logits", logits, "--chunk-ms", "160", *engine],
+            "stream --stdin-envelope": ["stream", "--stdin-envelope", *engine],
+            "eval": ["eval", "--refs", ref, "--hyps", ref, "--bias", bias],
+            "eval --per-keyword": ["eval", "--refs", ref, "--hyps", ref, "--bias", bias,
+                                   "--per-keyword"],
+        }[run]
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(isinstance(r, dict) for r in records)
+    assert records[0]["type"] == "manifest"
+    if run.startswith("eval"):
+        assert "WER: 0.00" in err and "ALL" in err
+        assert ("halsey" in err) == (run == "eval --per-keyword")
+
+
+@pytest.mark.parametrize("chunk_ms,frames", [(100.0, 2), (150.0, 3), (160.0, 4), (560.0, 14),
+                                             (1120.0, 28)])
+def test_stream_report_uses_the_chunk_the_chunker_cuts(tmp_path, capsys, chunk_ms, frames):
+    """--chunk-ms 100 over 40 ms frames cuts 2-frame chunks, so the report's
+    chunk is 80 ms, and the extra-processing ratio is taken over it."""
+    logits, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    assert main(["stream", "--logits", logits, "--vocab", vocab, "--chunk-ms", str(chunk_ms)]) == 0
+    records = _records(capsys)
+    sizes = [r["n_frames"] for r in records if r["type"] == "chunk"]
+    assert sum(sizes) == matrix.shape[0] and set(sizes[:-1]) <= {frames}
+    report = next(r for r in records if r["type"] == "runtime_report")
+    assert report["chunk_ms"] == frames * 40.0
+    assert report["extra_ratio"] == pytest.approx(
+        100.0 * (report["spot_mean"] + report["merge_mean"]) / (frames * 40.0)
+    )
+
+
+def _chunk_line(matrix) -> str:
+    return _envelope([matrix]).splitlines()[0]
+
+
+# envelope lines that break the protocol, each built from the utterance
+BAD_ENVELOPE_LINES = {
+    "unknown record type": lambda m: json.dumps({"type": "chunks", "n_frames": 1}),
+    "chunk without frames": lambda m: json.dumps({"type": "chunk", "n_frames": 2}),
+    "bad base64": lambda m: json.dumps({"type": "chunk", "n_frames": 1, "frames": "A?=="}),
+    "empty chunk carrying payload": lambda m: json.dumps(
+        {"type": "chunk", "n_frames": 0, "frames": base64.b64encode(b"\0" * 4).decode()}
+    ),
+    "width change": lambda m: _chunk_line(m[4:6, :4]),
+}
+
+
+@pytest.mark.parametrize("breach,where", [
+    (breach, where)
+    for breach in BAD_ENVELOPE_LINES
+    for where in ("first", "after a chunk")
+    if breach != "width change" or where != "first"  # the first chunk sets the width
+])
+def test_stream_envelope_breach_is_partial_after_the_manifest(tmp_path, capsys, monkeypatch,
+                                                             breach, where):
+    """Each breach exits 3 with the manifest first and a partial final record."""
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    lines = [_chunk_line(matrix[:4])] if where == "after a chunk" else []
+    lines += [BAD_ENVELOPE_LINES[breach](matrix), _chunk_line(matrix[4:]), '{"type": "end"}']
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0]["type"] == "manifest"
+    assert [r["type"] for r in records].count("chunk") == (where == "after a chunk")
+    final = next(r for r in records if r["type"] == "final")
+    assert final["partial"] is True
+    assert final["transcript"] == ("play" if where == "after a chunk" else "")
+    assert "protocol error" in err
+
+
+@pytest.mark.parametrize("chunks", [0, 2])
+def test_stream_without_frames_exits_2_with_nothing_on_stdout(tmp_path, capsys, monkeypatch,
+                                                              chunks):
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:0]] * chunks)))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input stream carried no frames" in captured.err
+
+
+def _untimed(records):
+    """The records without their wall-clock fields and runtime report."""
+    drop = {"spot_ms", "merge_ms"}
+    return [{k: v for k, v in r.items() if k not in drop}
+            for r in records if r["type"] != "runtime_report"]
+
+
+def test_stream_skips_a_leading_empty_chunk(tmp_path, capsys, monkeypatch):
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    chunks = [matrix[i : i + 4] for i in range(0, matrix.shape[0], 4)]
+    runs = []
+    for leading in ([], [matrix[:0]]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_envelope(leading + chunks)))
+        assert main(["stream", "--stdin-envelope", "--vocab", vocab, "--bias", bias,
+                     "--cb-weight", "2", "--min-per-frame-score", "-0.5"]) == 0
+        runs.append(_records(capsys))
+    plain, skipped = runs
+    assert _untimed(skipped) == _untimed(plain)
+    assert [r["index"] for r in skipped if r["type"] == "chunk"] == list(range(len(chunks)))
+    report = next(r for r in skipped if r["type"] == "runtime_report")
+    assert report["n_samples"] == len(chunks)
+    assert report["chunk_ms"] == pytest.approx(matrix.shape[0] * 40.0 / len(chunks))
+    assert next(r for r in skipped if r["type"] == "final")["transcript"] == "play halsey now"
+
+
+SPACE_VOCAB = [" play", " hal", "sey", " now", " go", "<blank>"]
+
+
+def test_space_prefixed_vocabulary_works_with_a_space_marker(tmp_path, capsys):
+    """Only the marker starts a word, so a vocabulary whose pieces start with
+    a plain space takes --marker ' ': the decoded words and the tokenized
+    surface-only bias line then agree, and spot equals stream."""
+    vocab = _write_vocab(tmp_path, SPACE_VOCAB)
+    bias = _write_bias(tmp_path, ["halsey\n"])  # surface only: tokenized against the vocabulary
+    logits = str(tmp_path / "utt.ctcl")
+    assert main(["synth", "--vocab", vocab, "--text", "play halsey now", "--out", logits,
+                 "--seed", "7", "--marker", " "]) == 0
+    segments = _records(capsys)[-1]["segments"]
+    assert [s["token"] for s in segments if s["token"] != 5] == [0, 1, 2, 3]
+    engine = ["--vocab", vocab, "--marker", " "]
+    assert main(["spot", "--logits", logits, *engine]) == 0
+    greedy = next(r for r in _records(capsys) if r["type"] == "transcript")
+    assert [w["word"] for w in greedy["words"]] == ["play", "halsey", "now"]
+    halsey = greedy["words"][1]
+    engine += ["--bias", bias, "--cb-weight", "2", "--min-per-frame-score", "-0.5"]
+    assert main(["spot", "--logits", logits, *engine]) == 0
+    records = _records(capsys)
+    cands = [r for r in records if r["type"] == "candidate"]
+    assert [c["keyword"] for c in cands] == ["halsey"]
+    # the bias line's tokens, " hal" and "sey", are the decoded word's
+    assert halsey["start_frame"] <= cands[0]["start_frame"]
+    assert cands[0]["end_frame"] <= halsey["end_frame"]
+    spot = next(r for r in records if r["type"] == "transcript")
+    assert spot["text"] == "play halsey now"
+    for chunk_ms in ("160", "560", "1120"):
+        assert main(["stream", "--logits", logits, *engine, "--chunk-ms", chunk_ms]) == 0
+        streamed = [w for r in _records(capsys) if r["type"] in ("chunk", "final")
+                    for w in r["delta"]]
+        assert streamed == spot["words"]
+    # with the default marker no piece starts a word, and the line cannot be tokenized
+    assert main(["spot", "--logits", logits, "--vocab", vocab, "--bias", bias]) == 2
+    assert capsys.readouterr().out == ""

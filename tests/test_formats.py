@@ -51,6 +51,7 @@ from ctcspot.formats import (
     write_logits,
 )
 from ctcspot.graph import load_bias_surfaces
+from ctcspot.spotter import check_graph
 
 from conftest import random_logprobs, synthetic_vocab
 
@@ -387,8 +388,9 @@ BIAS_RULES = {
     "empty surface": ("\t0,1", EmptySurface),
     "blank surface": ("  \t0,1", EmptySurface),
 }
-# a bias list becomes a graph through load_bias_list and build_graph; the
-# surfaces-only reader sees the surface rules alone
+# a bias list becomes a graph through load_bias_list and build_graph, and
+# check_graph rejects the blank; the surfaces-only reader sees the surface
+# rules alone
 BIAS_ENTRIES = ("load_bias_list", "load_bias_surfaces", "spot --bias", "stream --bias")
 
 
@@ -411,8 +413,9 @@ def test_every_entry_point_rejects_malformed_bias_lines_alike(tmp_path, capsys, 
         assert "error" in err
         return
     entry_points = {
-        "load_bias_list": lambda: build_graph(
-            load_bias_list(str(path), blank_id=3), vocab_size=4, blank_id=3
+        "load_bias_list": lambda: check_graph(
+            build_graph(load_bias_list(str(path), blank_id=3), vocab_size=4), 4,
+            SpotterConfig(blank_id=3),
         ),
         "load_bias_surfaces": lambda: load_bias_surfaces(str(path)),
     }

@@ -3,13 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from ctcspot import BiasEntry, Tokenizer, build_graph, load_bias_list, load_vocab, tokenize
+from ctcspot import (
+    BiasEntry,
+    SpotterConfig,
+    Tokenizer,
+    build_graph,
+    load_bias_list,
+    load_vocab,
+)
 from ctcspot.errors import (
     DuplicateConflict,
     EmptyTokenSequence,
     TokenizationError,
     TokenOutOfRange,
 )
+from ctcspot.spotter import check_graph
 
 from conftest import MARKER, child_map, random_entries
 
@@ -22,12 +30,13 @@ def test_empty_bias_list():
 
 
 def test_shared_prefix_structure():
-    g = build_graph([BiasEntry(0, "a", (1, 2)), BiasEntry(1, "b", (1, 3))])
+    entries = [BiasEntry(0, "a", (1, 2)), BiasEntry(1, "b", (1, 3))]
+    g = build_graph(entries)
     assert g.num_nodes == 4
     assert sum(k >= 0 for k in g.terminals) == 2
     mid = child_map(g, 0)[1]
     assert set(child_map(g, mid)) == {2, 3}
-    for entry in g.entries:
+    for entry in entries:
         node = 0
         for tok in entry.tokens:
             node = child_map(g, node)[tok]
@@ -48,7 +57,7 @@ def test_bias_list_at_production_scale():
 def test_duplicate_phrase_dedup_and_conflict():
     g = build_graph([BiasEntry(0, "same", (1, 2)), BiasEntry(1, "same", (1, 2))])
     assert sum(k >= 0 for k in g.terminals) == 1
-    assert len(g.entries) == 1
+    assert g.surfaces == {0: "same"}
     with pytest.raises(DuplicateConflict):
         build_graph([BiasEntry(0, "one", (1, 2)), BiasEntry(1, "two", (1, 2))])
     with pytest.raises(DuplicateConflict):
@@ -62,8 +71,9 @@ def test_build_validation_errors():
         build_graph([BiasEntry(0, "x", (9,))], vocab_size=4)
     with pytest.raises(TokenOutOfRange):
         build_graph([BiasEntry(0, "x", (-1,))])
-    with pytest.raises(TokenOutOfRange):
-        build_graph([BiasEntry(0, "x", (3,))], vocab_size=8, blank_id=3)
+    graph = build_graph([BiasEntry(0, "x", (3,))], vocab_size=8)
+    with pytest.raises(TokenOutOfRange):  # the blank inside a phrase is check_graph's rule
+        check_graph(graph, 8, SpotterConfig(blank_id=3))
     with pytest.raises(ValueError, match="keyword id -1"):  # -1 marks "no keyword"
         build_graph([BiasEntry(-1, "x", (1,))])
 
@@ -144,21 +154,20 @@ def test_surface_only_bias_list_loads_as_tokenize_reads_each_line(tmp_path):
     path.write_text("".join(f"{s}\n" for s in surfaces), encoding="utf-8")
     vocab = _CountingVocab(plain)
     entries = load_bias_list(str(path), vocab=vocab, blank_id=blank)
-    expected = [
-        BiasEntry(i, s, tuple(tokenize(s, plain, MARKER, {blank}))) for i, s in enumerate(surfaces)
-    ]
+    tokenize = Tokenizer(plain, MARKER, {blank})
+    expected = [BiasEntry(i, s, tuple(tokenize(s))) for i, s in enumerate(surfaces)]
     assert entries == expected
     assert all(blank not in e.tokens for e in entries)
     assert vocab.passes == 1  # one piece table per list, not one per line
 
 
 def test_tokenizer_greedy_longest_match():
-    vocab = [f"{MARKER}the", f"{MARKER}there", "re", "t", "h", "e", "<b>"]
-    assert tokenize("there", vocab) == [1]
-    assert tokenize("thethere", vocab) == [0, 3, 4, 5, 2]
-    assert tokenize("the there", vocab) == [0, 1]
+    tokenize = Tokenizer([f"{MARKER}the", f"{MARKER}there", "re", "t", "h", "e", "<b>"])
+    assert tokenize("there") == [1]
+    assert tokenize("thethere") == [0, 3, 4, 5, 2]
+    assert tokenize("the there") == [0, 1]
     with pytest.raises(TokenizationError):
-        tokenize("qqq", vocab)
+        tokenize("qqq")
 
 
 def test_one_tokenizer_matches_tokenize_word_by_word():
@@ -172,8 +181,9 @@ def test_one_tokenizer_matches_tokenize_word_by_word():
     ]
     tokenizer = Tokenizer(vocab, MARKER, {blank})
     assert vocab.passes == 1
-    assert [tokenizer(w) for w in words] == [tokenize(w, vocab, MARKER, {blank}) for w in words]
-    assert vocab.passes == 1 + len(words)  # tokenize builds its table per call
+    fresh = [Tokenizer(vocab, MARKER, {blank})(w) for w in words]
+    assert [tokenizer(w) for w in words] == fresh
+    assert vocab.passes == 1 + len(words)  # each fresh Tokenizer makes one pass
 
 
 def _deepest_terminal_below(graph, node) -> int:

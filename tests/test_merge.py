@@ -408,16 +408,25 @@ def pipeline_cases(draw):
     )
     cuts = sorted([0, n_frames, *draw(st.lists(st.integers(0, n_frames), max_size=6))])
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]  # repeated cuts give empty chunks
-    vocab = synthetic_vocab(vocab_size, np.random.default_rng(vocab_size))
-    return build_graph(entries, vocab_size=vocab_size), vocab, lp, cfg, policy, sizes
+    sources = {"vocab": synthetic_vocab(vocab_size, np.random.default_rng(vocab_size))}
+    if draw(st.booleans()):  # an external word alignment instead of greedy words
+        words, t = [], 0
+        for gap, length, score in draw(st.lists(st.tuples(
+            st.integers(0, 3), st.integers(0, 4),
+            st.floats(-30.0, 0.0) | st.just(float("-inf")),
+        ), max_size=8)):
+            words.append(WordAlignment(f"w{len(words)}", t + gap, t + gap + length, score))
+            t += gap + length + 1
+        sources = {"external_words": words}
+    return build_graph(entries, vocab_size=vocab_size), sources, lp, cfg, policy, sizes
 
 
 @settings(max_examples=200, deadline=None)
 @given(pipeline_cases())
 def test_streaming_pipeline_equals_offline_for_any_chunking(case):
-    graph, vocab, lp, cfg, policy, sizes = case
-    transcript, words, _ = offline_pipeline(lp, graph, cfg, policy, vocab=vocab)
-    pipe = StreamingPipeline(graph, cfg, policy, vocab=vocab)
+    graph, sources, lp, cfg, policy, sizes = case
+    transcript, words, _ = offline_pipeline(lp, graph, cfg, policy, **sources)
+    pipe = StreamingPipeline(graph, cfg, policy, **sources)
     t = 0
     for n in sizes:
         pipe.process_chunk(lp[t : t + n])
@@ -425,6 +434,37 @@ def test_streaming_pipeline_equals_offline_for_any_chunking(case):
     pipe.flush()
     assert pipe.transcript == transcript
     assert pipe.emitted_words == words
+
+
+def test_flush_commits_external_words_past_the_last_frame():
+    """The whole-utterance merge keeps every external word, so the final
+    step commits the words that end after the last frame too."""
+    graph = build_graph([])
+    lp = random_logprobs(np.random.default_rng(41), 6, 4)
+    words = [WordAlignment("a", 0, 2, -1.0), WordAlignment("b", 4, 7, -1.0),
+             WordAlignment("c", 9, 9, -1.0)]
+    transcript, merged, _ = offline_pipeline(lp, graph, external_words=words)
+    assert transcript == "a b c"
+    pipe = StreamingPipeline(graph, external_words=words)
+    pipe.process_chunk(lp)
+    out = pipe.flush()
+    assert pipe.transcript == transcript and pipe.emitted_words == merged
+    assert out.commit_frontier == 10
+
+
+@pytest.mark.parametrize("sources", ["neither", "both"])
+def test_each_pipeline_takes_exactly_one_word_source(sources):
+    rng = np.random.default_rng(37)
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    lp = random_logprobs(rng, 6, 4)
+    chosen = {}
+    if sources == "both":
+        chosen = {"vocab": synthetic_vocab(4, rng),
+                  "external_words": [WordAlignment("a", 0, 2, -1.0)]}
+    with pytest.raises(ValueError, match="exactly one"):
+        StreamingPipeline(graph, **chosen)
+    with pytest.raises(ValueError, match="exactly one"):
+        offline_pipeline(lp, graph, **chosen)
 
 
 def test_no_bias_identity():
