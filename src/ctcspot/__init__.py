@@ -32,7 +32,6 @@ from .metrics import (
     fscore,
     keyword_prf,
     runtime_report,
-    wer,
 )
 from .pipeline import StreamingPipeline, offline_pipeline
 from .spotter import (
@@ -96,6 +95,5 @@ __all__ = [
     "runtime_report",
     "spot_offline",
     "spot_undominated",
-    "wer",
     "word_script",
 ]

@@ -61,12 +61,10 @@ class StreamingAligner:
         return self._frames
 
     @property
-    def open_word_start(self) -> int | None:
-        return self._open.start if self._open is not None else None
-
-    @property
-    def open_word_preview(self) -> str | None:
-        return "".join(self._open.parts) if self._open is not None else None
+    def open_word(self) -> WordAlignment | None:
+        """The word decoded so far, not yet closed; None between words."""
+        w = self._open
+        return WordAlignment("".join(w.parts), w.start, w.end, w.score) if w is not None else None
 
     def _require_open(self) -> None:
         if self._closed:

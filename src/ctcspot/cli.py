@@ -146,9 +146,11 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 def _engine_setup(args: argparse.Namespace):
     """Shared spot/stream wiring, done before any input is read: config,
-    policy, the vocabulary or the alignments, and the bias entries. With a
+    policy, the vocabulary or the alignments, and the bias graph. With a
     vocabulary, the bias list is tokenized around the blank that its size
-    resolves; input of another width fails at the aligner."""
+    resolves and the graph is checked against that size; input of another
+    width fails at the aligner. With alignments, the width comes from the
+    input, so the caller checks the graph at the first chunk."""
     cfg = SpotterConfig(
         cb_weight=args.cb_weight,
         beam_threshold=args.beam_threshold,
@@ -172,21 +174,17 @@ def _engine_setup(args: argparse.Namespace):
         if args.bias
         else []
     )
+    graph = build_graph(entries, vocab_size=None if vocab is None else len(vocab))
+    if vocab is not None:
+        check_graph(graph, len(vocab), cfg)
     words = read_alignments(args.alignments) if args.alignments is not None else None
-    return cfg, policy, vocab, words, entries
-
-
-def _graph(entries, cfg: SpotterConfig, width: int):
-    """The bias graph for input ``width`` symbols wide, checked against it."""
-    graph = build_graph(entries, vocab_size=width)
-    check_graph(graph, width, cfg)
-    return graph
+    return cfg, policy, vocab, words, graph
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
-    cfg, policy, vocab, words, entries = _engine_setup(args)
+    cfg, policy, vocab, words, graph = _engine_setup(args)
     matrix, _frame_ms = read_logits(args.logits)
-    graph = _graph(entries, cfg, matrix.shape[1])
+    check_graph(graph, matrix.shape[1], cfg)
     _emit(_manifest(args))
     transcript, merged, candidates = offline_pipeline(
         matrix, graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
@@ -210,7 +208,7 @@ def cmd_spot(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     check_duration(args.frame_ms, "--frame-ms")
     check_duration(args.chunk_ms, "--chunk-ms")
-    cfg, policy, vocab, words, entries = _engine_setup(args)
+    cfg, policy, vocab, words, graph = _engine_setup(args)
     if args.logits:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
@@ -233,7 +231,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if pipeline is None:
                 if chunk.shape[0] == 0:
                     continue  # cannot size the engine from an empty chunk
-                graph = _graph(entries, cfg, chunk.shape[1])
+                check_graph(graph, chunk.shape[1], cfg)
                 pipeline = StreamingPipeline(
                     graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
                 )
@@ -351,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolError as exc:
-        print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
-        return 3
-    except (FormatError, CtcspotError, OSError, ValueError) as exc:
+    except (CtcspotError, OSError, ValueError) as exc:
         print(f"ctcspot: error: {exc}", file=sys.stderr)
         return 2
 

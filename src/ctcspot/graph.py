@@ -95,7 +95,6 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
     # stay below 2**32); dropped on return, so only the flat lists remain
     edges: dict[int, int] = {}
     surfaces: dict[int, str] = {}
-    by_tokens: dict[tuple[int, ...], BiasEntry] = {}
     for entry in entries:
         if entry.keyword_id < 0:  # terminals use -1 for "no keyword"
             raise ValueError(f"entry {entry.surface!r}: keyword id {entry.keyword_id} is negative")
@@ -108,17 +107,6 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
                 raise TokenOutOfRange(
                     f"entry {entry.surface!r}: token {tok} outside vocabulary of size {vocab_size}"
                 )
-        prev = by_tokens.get(entry.tokens)
-        if prev is not None:
-            if prev.surface == entry.surface:
-                continue  # silent dedup of repeated phrases
-            raise DuplicateConflict(
-                f"entries {prev.surface!r} and {entry.surface!r} share tokens {list(entry.tokens)}"
-            )
-        if entry.keyword_id in surfaces:
-            raise DuplicateConflict(f"keyword id {entry.keyword_id} used twice")
-        surfaces[entry.keyword_id] = entry.surface
-        by_tokens[entry.tokens] = entry
         node = ROOT
         below = len(entry.tokens)  # tokens of the phrase below the current node
         if heights[ROOT] < below:
@@ -138,6 +126,16 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
             elif heights[child] < below:
                 heights[child] = below
             node = child
+        prev = terminals[node]  # a keyword already ends here: same tokens
+        if prev >= 0:
+            if surfaces[prev] == entry.surface:
+                continue  # silent dedup of repeated phrases
+            raise DuplicateConflict(
+                f"entries {surfaces[prev]!r} and {entry.surface!r} share tokens {list(entry.tokens)}"
+            )
+        if entry.keyword_id in surfaces:
+            raise DuplicateConflict(f"keyword id {entry.keyword_id} used twice")
+        surfaces[entry.keyword_id] = entry.surface
         terminals[node] = entry.keyword_id
 
     root_children = []

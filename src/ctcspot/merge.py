@@ -132,8 +132,6 @@ class CommitState:
     emitted: list[WordAlignment] = field(default_factory=list, init=False)
     _words: list[WordAlignment] = field(default_factory=list, init=False)
     _cands: list[SpottedCandidate] = field(default_factory=list, init=False)
-    _open_start: int | None = field(default=None, init=False)
-    _open_preview: str = field(default="", init=False)
     _boundary: int = field(default=0, init=False)
     _spot_frontier: int = field(default=0, init=False)
 
@@ -151,29 +149,30 @@ class CommitState:
         check_intervals(buffered[-1:] + items)
         return items
 
-    def set_open_word(self, start: int | None, preview: str = "") -> None:
-        self._open_start = start
-        self._open_preview = preview if start is not None else ""
-
     @property
     def transcript(self) -> str:
         return " ".join(w.word for w in self.emitted)
 
 
 def commit_step(
-    state: CommitState, spot_result: SpotChunkResult, final: bool = False
+    state: CommitState,
+    spot_result: SpotChunkResult,
+    open_word: WordAlignment | None = None,
+    final: bool = False,
 ) -> ChunkOutput:
     """Merge and emit every buffered word and candidate that is settled.
 
-    The commit boundary starts at the spot frontier, is pulled back to the
-    earliest held candidate and the open decoder word, and then retreats
-    below any buffered word or candidate it would split, so no interaction
-    between a committed item and a held one is possible. One sweep, latest
-    start first, suffices: a cut that retreats lands on a start, which no
-    span already passed can straddle. At the ``final`` step nothing more
-    can arrive, so the boundary starts past every buffered item, external
-    words that end after the last frame included, as in the whole-utterance
-    merge.
+    ``open_word`` is the decoder's word still in progress, if any
+    (:attr:`ctcspot.aligner.StreamingAligner.open_word`); its text ends the
+    held preview. The commit boundary starts at the spot frontier, is pulled
+    back to the earliest held candidate and the open word, and then
+    retreats below any buffered word or candidate it would split, so no
+    interaction between a committed item and a held one is possible. One
+    sweep, latest start first, suffices: a cut that retreats lands on a
+    start, which no span already passed can straddle. At the ``final`` step
+    nothing more can arrive, so the boundary starts past every buffered
+    item, external words that end after the last frame included, as in the
+    whole-utterance merge.
     """
     if spot_result.new_frontier < state._spot_frontier:
         raise FrontierRegression(
@@ -188,8 +187,8 @@ def commit_step(
         cut = max([cut, *(w.end_frame + 1 for w in state._words)])
     for held in spot_result.held_preview.candidates:
         cut = min(cut, held.start_frame)
-    if state._open_start is not None:
-        cut = min(cut, state._open_start)
+    if open_word is not None:
+        cut = min(cut, open_word.start_frame)
     spans = [(w.start_frame, w.end_frame) for w in state._words]
     spans += [(c.start_frame, c.end_frame) for c in state._cands]
     for start, end in sorted(spans, reverse=True):
@@ -210,7 +209,7 @@ def commit_step(
     state._boundary = cut
 
     held_parts = [w.word for w in state._words]
-    if state._open_preview:
-        held_parts.append(state._open_preview)
+    if open_word is not None and open_word.word:
+        held_parts.append(open_word.word)
     preview = " ".join(held_parts) if held_parts else None
     return ChunkOutput(committed_delta=delta, commit_frontier=cut, held_text_preview=preview)

@@ -35,12 +35,6 @@ def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
     return previous[-1]
 
 
-def wer(ref: Sequence[str] | str, hyp: Sequence[str] | str) -> float:
-    """Word error rate in percent, over the reference length."""
-    ref_words, hyp_words = _as_words(ref), _as_words(hyp)
-    return 100.0 * edit_distance(ref_words, hyp_words) / max(1, len(ref_words))
-
-
 def corpus_wer(refs: Iterable[Sequence[str] | str], hyps: Iterable[Sequence[str] | str]) -> float:
     """Corpus-level WER: summed edit distance over summed reference length.
     Raises ValueError when the two differ in count, as :func:`keyword_prf` does."""
@@ -185,9 +179,9 @@ def format_keyword_table(report: KeywordReport, per_keyword: bool = False) -> st
 class ChunkTiming:
     """Wall-clock cost of one chunk, milliseconds."""
 
-    asr_ms: float = 0.0
-    spot_ms: float = 0.0
-    merge_ms: float = 0.0
+    asr_ms: float
+    spot_ms: float
+    merge_ms: float
 
 
 def _mean(xs: Sequence[float]) -> float:

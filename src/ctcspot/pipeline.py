@@ -88,13 +88,14 @@ class StreamingPipeline:
         """One timed align / spot / commit step; a chunk of None flushes."""
         t0 = time.perf_counter()
         aligner = self.aligner
+        open_word = None
         if aligner is not None:
             self.commit.add_words(aligner.flush() if chunk is None else aligner.feed(chunk))
-            self.commit.set_open_word(aligner.open_word_start, aligner.open_word_preview or "")
+            open_word = aligner.open_word
         t1 = time.perf_counter()
         spot_result = self.spotter.flush() if chunk is None else self.spotter.process_chunk(chunk)
         t2 = time.perf_counter()
-        out = commit_step(self.commit, spot_result, final=chunk is None)
+        out = commit_step(self.commit, spot_result, open_word, final=chunk is None)
         t3 = time.perf_counter()
         self.timings.append(
             StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)

@@ -129,9 +129,6 @@ class SpottedCandidate:
     def per_frame_score(self) -> float:
         return self.score / self.num_frames
 
-    def overlaps(self, other: "SpottedCandidate") -> bool:
-        return self.start_frame <= other.end_frame and other.start_frame <= self.end_frame
-
 
 # search state: {node << 1 | in_blank: (score, start_frame)}
 _State = dict[int, tuple[float, int]]

@@ -43,17 +43,14 @@ def make_spec(
     seed: int,
     vocab_size: int,
     blank_id: int | None,
-    script: Sequence[ScriptSegment | tuple],
+    script: Sequence[ScriptSegment],
     temperature: float = 1.0,
 ) -> SynthSpec:
-    """Validate and normalize a spec; plain (token, duration, peak) tuples
-    are accepted as segments. The blank follows
+    """Validate a spec. The blank follows
     :func:`ctcspot.formats.resolve_blank` and raises its
     :class:`~ctcspot.errors.DimensionMismatch`."""
     blank = resolve_blank(blank_id, vocab_size)
-    segments = tuple(
-        seg if isinstance(seg, ScriptSegment) else ScriptSegment(*seg) for seg in script
-    )
+    segments = tuple(script)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     for seg in segments:

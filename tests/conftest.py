@@ -180,6 +180,11 @@ def reference_step_frame(state, row, t, children, tokens, terminals, root_childr
     return survivors, cands
 
 
+def overlaps(a, b) -> bool:
+    """Whether two inclusive frame intervals share a frame."""
+    return a.start_frame <= b.end_frame and b.start_frame <= a.end_frame
+
+
 def _reference_greedy_order(c) -> tuple:
     return (-c.per_frame_score, -c.num_frames, c.keyword_id, c.start_frame, c.end_frame)
 
@@ -195,9 +200,9 @@ def reference_settle(pending, frontier) -> tuple:
     kept = []
     held = []
     for cand in sorted(pending, key=_reference_greedy_order):
-        if any(cand.overlaps(k) for k in kept):
+        if any(overlaps(cand, k) for k in kept):
             continue  # lost to a kept, better-ranked candidate
-        if cand.end_frame >= frontier or any(cand.overlaps(h) for h in held):
+        if cand.end_frame >= frontier or any(overlaps(cand, h) for h in held):
             held.append(cand)
         else:
             kept.append(cand)

@@ -18,6 +18,7 @@ from ctcspot import (
     SpotterSession,
     StreamingPipeline,
     build_graph,
+    corpus_wer,
     dedup_overlaps,
     fscore,
     generate,
@@ -27,7 +28,6 @@ from ctcspot import (
     offline_pipeline,
     runtime_report,
     spot_offline,
-    wer,
 )
 from ctcspot.metrics import ChunkTiming, format_runtime_table
 
@@ -293,7 +293,7 @@ def test_criterion_5_metric_arithmetic():
     for _ in range(1000):
         ref = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(0, 14))]
         hyp = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(0, 14))]
-        assert wer(ref, hyp) == pytest.approx(
+        assert corpus_wer([ref], [hyp]) == pytest.approx(
             100.0 * dp_oracle(ref, hyp) / max(1, len(ref))
         )
 

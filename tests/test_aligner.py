@@ -109,9 +109,9 @@ def test_empty_chunk_changes_nothing():
     aligner = StreamingAligner(vocab, blank_id=3)
     lp = random_logprobs(np.random.default_rng(1), 6, 4)
     aligner.feed(lp[:3])
-    state = (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+    state = (aligner.frames_seen, aligner.open_word)
     assert aligner.feed(lp[3:3]) == []
-    assert state == (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+    assert state == (aligner.frames_seen, aligner.open_word)
 
 
 def test_vocab_width_mismatch():
@@ -126,12 +126,12 @@ def test_non_finite_chunk_rejected_before_any_state_changes(bad):
     aligner = StreamingAligner(vocab, blank_id=3)
     lp = random_logprobs(np.random.default_rng(2), 8, 4)
     aligner.feed(lp[:4])
-    state = (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+    state = (aligner.frames_seen, aligner.open_word)
     chunk = lp[4:].copy()
     chunk[2, 0] = bad
     with pytest.raises(NonFiniteRows):
         aligner.feed(chunk)
-    assert state == (aligner.frames_seen, aligner.open_word_start, aligner.open_word_preview)
+    assert state == (aligner.frames_seen, aligner.open_word)
 
 
 def test_lone_marker_piece_forms_no_word_at_any_chunking():

@@ -9,7 +9,7 @@ import pytest
 
 from ctcspot.cli import build_parser, main
 from ctcspot.formats import read_logits, write_alignments, write_envelope, write_logits
-from ctcspot import MergePolicy, SpotterConfig, WordAlignment, generate, make_spec
+from ctcspot import MergePolicy, ScriptSegment, SpotterConfig, WordAlignment, generate, make_spec
 
 from conftest import MARKER
 
@@ -38,20 +38,17 @@ def _records(capsys):
 def _synth_logits(tmp_path, name="utt.ctcl"):
     """play <missable halsey> now: the keyword hides under dominant blanks."""
     script = [
-        (BLANK, 2, 0.9),
-        (0, 3, 0.9),          # "play"
-        (BLANK, 2, 0.9),
+        ScriptSegment(BLANK, 2, 0.9),
+        ScriptSegment(0, 3, 0.9),  # "play"
+        ScriptSegment(BLANK, 2, 0.9),
         # halsey tokens at 0.42 under a 0.55 blank shadow: greedy misses them
-        {"token": 1, "duration": 3, "peak": 0.42, "shadow_token": BLANK, "shadow_prob": 0.55},
-        {"token": 2, "duration": 3, "peak": 0.42, "shadow_token": BLANK, "shadow_prob": 0.55},
-        (BLANK, 1, 0.9),
-        (3, 3, 0.9),          # "now"
-        (BLANK, 2, 0.9),
+        ScriptSegment(1, 3, 0.42, shadow_token=BLANK, shadow_prob=0.55),
+        ScriptSegment(2, 3, 0.42, shadow_token=BLANK, shadow_prob=0.55),
+        ScriptSegment(BLANK, 1, 0.9),
+        ScriptSegment(3, 3, 0.9),  # "now"
+        ScriptSegment(BLANK, 2, 0.9),
     ]
-    from ctcspot import ScriptSegment
-
-    segments = [seg if isinstance(seg, tuple) else ScriptSegment(**seg) for seg in script]
-    spec = make_spec(5, len(VOCAB), BLANK, segments)
+    spec = make_spec(5, len(VOCAB), BLANK, script)
     matrix, _ = generate(spec)
     path = str(tmp_path / name)
     write_logits(path, matrix, 40.0)
@@ -132,12 +129,15 @@ class _UnreadableStdin(io.StringIO):
         raise AssertionError("stdin was read")
 
 
-@pytest.mark.parametrize("bad", ["vocab", "bias", "alignments", "bias line"])
+@pytest.mark.parametrize("bad", ["vocab", "bias", "alignments", "bias line", "surface only",
+                                 "bias id", "bias blank", "spot bias id"])
 def test_stream_loads_its_files_before_any_input(tmp_path, capsys, monkeypatch, bad):
     """A missing --vocab, --bias or --alignments file, or a bad bias line,
-    fails before stdin is read: exit 2, the file named, nothing on stdout."""
+    fails before stdin is read: exit 2, the file named, nothing on stdout.
+    With --vocab, a bias token id outside it or at its blank fails there
+    too, naming the id; `spot` names it before it opens --logits."""
     monkeypatch.setattr("sys.stdin", _UnreadableStdin())
-    missing = str(tmp_path / "missing.txt")
+    missing = named = str(tmp_path / "missing.txt")
     words_path = str(tmp_path / "words.tsv")
     write_alignments(words_path, [WordAlignment("play", 2, 4, -0.4)])
     vocab = _write_vocab(tmp_path)
@@ -148,13 +148,22 @@ def test_stream_loads_its_files_before_any_input(tmp_path, capsys, monkeypatch, 
         argv += ["--vocab", vocab, "--bias", missing]
     elif bad == "alignments":
         argv += ["--alignments", missing]
+    elif bad == "bias line":
+        named = _write_bias(tmp_path, ["halsey\t1,x\n"])
+        argv += ["--alignments", words_path, "--bias", named]
+    elif bad == "surface only":  # no token ids, and no vocabulary to tokenize with
+        named = _write_bias(tmp_path, ["halsey\n"])
+        argv += ["--alignments", words_path, "--bias", named]
     else:
-        missing = _write_bias(tmp_path, ["halsey\t1,x\n"])
-        argv += ["--alignments", words_path, "--bias", missing]
+        ids, named = ("1,5", "blank id 5") if bad == "bias blank" else ("1,9", "token 9")
+        argv += ["--vocab", vocab, "--bias", _write_bias(tmp_path, [f"halsey\t{ids}\n"])]
+        if bad == "spot bias id":
+            argv[:2] = ["spot", "--logits", missing]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert missing in captured.err
+    assert named in captured.err
+    assert named == missing or missing not in captured.err
 
 
 def test_stream_single_chunk_equals_spot(tmp_path, capsys):
@@ -333,6 +342,30 @@ def test_stream_with_external_alignments(tmp_path, capsys):
                  "--chunk-ms", "160"]) == 0
     final = next(r for r in _records(capsys) if r["type"] == "final")
     assert final["transcript"] == "play halsey now"
+
+
+@pytest.mark.parametrize("chunk_ms", [160.0, 560.0, 1120.0])
+def test_spot_and_stream_agree_on_external_alignments(tmp_path, capsys, chunk_ms):
+    """`spot --alignments` merges into the external words as
+    `stream --alignments` does, at every chunk size."""
+    logits, _ = _synth_logits(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    words_path = str(tmp_path / "words.tsv")
+    write_alignments(
+        words_path,
+        [WordAlignment("play", 2, 4, -0.4), WordAlignment("hal", 8, 10, -9.0),
+         WordAlignment("now", 15, 17, -0.4)],
+    )
+    engine = ["--logits", logits, "--alignments", words_path, "--bias", bias,
+              "--cb-weight", "2", "--min-per-frame-score", "-0.5"]
+    assert main(["spot", *engine]) == 0
+    spot = next(r for r in _records(capsys) if r["type"] == "transcript")
+    assert main(["stream", *engine, "--chunk-ms", str(chunk_ms)]) == 0
+    records = _records(capsys)
+    words = [w for r in records if r["type"] in ("chunk", "final") for w in r["delta"]]
+    final = next(r for r in records if r["type"] == "final")
+    assert spot["text"] == final["transcript"] == "play halsey now"
+    assert words == spot["words"]
 
 
 def test_eval_identity_and_reference_counts(tmp_path, capsys):

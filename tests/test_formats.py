@@ -99,6 +99,10 @@ def test_truncated_payload_and_bad_magic(tmp_path):
     Path(bad).write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(BadMagic):
         read_logits(bad)
+    future = str(tmp_path / "future.ctcl")
+    Path(future).write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(FormatError, match="unsupported version 2"):
+        read_logits(future)
 
 
 def test_unnormalized_rows_strictness(tmp_path):
@@ -178,6 +182,11 @@ def test_envelope_round_trip():
             assert np.array_equal(returned.astype(np.float32), original)
         else:
             assert returned.shape[0] == 0
+    # blank lines, before, between and after the records, are skipped
+    spaced = "\n  \n" + "\n\n".join(buf.getvalue().splitlines()) + "\n\n"
+    again = list(read_envelope(io.StringIO(spaced)))
+    assert [c.shape for c in again] == [c.shape for c in back]
+    assert all(np.array_equal(a, b) for a, b in zip(again, back))
 
 
 def test_envelope_protocol_errors():
@@ -306,6 +315,9 @@ def test_alignments_empty_and_errors(tmp_path):
     assert "'a'" in str(excinfo.value) and "'b'" in str(excinfo.value)
     path_obj.write_text("a\t0\t5\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        read_alignments(path)
+    path_obj.write_text("a\t0\tfive\t-1.0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="malformed record"):
         read_alignments(path)
 
 

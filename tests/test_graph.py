@@ -13,6 +13,7 @@ from ctcspot import (
 )
 from ctcspot.errors import (
     DuplicateConflict,
+    EmptySurface,
     EmptyTokenSequence,
     TokenizationError,
     TokenOutOfRange,
@@ -67,6 +68,8 @@ def test_duplicate_phrase_dedup_and_conflict():
 def test_build_validation_errors():
     with pytest.raises(EmptyTokenSequence):
         build_graph([BiasEntry(0, "x", ())])
+    with pytest.raises(EmptySurface):
+        build_graph([BiasEntry(0, "", (1,))])
     with pytest.raises(TokenOutOfRange):
         build_graph([BiasEntry(0, "x", (9,))], vocab_size=4)
     with pytest.raises(TokenOutOfRange):
@@ -168,6 +171,8 @@ def test_tokenizer_greedy_longest_match():
     assert tokenize("the there") == [0, 1]
     with pytest.raises(TokenizationError):
         tokenize("qqq")
+    with pytest.raises(TokenizationError, match="no usable pieces"):
+        Tokenizer(["", "<b>"], skip_ids={1})  # empty pieces and skipped ids match nothing
 
 
 def test_one_tokenizer_matches_tokenize_word_by_word():

@@ -1,6 +1,11 @@
-"""Module boundaries: no ``ctcspot`` module reads another's private name."""
+"""Module boundaries: no ``ctcspot`` module reads another's private name,
+the package exports exactly what it binds, and the CLI module runs."""
 
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import ctcspot
@@ -32,3 +37,27 @@ def test_no_module_imports_a_private_name_from_another():
         if (names := _private_imports(path))
     }
     assert found == {}
+
+
+def test_all_names_exactly_the_public_bindings():
+    """Every name in ``__all__`` resolves, and every public name that
+    ``__init__`` binds, apart from its submodules, is in ``__all__``."""
+    assert all(hasattr(ctcspot, name) for name in ctcspot.__all__)
+    bound = {
+        name
+        for name, value in vars(ctcspot).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(ctcspot.__all__)
+
+
+def test_module_entry_point_prints_help():
+    done = subprocess.run(
+        [sys.executable, "-B", "-m", "ctcspot.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ctcspot")

@@ -71,6 +71,12 @@ def test_low_scoring_candidate_does_not_replace():
     assert [w.word for w in merged] == ["halsey"]
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_intersection_threshold_outside_unit_interval_is_rejected(threshold):
+    with pytest.raises(ValueError, match="intersection_threshold"):
+        MergePolicy(intersection_threshold=threshold)
+
+
 def test_nan_score_margin_is_rejected_and_infinities_are_the_extremes():
     """A NaN margin fails every replacement compare, so it would silently
     turn replacement off; -inf and +inf mean always and never replace."""
@@ -302,8 +308,7 @@ def test_commit_step_waits_for_held_candidates_and_open_word():
 
     state = CommitState(MergePolicy(), SURFACES)
     state.add_words([WordAlignment("a", 0, 2, -1.0)])
-    state.set_open_word(1, "a?")
-    out = commit_step(state, _spot_result(9))
+    out = commit_step(state, _spot_result(9), WordAlignment("a?", 1, 4, -0.5))
     assert out.committed_delta == []
     assert out.held_text_preview.endswith("a?")
 

@@ -10,7 +10,6 @@ from ctcspot import (
     fscore,
     keyword_prf,
     runtime_report,
-    wer,
 )
 
 
@@ -31,10 +30,10 @@ def _dp_distance(ref, hyp):
 
 
 def test_wer_basics():
-    assert wer("a b c", "a b c") == 0.0
-    assert wer("a b c", "a x c") == pytest.approx(100.0 / 3)
-    assert wer("", "x y") == 200.0  # insertions over an empty reference
-    assert wer("a", []) == 100.0
+    assert corpus_wer(["a b c"], ["a b c"]) == 0.0
+    assert corpus_wer(["a b c"], ["a x c"]) == pytest.approx(100.0 / 3)
+    assert corpus_wer([""], ["x y"]) == 200.0  # insertions over an empty reference
+    assert corpus_wer(["a"], [[]]) == 100.0
 
 
 def test_wer_matches_dp_oracle_on_random_pairs():
@@ -44,7 +43,7 @@ def test_wer_matches_dp_oracle_on_random_pairs():
         ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 12))]
         hyp = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 12))]
         assert edit_distance(ref, hyp) == _dp_distance(ref, hyp)
-        assert wer(ref, hyp) == pytest.approx(100.0 * _dp_distance(ref, hyp) / max(1, len(ref)))
+        assert corpus_wer([ref], [hyp]) == pytest.approx(100.0 * _dp_distance(ref, hyp) / max(1, len(ref)))
 
 
 def test_wer_symmetric_under_relabeling():
@@ -54,8 +53,8 @@ def test_wer_symmetric_under_relabeling():
     for _ in range(50):
         ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 10))]
         hyp = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 10))]
-        mapped = wer([relabel[w] for w in ref], [relabel[w] for w in hyp])
-        assert wer(ref, hyp) == pytest.approx(mapped)
+        mapped = corpus_wer([[relabel[w] for w in ref]], [[relabel[w] for w in hyp]])
+        assert corpus_wer([ref], [hyp]) == pytest.approx(mapped)
 
 
 def test_fscore_reproduces_reference_points():
@@ -126,7 +125,7 @@ def test_runtime_report_validation():
     with pytest.raises(ValueError):
         runtime_report([], 160.0)
     with pytest.raises(ValueError):
-        runtime_report([ChunkTiming(spot_ms=-1.0)], 160.0)
+        runtime_report([ChunkTiming(asr_ms=0.0, spot_ms=-1.0, merge_ms=0.0)], 160.0)
     report = runtime_report([ChunkTiming(asr_ms=1.0, spot_ms=2.0, merge_ms=1.0)], 100.0)
     assert report.total_mean == 4.0
 

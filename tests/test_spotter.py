@@ -21,6 +21,7 @@ from ctcspot.errors import DimensionMismatch, NonFiniteRows, TokenOutOfRange
 from ctcspot.spotter import _search, settle
 
 from conftest import (
+    overlaps,
     random_entries,
     random_logprobs,
     reference_settle,
@@ -225,14 +226,14 @@ def test_dedup_randomized_against_exhaustive_check():
         assert settle(cands, math.inf) == (kept, [])
         for x in kept:
             for y in kept:
-                assert x is y or not x.overlaps(y)
+                assert x is y or not overlaps(x, y)
         kept_set = {id(k) for k in kept}
         for c in cands:
             if id(c) in kept_set:
                 continue
             better = [
                 k for k in kept
-                if c.overlaps(k)
+                if overlaps(c, k)
                 and (k.per_frame_score, k.num_frames, -k.keyword_id)
                 >= (c.per_frame_score, c.num_frames, -c.keyword_id)
             ]

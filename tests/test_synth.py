@@ -22,7 +22,8 @@ from oracle import OracleBoundExceeded, brute_force_keyword_score, brute_force_s
 
 
 def test_generate_is_deterministic_and_normalized():
-    spec = make_spec(42, 8, None, [(1, 3, 0.8), (7, 2, 0.9), (2, 4, 0.5)], temperature=0.7)
+    script = [ScriptSegment(1, 3, 0.8), ScriptSegment(7, 2, 0.9), ScriptSegment(2, 4, 0.5)]
+    spec = make_spec(42, 8, None, script, temperature=0.7)
     m1, a1 = generate(spec)
     m2, a2 = generate(spec)
     assert np.array_equal(m1, m2)
@@ -41,7 +42,8 @@ def test_forced_peak_recovers_script_in_greedy_decode():
 
 
 def test_scripted_keyword_found_at_scripted_interval():
-    spec = make_spec(1, 5, 4, [(4, 2, 0.9), (1, 2, 0.9), (2, 2, 0.9), (4, 2, 0.9)])
+    script = [ScriptSegment(tok, 2, 0.9) for tok in (4, 1, 2, 4)]
+    spec = make_spec(1, 5, 4, script)
     matrix, _ = generate(spec)
     cfg = SpotterConfig(cb_weight=0.0, beam_threshold=float("inf"),
                         min_per_frame_score=-2.0, max_keyword_frames=100, blank_id=4)
@@ -57,28 +59,34 @@ def test_scripted_keyword_found_at_scripted_interval():
     assert 2 <= best.start_frame <= best.end_frame <= 5
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        make_spec(0, 4, None, [(0, 0, 0.5)])
-    with pytest.raises(ValueError):
-        make_spec(0, 4, None, [(0, 1, 1.5)])
-    with pytest.raises(ValueError):
-        make_spec(0, 4, None, [(0, 1, 0.5)], temperature=0.0)
-    with pytest.raises(ValueError):
-        make_spec(0, 4, None, [ScriptSegment(0, 1, 0.5, shadow_token=0, shadow_prob=0.3)])
-    with pytest.raises(ValueError):
-        make_spec(0, 4, None, [ScriptSegment(0, 1, 0.7, shadow_token=1, shadow_prob=0.5)])
+@pytest.mark.parametrize(
+    "vocab_size, segment, temperature, message",
+    [
+        (4, ScriptSegment(0, 0, 0.5), 1.0, "duration 0 below 1"),
+        (4, ScriptSegment(0, 1, 1.5), 1.0, "peak probability 1.5"),
+        (4, ScriptSegment(0, 1, 0.5), 0.0, "temperature must be positive"),
+        (4, ScriptSegment(4, 1, 0.5), 1.0, "scripted token 4 outside vocabulary"),
+        (4, ScriptSegment(0, 1, 0.5, shadow_token=0, shadow_prob=0.3), 1.0, "bad shadow token 0"),
+        (4, ScriptSegment(0, 1, 0.7, shadow_token=1, shadow_prob=0.5), 1.0, "must stay below 1"),
+        (2, ScriptSegment(0, 1, 0.5, shadow_token=1, shadow_prob=0.3), 1.0, "free symbol"),
+        (4, ScriptSegment(0, 1, 0.5, shadow_prob=0.3), 1.0, "without shadow_token"),
+    ],
+)
+def test_spec_validation(vocab_size, segment, temperature, message):
+    with pytest.raises(ValueError, match=message):
+        make_spec(0, vocab_size, None, [segment], temperature)
 
 
 def test_spec_blank_follows_the_one_blank_rule():
     # the rule of formats.resolve_blank, with its error type
+    segment = ScriptSegment(0, 1, 0.5)
     with pytest.raises(DimensionMismatch):
-        make_spec(0, 1, None, [(0, 1, 0.5)])
+        make_spec(0, 1, None, [segment])
     with pytest.raises(DimensionMismatch):
-        make_spec(0, 4, 4, [(0, 1, 0.5)])
+        make_spec(0, 4, 4, [segment])
     with pytest.raises(DimensionMismatch):
-        make_spec(0, 4, -1, [(0, 1, 0.5)])
-    assert make_spec(0, 4, None, [(0, 1, 0.5)]).blank_id == 3
+        make_spec(0, 4, -1, [segment])
+    assert make_spec(0, 4, None, [segment]).blank_id == 3
 
 
 def test_oracle_guard_and_empty_cases():
