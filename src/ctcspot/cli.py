@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .errors import CtcspotError, FormatError, ProtocolError
+from .errors import CtcspotError, DimensionMismatch, FormatError, ProtocolError
 from .formats import (
     LOGITS_VERSION,
     check_duration,
@@ -35,6 +35,7 @@ from .formats import (
 )
 from .graph import (
     DEFAULT_WORD_MARKER,
+    ContextGraph,
     Tokenizer,
     build_graph,
     load_bias_list,
@@ -148,9 +149,8 @@ def _engine_setup(args: argparse.Namespace):
     """Shared spot/stream wiring, done before any input is read: config,
     policy, the vocabulary or the alignments, and the bias graph. With a
     vocabulary, the bias list is tokenized around the blank that its size
-    resolves and the graph is checked against that size; input of another
-    width fails at the aligner. With alignments, the width comes from the
-    input, so the caller checks the graph at the first chunk."""
+    resolves and the graph is checked against that size. The caller checks
+    the input's width with :func:`_check_width` before the manifest."""
     cfg = SpotterConfig(
         cb_weight=args.cb_weight,
         beam_threshold=args.beam_threshold,
@@ -181,10 +181,22 @@ def _engine_setup(args: argparse.Namespace):
     return cfg, policy, vocab, words, graph
 
 
+def _check_width(
+    graph: ContextGraph, width: int, cfg: SpotterConfig, vocab: list[str] | None
+) -> None:
+    """With a vocabulary, the input must be as wide as it (the graph was
+    checked against its size at set-up); with alignments, the width comes
+    from the input and the graph is checked against it."""
+    if vocab is None:
+        check_graph(graph, width, cfg)
+    elif width != len(vocab):
+        raise DimensionMismatch(f"input width {width} != vocabulary size {len(vocab)}")
+
+
 def cmd_spot(args: argparse.Namespace) -> int:
     cfg, policy, vocab, words, graph = _engine_setup(args)
     matrix, _frame_ms = read_logits(args.logits)
-    check_graph(graph, matrix.shape[1], cfg)
+    _check_width(graph, matrix.shape[1], cfg, vocab)
     _emit(_manifest(args))
     transcript, merged, candidates = offline_pipeline(
         matrix, graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
@@ -231,7 +243,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if pipeline is None:
                 if chunk.shape[0] == 0:
                     continue  # cannot size the engine from an empty chunk
-                check_graph(graph, chunk.shape[1], cfg)
+                _check_width(graph, chunk.shape[1], cfg, vocab)
                 pipeline = StreamingPipeline(
                     graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
                 )

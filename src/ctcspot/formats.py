@@ -69,7 +69,9 @@ def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
     changes: a NaN score fails every prune compare, and the spotter's
     commit frontier bounds future scores by taking every cell to be at most
     0. The search reads each row through a memoryview, which needs that
-    layout."""
+    layout, and gathers its per-chunk fresh-entry table (frames x root
+    children) with ``take(..., axis=1)``, which keeps C order;
+    ``lp[:, idx]`` would return that table in Fortran order."""
     lp = np.asarray(matrix, dtype=float)
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")

@@ -9,7 +9,10 @@ best score, and survivors of beam pruning and the age cap that sit on a
 terminal node are reported as keyword candidates.
 
 The search reads the frozen :class:`~ctcspot.graph.ContextGraph` directly.
-Fresh-entry scores are computed per chunk with numpy; per frame, only the
+Fresh-entry scores are computed per chunk with numpy, as one C-ordered
+frames x root-children gather, ``lp.take(root_tok, axis=1)``: numpy returns
+``lp[:, root_tok]`` in Fortran order, and each frame's row and maximum would
+then read strided memory. Per frame, only the
 entries at or above the admission floor ``max(min_per_frame_score, best -
 beam_threshold)`` are inserted, and a live hypothesis below the floor on a
 root-child slot is pruned when a strictly better fresh entry would have
@@ -214,7 +217,11 @@ def _search(
     no contained candidate outranks are appended; with None, every one is.
 
     ``fresh`` holds a frame's score of a fresh entry at each root child
-    (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum.
+    (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum, both
+    read from one C-ordered frames x root-children table per chunk:
+    ``lp.take(root_tok, axis=1)`` plus ``cb_weight`` in place.
+    ``lp[:, root_tok]`` holds the same values in Fortran order, and the row
+    maxima and every ``fresh`` row would stride over it.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of its frame.
     An expansion below ``cut``, the beam threshold under the larger of the
@@ -232,7 +239,8 @@ def _search(
     terminals = graph.terminals
     root_keys = graph.root_keys
     root_slot = graph.root_slot
-    fresh_rows = lp[:, graph.root_tok] + cb
+    fresh_rows = lp.take(graph.root_tok, axis=1)
+    fresh_rows += cb
     fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
     if ranks is not None:
         best_rank = ranks.best

@@ -316,6 +316,25 @@ def test_bad_header_frame_duration_exits_2_with_nothing_on_stdout(tmp_path, caps
     assert "frame duration" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["spot", "stream --logits", "stream --stdin-envelope"])
+def test_input_narrower_than_the_vocabulary_exits_2_with_nothing_on_stdout(tmp_path, capsys,
+                                                                           monkeypatch, mode):
+    """With --vocab, the input's width is checked before the manifest."""
+    logits, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path, [*VOCAB[:-1], f"{MARKER}extra", VOCAB[-1]])
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:0], matrix[:4], matrix[4:]])))
+    engine = ["--vocab", vocab, "--bias", _write_bias(tmp_path, ["halsey\t1,2\n"])]
+    argv = {
+        "spot": ["spot", "--logits", logits, *engine],
+        "stream --logits": ["stream", "--logits", logits, "--chunk-ms", "160", *engine],
+        "stream --stdin-envelope": ["stream", "--stdin-envelope", *engine],
+    }[mode]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input width 6 != vocabulary size 7" in captured.err
+
+
 @pytest.mark.parametrize("command", ["spot", "stream"])
 def test_engine_flag_defaults_are_the_config_defaults(command):
     """Every engine flag left unset parses to the default of the field it

@@ -395,3 +395,30 @@ def test_exact_admission_matches_full_admission(case):
     assert t == lp.shape[0]
     assert chunked_state == state
     assert chunked == per_frame
+
+
+class _LayoutProbe(np.ndarray):
+    """Records whether each 2-d array derived from it, with more than one
+    row and one column, is C-contiguous."""
+
+    seen: list[bool] = []
+
+    def __array_finalize__(self, obj):
+        if obj is not None and self.ndim == 2 and min(self.shape) > 1:
+            _LayoutProbe.seen.append(self.flags.c_contiguous)
+
+
+def test_search_tables_are_c_ordered():
+    """Every frames x columns table the search derives from a chunk is
+    C-ordered, so each frame's row and row maximum read contiguous memory;
+    ``lp[:, root_tok]`` would come back in Fortran order."""
+    rng = np.random.default_rng(31)
+    vocab = 16
+    graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))
+    assert len(graph.root_tok) > 1
+    lp = random_logprobs(rng, 6, vocab)
+    _LayoutProbe.seen = []
+    probe = lp.view(_LayoutProbe)
+    _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
+    assert len(_LayoutProbe.seen) > 1  # the view above and the search's table(s)
+    assert all(_LayoutProbe.seen), _LayoutProbe.seen

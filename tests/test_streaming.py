@@ -223,6 +223,28 @@ def test_random_partitions_match_offline():
         assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
 
 
+@pytest.mark.parametrize("frames_per_chunk", [1, 4, 28])
+def test_wide_root_fan_out_matches_offline(frames_per_chunk):
+    """The other invariance cases have a few root children; here the
+    per-chunk fresh-entry table is 60 or more columns wide. Phrases of two
+    or three tokens, so that no one-frame keyword wins every frame."""
+    rng = np.random.default_rng(23)
+    vocab = 72
+    phrases = [e.tokens for e in random_entries(rng, 300, vocab=vocab, blank=vocab - 1, max_len=3)]
+    graph = build_graph(
+        [BiasEntry(i, f"kw{i}", p) for i, p in enumerate(p for p in phrases if len(p) > 1)]
+    )
+    assert len(graph.root_tok) >= 60
+    cfg = SpotterConfig(blank_id=vocab - 1, max_keyword_frames=10_000, **INVARIANT_CFG)
+    n_frames = 90
+    lp = random_logprobs(rng, n_frames, vocab)
+    offline = dedup_overlaps(spot_offline(lp, graph, cfg))
+    assert any(c.num_frames > 1 for c in offline)
+    sizes = [frames_per_chunk] * (n_frames // frames_per_chunk) + [n_frames % frames_per_chunk]
+    streamed = _run_chunks(SpotterSession(graph, cfg), lp, sizes)
+    assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
+
+
 LAYOUTS = {
     "fortran": np.asfortranarray,
     "column-strided": lambda lp: np.repeat(lp, 2, axis=1)[:, ::2],
