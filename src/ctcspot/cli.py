@@ -8,8 +8,8 @@ Subcommands:
 
 Structured results are printed as line-delimited JSON records on stdout;
 the first record of every run is a manifest carrying the full
-configuration. Exit codes: 0 ok, 1 usage, 2 format error, 3 protocol
-error.
+configuration, printed once the files, the flags and the first chunk are
+accepted. Exit codes: 0 ok, 1 usage, 2 format error, 3 protocol error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .errors import CtcspotError, DimensionMismatch, FormatError, ProtocolError
+from .errors import CtcspotError, FormatError, ProtocolError
 from .formats import (
     LOGITS_VERSION,
     check_duration,
@@ -35,7 +35,6 @@ from .formats import (
 )
 from .graph import (
     DEFAULT_WORD_MARKER,
-    ContextGraph,
     Tokenizer,
     build_graph,
     load_bias_list,
@@ -149,8 +148,9 @@ def _engine_setup(args: argparse.Namespace):
     """Shared spot/stream wiring, done before any input is read: config,
     policy, the vocabulary or the alignments, and the bias graph. With a
     vocabulary, the bias list is tokenized around the blank that its size
-    resolves and the graph is checked against that size. The caller checks
-    the input's width with :func:`_check_width` before the manifest."""
+    resolves and the graph is checked against that size. The input's width
+    is checked by the engine, against the vocabulary or the graph, before
+    the caller prints the manifest."""
     cfg = SpotterConfig(
         cb_weight=args.cb_weight,
         beam_threshold=args.beam_threshold,
@@ -181,26 +181,13 @@ def _engine_setup(args: argparse.Namespace):
     return cfg, policy, vocab, words, graph
 
 
-def _check_width(
-    graph: ContextGraph, width: int, cfg: SpotterConfig, vocab: list[str] | None
-) -> None:
-    """With a vocabulary, the input must be as wide as it (the graph was
-    checked against its size at set-up); with alignments, the width comes
-    from the input and the graph is checked against it."""
-    if vocab is None:
-        check_graph(graph, width, cfg)
-    elif width != len(vocab):
-        raise DimensionMismatch(f"input width {width} != vocabulary size {len(vocab)}")
-
-
 def cmd_spot(args: argparse.Namespace) -> int:
     cfg, policy, vocab, words, graph = _engine_setup(args)
     matrix, _frame_ms = read_logits(args.logits)
-    _check_width(graph, matrix.shape[1], cfg, vocab)
-    _emit(_manifest(args))
     transcript, merged, candidates = offline_pipeline(
         matrix, graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
     )
+    _emit(_manifest(args))
     for cand in candidates:
         _emit(
             {
@@ -228,7 +215,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
         frame_ms = args.frame_ms
         chunks = read_envelope(sys.stdin)
 
-    pipeline = None
+    pipeline = StreamingPipeline(
+        graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
+    )
     timings: list[ChunkTiming] = []
     index = 0
     partial = False
@@ -240,15 +229,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
             except StopIteration:
                 break
             feed_ms = (time.perf_counter() - t0) * 1e3
-            if pipeline is None:
-                if chunk.shape[0] == 0:
-                    continue  # cannot size the engine from an empty chunk
-                _check_width(graph, chunk.shape[1], cfg, vocab)
-                pipeline = StreamingPipeline(
-                    graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
-                )
-                _emit(_manifest(args))
+            if index == 0 and chunk.shape[0] == 0:
+                continue  # leading empty chunks print no record
             out = pipeline.process_chunk(chunk)
+            if index == 0:  # the engine accepted the first chunk
+                _emit(_manifest(args))
             step = pipeline.timings[-1]
             timings.append(
                 ChunkTiming(asr_ms=feed_ms + step.align_ms, spot_ms=step.spot_ms, merge_ms=step.merge_ms)
@@ -270,7 +255,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
         partial = True
 
-    if pipeline is None:
+    if index == 0:
         if partial:
             _emit(_manifest(args))
             _emit({"type": "final", "transcript": "", "partial": True})

@@ -89,7 +89,9 @@ class OverlappingWords(UnsortedInput):
 
 
 class BadTokenList(FormatError):
-    """A bias-list token id column is not a comma-separated list of integers."""
+    """A bias-list token id column is not a comma-separated list of
+    integers, or is missing where no vocabulary was given to tokenize the
+    surface."""
 
 
 class BadDuration(FormatError):

@@ -236,7 +236,8 @@ def load_bias_list(
     """Read a bias list: ``surface<TAB>token_id,token_id,...`` per line.
 
     Lines starting with ``#`` and blank lines are ignored. Lines without a
-    token column are tokenized against ``vocab`` (required in that case).
+    token column are tokenized against ``vocab``; without one, such a line
+    raises :class:`~ctcspot.errors.BadTokenList`.
     """
     entries: list[BiasEntry] = []
     tokenizer = None  # built at the first line that needs it
@@ -248,7 +249,7 @@ def load_bias_list(
                 raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
         else:
             if vocab is None:
-                raise ValueError(
+                raise BadTokenList(
                     f"{path}:{lineno}: entry {surface!r} has no token ids and no vocabulary was given"
                 )
             if tokenizer is None:

@@ -45,7 +45,7 @@ better-ranked candidate E (E starts no earlier and ends no later): E is
 visited first and is either kept or dropped by a kept K overlapping it,
 and E and K both overlap C. E ends no later than C, so it is emitted by
 the time C is. The session and :func:`spot_undominated` keep a rank index
-(:class:`_RankIndex`) and drop such terminals frame by frame, before a
+(see :func:`_search`) and drop such terminals frame by frame, before a
 candidate object is made; a dropped candidate changes no other decision,
 so the kept list stays the same. :func:`spot_offline` keeps every
 candidate: it is the reference the enumeration oracle checks.
@@ -151,33 +151,6 @@ def _greedy_order(c: SpottedCandidate) -> tuple:
 _UNRANKED = (math.inf, math.inf)  # ranks after every candidate
 
 
-class _RankIndex:
-    """``best[f - base]`` is the best rank among the candidates emitted so
-    far that start at or after frame f, for f from ``base`` on.
-
-    A candidate whose start entry ranks strictly better than itself
-    contains a better one and is never kept. Entries only improve; an
-    update walks down from the candidate's start to the first entry at
-    least as good, or to ``base``, which a session keeps at its frontier.
-    """
-
-    __slots__ = ("base", "best")
-
-    def __init__(self) -> None:
-        self.base = 0
-        self.best: list[tuple] = []
-
-    def best_per_frame(self, start: int) -> float:
-        """The best per-frame score among emitted candidates starting at or
-        after ``start``; -inf when there is none."""
-        return -self.best[start - self.base][0]
-
-    def trim(self, floor: int) -> None:
-        """Forget the entries below ``floor``."""
-        del self.best[: floor - self.base]
-        self.base = floor
-
-
 def _bound(score: float, age: int, height: int, cb: float) -> float:
     """An upper bound on the per-frame score of every candidate a live
     hypothesis can still emit, or that any of its descendants can.
@@ -208,13 +181,21 @@ def _search(
     cfg: SpotterConfig,
     blank_id: int,
     out: list[SpottedCandidate],
-    ranks: _RankIndex | None = None,
+    ranks: list[tuple] | None = None,
 ) -> _State:
     """Advance every hypothesis over the rows of ``lp`` (frames
     ``first_frame``, ...); appends each frame's candidates to ``out`` and
-    returns the survivors of the last frame. With a rank index, each
-    frame's terminals from its base on enter it first, and then only those
-    no contained candidate outranks are appended; with None, every one is.
+    returns the survivors of the last frame.
+
+    ``ranks`` is the rank index: ``ranks[f - base]``, with ``base =
+    first_frame - len(ranks)``, is the best rank among the candidates
+    emitted so far that start at or after frame f. A candidate whose start
+    entry ranks strictly better than itself contains a better one and is
+    never kept. With an index, each frame's terminals from ``base`` on enter
+    it first, and then only those no contained candidate outranks are
+    appended; with None, every one is. Entries only improve; an update walks
+    down from the candidate's start to the first entry at least as good, or
+    to ``base``, which a session keeps at its commit frontier.
 
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum, both
@@ -243,9 +224,8 @@ def _search(
     fresh_rows += cb
     fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
     if ranks is not None:
-        best_rank = ranks.best
-        base = ranks.base
-        best_rank.extend([_UNRANKED] * len(fresh_bests))
+        base = first_frame - len(ranks)
+        ranks.extend([_UNRANKED] * len(fresh_bests))
 
     for i, fresh_best in enumerate(fresh_bests):
         t = first_frame + i
@@ -333,18 +313,18 @@ def _search(
             ranked = []
             for node, (score, start) in at_terminal.items():
                 f = start - base
-                if f < 0 or -(score / (t - start + 1)) > best_rank[f][0]:
+                if f < 0 or -(score / (t - start + 1)) > ranks[f][0]:
                     continue
                 kw = terminals[node]
                 r = _rank(kw, start, t, score)
-                if r < best_rank[f]:
+                if r < ranks[f]:
                     ranked.append((r, kw, start, score))
-                    while f >= 0 and r < best_rank[f]:
-                        best_rank[f] = r
+                    while f >= 0 and r < ranks[f]:
+                        ranks[f] = r
                         f -= 1
             # then drop those that a later terminal of the same frame outranks
             for r, kw, start, score in ranked:
-                if not best_rank[start - base] < r:
+                if not ranks[start - base] < r:
                     out.append(SpottedCandidate(kw, start, t, score))
     return state
 
@@ -363,7 +343,7 @@ def check_graph(graph: ContextGraph, vocab_size: int, cfg: SpotterConfig) -> int
 
 
 def _spot_utterance(
-    logprobs: np.ndarray, graph: ContextGraph, cfg: SpotterConfig | None, ranks: _RankIndex | None
+    logprobs: np.ndarray, graph: ContextGraph, cfg: SpotterConfig | None, ranks: list[tuple] | None
 ) -> list[SpottedCandidate]:
     cfg = cfg or SpotterConfig()
     lp = check_logprobs(logprobs)
@@ -391,7 +371,7 @@ def spot_undominated(
     """Whole-utterance spotting without the candidates that the greedy
     sweep can never keep: those of :func:`spot_offline` that contain a
     better-ranked one. :func:`dedup_overlaps` returns the same for both."""
-    return _spot_utterance(logprobs, graph, cfg, _RankIndex())
+    return _spot_utterance(logprobs, graph, cfg, [])
 
 
 def _time_order(c: SpottedCandidate) -> tuple:
@@ -479,7 +459,7 @@ class SpotterSession:
         self.graph = graph
         self.cfg = cfg or SpotterConfig()
         self._state: _State = {}
-        self._ranks = _RankIndex()
+        self._ranks: list[tuple] = []  # the rank index of _search, from the frontier on
         self._pending: list[SpottedCandidate] = []
         self._frames = 0
         self._frontier = 0
@@ -536,15 +516,17 @@ class SpotterSession:
         candidate: one is passed over when an emitted candidate starting at
         or after its start beats its :func:`_bound` per frame, since every
         candidate it or a descendant could emit would contain that one, and
-        one starting below the index's base descends from one passed over."""
+        one starting below the previous frontier, where the rank index
+        starts, descends from one passed over."""
         frontier = end = self._frames
-        base = self._ranks.base  # the previous frontier
+        base = self._frontier
         heights = self.graph.heights
         cb = self.cfg.cb_weight
         for key, (score, start) in self._state.items():
             if start >= frontier or start < base:
                 continue
-            beaten = self._ranks.best_per_frame(start)  # -inf when nothing was emitted
+            # the best per-frame score emitted from start on; -inf when none was
+            beaten = -self._ranks[start - base][0]
             # bounds are never negative, and exact in float
             if beaten > 0 and beaten > _bound(score, end - start, heights[key >> 1], cb):
                 continue  # all it can still emit will be dropped
@@ -555,8 +537,8 @@ class SpotterSession:
         frontier = self._commit_frontier()
         if frontier < self._frontier:
             raise FrontierRegression(f"frontier moved from {self._frontier} back to {frontier}")
+        del self._ranks[: frontier - self._frontier]
         self._frontier = frontier
-        self._ranks.trim(frontier)
         finalized, self._pending = settle(self._pending, frontier)
         if finalized:
             if finalized[0].start_frame <= self._last_final_end:

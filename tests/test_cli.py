@@ -29,6 +29,12 @@ def _write_bias(tmp_path, lines):
     return str(path)
 
 
+def _write_words(tmp_path):
+    path = str(tmp_path / "words.tsv")
+    write_alignments(path, [WordAlignment("play", 2, 4, -0.4), WordAlignment("now", 15, 17, -0.4)])
+    return path
+
+
 def _records(capsys):
     """Every non-empty stdout line, each of which must be a JSON record."""
     out = capsys.readouterr().out
@@ -319,7 +325,8 @@ def test_bad_header_frame_duration_exits_2_with_nothing_on_stdout(tmp_path, caps
 @pytest.mark.parametrize("mode", ["spot", "stream --logits", "stream --stdin-envelope"])
 def test_input_narrower_than_the_vocabulary_exits_2_with_nothing_on_stdout(tmp_path, capsys,
                                                                            monkeypatch, mode):
-    """With --vocab, the input's width is checked before the manifest."""
+    """With --vocab, the engine checks the input's width against it before
+    the manifest."""
     logits, matrix = _synth_logits(tmp_path)
     vocab = _write_vocab(tmp_path, [*VOCAB[:-1], f"{MARKER}extra", VOCAB[-1]])
     monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:0], matrix[:4], matrix[4:]])))
@@ -332,7 +339,48 @@ def test_input_narrower_than_the_vocabulary_exits_2_with_nothing_on_stdout(tmp_p
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "input width 6 != vocabulary size 7" in captured.err
+    assert "chunk width 6 != expected width 7" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["spot", "stream --logits", "stream --stdin-envelope"])
+def test_alignments_bias_id_past_the_input_width_exits_2_with_nothing_on_stdout(
+    tmp_path, capsys, monkeypatch, mode
+):
+    """With --alignments, the input gives the width, and a bias id at or past
+    it is rejected at the first chunk, before the manifest."""
+    logits, matrix = _synth_logits(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:0], matrix[:4], matrix[4:]])))
+    engine = ["--alignments", _write_words(tmp_path),
+              "--bias", _write_bias(tmp_path, ["halsey\t1,9\n"])]
+    argv = {
+        "spot": ["spot", "--logits", logits, *engine],
+        "stream --logits": ["stream", "--logits", logits, "--chunk-ms", "160", *engine],
+        "stream --stdin-envelope": ["stream", "--stdin-envelope", *engine],
+    }[mode]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "graph token id 9 outside vocabulary of size 6" in captured.err
+
+
+@pytest.mark.parametrize("source", ["--vocab", "--alignments"])
+@pytest.mark.parametrize("cell,message", [(float("nan"), "not finite"),
+                                          (float("inf"), "not finite"),
+                                          (0.5, "above 0")])
+def test_bad_first_envelope_chunk_exits_2_with_nothing_on_stdout(tmp_path, capsys, monkeypatch,
+                                                                 source, cell, message):
+    """The engine accepts the first chunk before the manifest is printed, so
+    a NaN, a +inf or a cell above 0 in it prints no record."""
+    _, matrix = _synth_logits(tmp_path)
+    first = matrix[:4].copy()
+    first[2, 1] = cell
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:0], first, matrix[4:]])))
+    words = _write_vocab(tmp_path) if source == "--vocab" else _write_words(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    assert main(["stream", "--stdin-envelope", source, words, "--bias", bias]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("command", ["spot", "stream"])
@@ -351,12 +399,7 @@ def test_engine_flag_defaults_are_the_config_defaults(command):
 def test_stream_with_external_alignments(tmp_path, capsys):
     logits, _ = _synth_logits(tmp_path)
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
-    words_path = str(tmp_path / "words.tsv")
-    write_alignments(
-        words_path,
-        [WordAlignment("play", 2, 4, -0.4), WordAlignment("now", 15, 17, -0.4)],
-    )
-    assert main(["stream", "--logits", logits, "--alignments", words_path,
+    assert main(["stream", "--logits", logits, "--alignments", _write_words(tmp_path),
                  "--bias", bias, "--cb-weight", "2", "--min-per-frame-score", "-0.5",
                  "--chunk-ms", "160"]) == 0
     final = next(r for r in _records(capsys) if r["type"] == "final")

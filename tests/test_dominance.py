@@ -125,12 +125,11 @@ def test_rank_index_stays_bounded_on_a_long_blank_dominant_stream():
     covered = []
     for t in range(0, 5000, 4):
         res = session.process_chunk(lp[t : t + 4])
-        assert session._ranks.base == res.new_frontier
-        assert len(session._ranks.best) == session.frames_seen - res.new_frontier
-        covered.append(len(session._ranks.best))
+        assert len(session._ranks) == session.frames_seen - res.new_frontier
+        covered.append(len(session._ranks))
     assert max(covered) <= cfg.max_keyword_frames
     session.flush()
-    assert session._ranks.best == []
+    assert session._ranks == []
 
 
 class _TwoFloorSession(SpotterSession):
@@ -143,18 +142,21 @@ class _TwoFloorSession(SpotterSession):
 
     def _commit_frontier(self) -> int:
         frontier = end = self._frames
+        base = self._frames - len(self._ranks)
         for key, (score, start) in self._state.items():
             if start >= frontier:
                 continue
             bound = _bound(score, end - start, self.graph.heights[key >> 1], self.cfg.cb_weight)
-            if self._ranks.best_per_frame(start) > bound:
+            if -self._ranks[start - base][0] > bound:
                 continue
             frontier = start
         return frontier
 
     def _finalize_step(self) -> SpotChunkResult:
         frontier = self._commit_frontier()
-        self._ranks.trim(min((start for _, start in self._state.values()), default=self._frames))
+        base = self._frames - len(self._ranks)
+        floor = min((start for _, start in self._state.values()), default=self._frames)
+        del self._ranks[: floor - base]
         assert frontier >= self._frontier
         self._frontier = frontier
         finalized, self._pending = settle(self._pending, frontier)
@@ -193,10 +195,9 @@ def test_one_floor_session_equals_the_two_floor_session(case):
         res = session.process_chunk(lp[t : t + n])
         assert res == reference.process_chunk(lp[t : t + n])
         t += n
-        assert session._ranks.base == res.new_frontier
-        assert len(session._ranks.best) == session.frames_seen - res.new_frontier
+        assert len(session._ranks) == session.frames_seen - res.new_frontier
     assert session.flush() == reference.flush()
-    assert session._ranks.best == []
+    assert session._ranks == []
 
 
 _magnitudes = st.floats(1e-12, 1e12)

@@ -435,6 +435,27 @@ def test_every_entry_point_rejects_malformed_bias_lines_alike(tmp_path, capsys, 
         entry_points[entry]()
 
 
+@pytest.mark.parametrize("entry", ["load_bias_list", "spot --bias", "stream --bias"])
+def test_surface_only_bias_line_without_a_vocabulary_is_a_bad_token_list(tmp_path, capsys,
+                                                                          entry):
+    """With no vocabulary to tokenize it (--alignments instead of --vocab),
+    a line without a token column is a bad token list, exit code 2."""
+    _, logits, _, _ = _small_inputs(tmp_path)
+    path = tmp_path / "bad.tsv"
+    path.write_text("ok\t0,1\nkw\n", encoding="utf-8")
+    if entry == "load_bias_list":
+        with pytest.raises(BadTokenList, match="bad.tsv:2: entry 'kw' has no token ids"):
+            load_bias_list(str(path))
+        return
+    words = str(tmp_path / "words.tsv")
+    write_alignments(words, [WordAlignment("ok", 0, 3, -1.0)])
+    argv = [entry.split()[0], "--logits", logits, "--alignments", words, "--bias", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "has no token ids" in err
+
+
 def test_minus_infinity_path_score_stays_legal(tmp_path):
     """-inf is a legal log 0, as in a log-probability cell; the greedy
     aligner yields it for a frame that is -inf everywhere."""

@@ -1,5 +1,6 @@
-"""Module boundaries: no ``ctcspot`` module reads another's private name,
-the package exports exactly what it binds, and the CLI module runs."""
+"""Module boundaries: no ``ctcspot`` module reads another's private name
+or imports a name it never uses, the package exports exactly what it
+binds, and the CLI module runs."""
 
 import ast
 import os
@@ -37,6 +38,34 @@ def test_no_module_imports_a_private_name_from_another():
         if (names := _private_imports(path))
     }
     assert found == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names the file imports (``__future__`` features aside) and never
+    reads; ``import a.b`` binds ``a``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+# bench/drive.py patches pipeline.spot_offline by name, so pipeline binds it
+UNUSED_IMPORTS_KEPT = {"pipeline.py": ["spot_offline"]}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """``__init__`` is left out: it imports names to export them."""
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert found == UNUSED_IMPORTS_KEPT
 
 
 def test_all_names_exactly_the_public_bindings():

@@ -98,6 +98,16 @@ def test_keyword_prf_occurrences_counted_per_utterance():
         keyword_prf(["a"], ["a", "b"], ["x"])
 
 
+def test_keyword_prf_counts_surfaces_equal_after_normalization_once():
+    """Surfaces are lower-cased and split on whitespace; one that is empty
+    after that, or equal to an earlier one, is skipped, and the phrase is
+    reported under its first surface."""
+    report = keyword_prf(["play halsey now"], ["halsey halsey"], ["Halsey", "halsey ", "   "])
+    assert list(report.per_keyword) == ["Halsey"]
+    counts = report.per_keyword["Halsey"]
+    assert (counts.hits, counts.false_alarms, counts.misses) == (1, 1, 0)
+
+
 def test_corpus_wer_weights_by_reference_length():
     refs = ["a b c d", "x"]
     hyps = ["a b c d", "y"]
