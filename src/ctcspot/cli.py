@@ -220,7 +220,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     timings: list[ChunkTiming] = []
     index = 0
-    partial = False
+    code = 0  # 3 after a protocol error, 2 after a format error past the first chunk
     try:
         while True:
             t0 = time.perf_counter()
@@ -253,7 +253,15 @@ def cmd_stream(args: argparse.Namespace) -> int:
             index += 1
     except ProtocolError as exc:
         print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
-        partial = True
+        code = 3
+    except FormatError as exc:
+        if index == 0:  # nothing printed yet
+            raise
+        # the engine rejects a chunk before changing any state, so the
+        # chunks it accepted flush as after a protocol error
+        print(f"ctcspot: error: {exc}", file=sys.stderr)
+        code = 2
+    partial = code != 0
 
     if index == 0:
         if partial:
@@ -281,7 +289,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     report = runtime_report(timings, chunk_ms)
     _emit(report.to_record())
     print(format_runtime_table(report), file=sys.stderr)
-    return 3 if partial else 0
+    return code
 
 
 def _read_transcripts(path: str) -> list[str]:

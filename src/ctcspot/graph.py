@@ -79,6 +79,38 @@ class ContextGraph:
         """Largest token id stored in the trie, -1 for an empty graph."""
         return max(self.token_ids, default=-1)
 
+    @cached_property
+    def root_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where a non-blank hypothesis on a root child can step next:
+        ``(final, step_tok, starts, stepping)``. ``final[i]`` is True when
+        the i-th root child ends a keyword. ``step_tok`` lists, root child
+        by root child, the tokens of its children that differ from its own
+        (a child with the same token is reached only through the blank);
+        ``stepping`` holds the root children with at least one such child
+        and ``starts`` the offset of each one's run in ``step_tok``."""
+        final = []
+        step_tok: list[int] = []
+        starts = []
+        stepping = []
+        for i, key in enumerate(self.root_keys):
+            node = key >> 1
+            final.append(self.terminals[node] >= 0)
+            start = len(step_tok)
+            child = self.first_child[node]
+            while child >= 0:
+                if self.tokens[child] != self.tokens[node]:
+                    step_tok.append(self.tokens[child])
+                child = self.next_sibling[child]
+            if len(step_tok) > start:
+                starts.append(start)
+                stepping.append(i)
+        return (
+            np.array(final, dtype=bool),
+            np.array(step_tok, dtype=np.intp),
+            np.array(starts, dtype=np.intp),
+            np.array(stepping, dtype=np.intp),
+        )
+
 
 def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> ContextGraph:
     """Build the trie from biasing entries and freeze it.

@@ -383,6 +383,30 @@ def test_bad_first_envelope_chunk_exits_2_with_nothing_on_stdout(tmp_path, capsy
     assert message in captured.err
 
 
+@pytest.mark.parametrize("source", ["--vocab", "--alignments"])
+@pytest.mark.parametrize("cell,message", [(float("nan"), "not finite"),
+                                          (float("inf"), "not finite"),
+                                          (0.5, "above 0")])
+def test_bad_later_envelope_chunk_still_prints_a_partial_final(tmp_path, capsys, monkeypatch,
+                                                               source, cell, message):
+    """A format error after the first accepted chunk exits 2 like any format
+    error, but, as after a protocol error, the accepted chunks are flushed
+    into a final record flagged partial, and the runtime report follows."""
+    _, matrix = _synth_logits(tmp_path)
+    bad = matrix[4:8].copy()
+    bad[2, 1] = cell
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:4], bad, matrix[8:]])))
+    words = _write_vocab(tmp_path) if source == "--vocab" else _write_words(tmp_path)
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    assert main(["stream", "--stdin-envelope", source, words, "--bias", bias]) == 2
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["type"] for r in records] == ["manifest", "chunk", "final", "runtime_report"]
+    assert records[2]["partial"] is True
+    assert records[2]["transcript"] == ("play" if source == "--vocab" else "play now")
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["spot", "stream"])
 def test_engine_flag_defaults_are_the_config_defaults(command):
     """Every engine flag left unset parses to the default of the field it

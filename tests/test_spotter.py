@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ctcspot import (
     offline_pipeline,
     spot_offline,
 )
+from ctcspot import spotter
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, TokenOutOfRange
 from ctcspot.spotter import _search, settle
 
@@ -370,12 +372,26 @@ def _cand_keys(cands):
     SpotterConfig(cb_weight=0.0, beam_threshold=1.0, max_keyword_frames=1, blank_id=2),
     [1, 1],
 ))
+@example((  # a fresh entry's step to a child lands exactly on the next frame's cut
+    build_graph([BiasEntry(0, "ab", (0, 1)), BiasEntry(1, "ba", (1, 0))]),
+    np.array([[-2.0, -4.0, 0.0], [-4.0, 0.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=1.0, blank_id=2),
+    [2],
+))
+@example((  # a fresh entry's blank loop lands exactly on the next frame's cut
+    build_graph([BiasEntry(0, "ac", (0, 2)), BiasEntry(1, "ba", (1, 0))]),
+    np.array([[-0.5, -4.0, -4.0, 0.0], [-4.0, 0.0, -4.0, -0.5]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=1.0, blank_id=3),
+    [2],
+))
 def test_exact_admission_matches_full_admission(case):
     """Frame by frame, the search admitting only fresh entries at or above
     the floor (or on a slot propagation filled) keeps the same survivors
     and candidates as admitting every root child; searching each chunk of
     any chunking in one call ends in the same state with the same
-    candidates."""
+    candidates, also when every frame but a chunk's last drops the fresh
+    entries that die next frame (one-frame calls never drop any), with
+    escape tables of two rows at a time."""
     graph, lp, cfg, sizes = case
     tables = reference_tables(graph)
     state, ref_state, per_frame = {}, {}, []
@@ -388,13 +404,18 @@ def test_exact_admission_matches_full_admission(case):
         assert state == ref_state, t
         assert _cand_keys(cands) == _cand_keys(ref_cands), t
         per_frame.extend(cands)
-    chunked_state, chunked, t = {}, [], 0
-    for n in sizes:
-        chunked_state = _search(chunked_state, lp[t : t + n], t, graph, cfg, cfg.blank_id, chunked)
-        t += n
-    assert t == lp.shape[0]
-    assert chunked_state == state
-    assert chunked == per_frame
+    for min_filtered in (spotter._MIN_FILTERED, 1):
+        chunked_state, chunked, t = {}, [], 0
+        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
+                mock.patch.object(spotter, "_ESCAPE_ROWS", 2):
+            for n in sizes:
+                chunked_state = _search(
+                    chunked_state, lp[t : t + n], t, graph, cfg, cfg.blank_id, chunked
+                )
+                t += n
+        assert t == lp.shape[0]
+        assert chunked_state == state, min_filtered
+        assert chunked == per_frame, min_filtered
 
 
 class _LayoutProbe(np.ndarray):
@@ -411,14 +432,19 @@ class _LayoutProbe(np.ndarray):
 def test_search_tables_are_c_ordered():
     """Every frames x columns table the search derives from a chunk is
     C-ordered, so each frame's row and row maximum read contiguous memory;
-    ``lp[:, root_tok]`` would come back in Fortran order."""
+    ``lp[:, root_tok]`` would come back in Fortran order. With every frame
+    filtered, the next-frame escape tables are probed too."""
     rng = np.random.default_rng(31)
     vocab = 16
     graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))
     assert len(graph.root_tok) > 1
     lp = random_logprobs(rng, 6, vocab)
-    _LayoutProbe.seen = []
-    probe = lp.view(_LayoutProbe)
-    _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
-    assert len(_LayoutProbe.seen) > 1  # the view above and the search's table(s)
-    assert all(_LayoutProbe.seen), _LayoutProbe.seen
+    for min_filtered in (spotter._MIN_FILTERED, 1):
+        _LayoutProbe.seen = []
+        probe = lp.view(_LayoutProbe)
+        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
+                mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
+            _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
+        assert escapes.called == (min_filtered == 1)
+        assert len(_LayoutProbe.seen) > 1  # the view above and the search's table(s)
+        assert all(_LayoutProbe.seen), _LayoutProbe.seen

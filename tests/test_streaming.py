@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ctcspot import (
     spot_offline,
     word_script,
 )
+from ctcspot import spotter
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, PositiveLogProbs, SessionClosed
 
 from conftest import (
@@ -243,6 +245,35 @@ def test_wide_root_fan_out_matches_offline(frames_per_chunk):
     sizes = [frames_per_chunk] * (n_frames // frames_per_chunk) + [n_frames % frames_per_chunk]
     streamed = _run_chunks(SpotterSession(graph, cfg), lp, sizes)
     assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
+
+
+def test_next_frame_filter_changes_no_output_on_noise():
+    """Near-flat noise at vocabulary 256 admits about 150 fresh entries per
+    frame, a third of which die on the next. Dropping those on every frame
+    but a chunk's last (threshold 1) gives the same candidates in the same
+    order, offline and at every chunking, as never dropping them (a
+    threshold above the number of root children)."""
+    rng = np.random.default_rng(41)
+    vocab = 256
+    graph = build_graph(random_entries(rng, 400, vocab=vocab, blank=vocab - 1, max_len=4))
+    cfg = SpotterConfig(blank_id=vocab - 1)
+    x = rng.standard_normal((120, vocab)) * 1.6
+    lp = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+    def outputs(min_filtered):
+        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
+                mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
+            out = [spot_offline(lp, graph, cfg)]
+            for n in (1, 4, 28):
+                session = SpotterSession(graph, cfg)
+                out.append([session.process_chunk(lp[a : a + n]) for a in range(0, len(lp), n)])
+                out[-1].append(session.flush())
+        assert escapes.called == (min_filtered == 1)
+        return out
+
+    filtered = outputs(1)
+    assert len(filtered[0]) > 100
+    assert filtered == outputs(vocab + 1)
 
 
 LAYOUTS = {
