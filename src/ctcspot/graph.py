@@ -5,7 +5,7 @@ sharing a token prefix share the prefix's node chain. :func:`build_graph`
 freezes the trie into a :class:`ContextGraph`, a frozen table of flat
 per-node lists that every search reads directly. The CTC rules over those
 lists live in one place, the chunk search ``_search`` of
-:mod:`ctcspot.spotter`.
+:mod:`ctcspot.spotter`; the graph describes only the trie.
 """
 
 from __future__ import annotations
@@ -80,35 +80,32 @@ class ContextGraph:
         return max(self.token_ids, default=-1)
 
     @cached_property
-    def root_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Where a non-blank hypothesis on a root child can step next:
-        ``(final, step_tok, starts, stepping)``. ``final[i]`` is True when
-        the i-th root child ends a keyword. ``step_tok`` lists, root child
-        by root child, the tokens of its children that differ from its own
-        (a child with the same token is reached only through the blank);
-        ``stepping`` holds the root children with at least one such child
-        and ``starts`` the offset of each one's run in ``step_tok``."""
+    def root_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The trie below the root children: ``(final, step_tok, starts)``.
+        ``final[i]`` is True when the i-th root child ends a keyword.
+        ``step_tok`` lists, root child by root child, the tokens of all its
+        children, and ``starts`` the offset of each run. Every run is
+        non-empty: a leaf, which ends a keyword, lists its own token as a
+        placeholder. Which of these tokens a hypothesis may step to is a
+        rule of the search; listing them all gives an upper bound on its
+        best step."""
         final = []
         step_tok: list[int] = []
         starts = []
-        stepping = []
-        for i, key in enumerate(self.root_keys):
+        for key in self.root_keys:
             node = key >> 1
             final.append(self.terminals[node] >= 0)
-            start = len(step_tok)
+            starts.append(len(step_tok))
             child = self.first_child[node]
+            if child < 0:
+                step_tok.append(self.tokens[node])
             while child >= 0:
-                if self.tokens[child] != self.tokens[node]:
-                    step_tok.append(self.tokens[child])
+                step_tok.append(self.tokens[child])
                 child = self.next_sibling[child]
-            if len(step_tok) > start:
-                starts.append(start)
-                stepping.append(i)
         return (
             np.array(final, dtype=bool),
             np.array(step_tok, dtype=np.intp),
             np.array(starts, dtype=np.intp),
-            np.array(stepping, dtype=np.intp),
         )
 
 

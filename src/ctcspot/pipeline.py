@@ -79,7 +79,9 @@ class StreamingPipeline:
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
-        return self._step(np.ascontiguousarray(logprobs, dtype=float))
+        # converted once for the aligner's and the spotter's checks, which then
+        # return it as is; unlike np.ascontiguousarray, a 0-d input stays 0-d
+        return self._step(np.asarray(logprobs, dtype=float, order="C"))
 
     def flush(self) -> ChunkOutput:
         return self._step(None)
@@ -127,7 +129,7 @@ def offline_pipeline(
     cfg = cfg or SpotterConfig()
     _check_sources(graph, cfg, vocab, external_words)
     policy = policy or MergePolicy()
-    lp = np.ascontiguousarray(logprobs, dtype=float)
+    lp = np.asarray(logprobs, dtype=float, order="C")  # as in StreamingPipeline
     if vocab is not None:
         words = greedy_decode(lp, vocab, cfg.blank_id, marker)
     else:

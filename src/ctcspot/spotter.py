@@ -37,9 +37,9 @@ frame: their best escape (the larger of blank loop and repeat, or the
 best step to a child plus ``cb_weight``) lies below that frame's best
 fresh entry minus ``beam_threshold``. On frames that admit at least
 ``_MIN_FILTERED`` entries, except a chunk's last, such entries are not
-carried. The state after each chunk, every candidate and their order stay
-the same (see :func:`_search`). Frames of speech admit none or one, and
-are not filtered.
+carried; the test reads the next row alone. The state after each chunk,
+every candidate and their order stay the same (see :func:`_search`).
+Frames of speech admit none or one, and are not filtered.
 
 One chunk search, :func:`_search`, drives :func:`spot_offline` and
 :func:`spot_undominated` (one call over the utterance) and the chunked
@@ -118,8 +118,8 @@ class SpotterConfig:
             raise ValueError("min_per_frame_score must not be NaN")
         if not self.beam_threshold >= 0:
             raise ValueError("beam_threshold must be non-negative, not NaN")
-        if self.max_keyword_frames < 1:
-            raise ValueError("max_keyword_frames must be at least 1")
+        if not self.max_keyword_frames >= 1:
+            raise ValueError("max_keyword_frames must be at least 1, not NaN")
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,29 +190,24 @@ def _bound(score: float, age: int, height: int, cb: float) -> float:
 # 390 times real time); on noise a frame admits about 290. Any value from 2
 # to about 100 splits the two alike.
 _MIN_FILTERED = 16
-# The escape tables cover at most this many rows at a time: made for a whole
-# 500-frame offline-noise-1k utterance at once, they raised peak memory by
-# 7 MB. A chunk of 28 frames (1120 ms at 40 ms a frame) needs one batch.
-_ESCAPE_ROWS = 32
 
 
 def _escapes(
-    lp: np.ndarray, graph: ContextGraph, blank_id: int
+    row: np.ndarray, graph: ContextGraph, blank_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(final, stay, step)`` for the rows of ``lp``: ``final`` from
-    :attr:`ContextGraph.root_steps`, and two C-ordered frames x
-    root-children tables of what a non-blank hypothesis on root child j can
-    add at frame t. ``stay[t, j]`` is the better of its blank loop and its
-    repeat, ``max(lp[t, blank], lp[t, root_tok[j]])``; ``step[t, j]`` is the
-    best ``lp[t, c]`` over the tokens c of the children it can step to,
-    -inf when there are none."""
-    final, step_tok, starts, stepping = graph.root_steps
-    stay = lp.take(graph.root_tok, axis=1)
-    np.maximum(stay, lp[:, blank_id, None], out=stay)
-    step = np.full(stay.shape, -np.inf)
-    if len(stepping):
-        step[:, stepping] = np.maximum.reduceat(lp.take(step_tok, axis=1), starts, axis=1)
-    return final, stay, step
+    """``(final, stay, step)`` over the root children for one frame's
+    ``row``: ``final`` from :attr:`ContextGraph.root_steps`, and what a
+    non-blank hypothesis on root child j can add at that frame.
+    ``stay[j]`` is the better of its blank loop and its repeat,
+    ``max(row[blank], row[root_tok[j]])``; ``step[j]`` is the best
+    ``row[c]`` over the tokens c of all its children. That counts a child
+    with j's own token, which the search reaches only through the blank,
+    so ``step`` is an upper bound. At a leaf it is a placeholder: a leaf
+    is final."""
+    final, step_tok, starts = graph.root_steps
+    stay = row.take(graph.root_tok)
+    np.maximum(stay, row[blank_id], out=stay)
+    return final, stay, np.maximum.reduceat(row.take(step_tok), starts)
 
 
 def _search(
@@ -256,13 +251,14 @@ def _search(
     not the chunk's last row, an admitted entry of score f at root child j
     is doomed when its blank loop, its repeat and each step to a child all
     fall below ``nxt_cut = fresh_best[t+1] - beam_threshold``, a lower bound
-    on frame t+1's ``cut``: frame t+1 would skip all of them. Rounded
-    addition is monotone, so ``f + stay[t+1, j]`` and ``(f + step[t+1, j]) +
-    cb`` (see :func:`_escapes`) are exactly the largest of those
-    expansions, and the test needs no margin. A doomed entry is not
-    inserted. A live entry it would have displaced stays, but that entry is
-    doomed too: same slot, so the same expansions, from a lower score.
-    Terminal root children are never dropped: they emit a candidate at t.
+    on frame t+1's ``cut``: frame t+1 would skip all of them. The test reads
+    row t+1 alone (see :func:`_escapes`). Rounded addition is monotone, so
+    ``f + stay[j]`` is exactly the larger of the first two and ``(f +
+    step[j]) + cb`` at least the largest step, and the test needs no
+    margin. A doomed entry is not inserted. A live entry it would have
+    displaced stays, but that entry is doomed too: same slot, so the same
+    expansions, from a lower score. Terminal root children are never
+    dropped: they emit a candidate at t.
     This changes nothing else. A doomed entry's blank loop is below
     ``fresh_best[t+1] - beam_threshold``, so it never sets frame t+1's
     ``lo``, ``cut``, best or floor. The last row is never filtered, so the
@@ -284,7 +280,6 @@ def _search(
     fresh_rows += cb
     fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
     last = len(fresh_bests) - 1
-    escapes, esc_from = None, 0  # the escape tables from row esc_from on, made when needed
     if ranks is not None:
         base = first_frame - len(ranks)
         ranks.extend([_UNRANKED] * len(fresh_bests))
@@ -344,17 +339,13 @@ def _search(
             if len(admitted) >= _MIN_FILTERED and i < last:
                 # carry only the entries with an expansion at or above next
                 # frame's cut, and those that emit a candidate now
-                r = i + 1 - esc_from
-                if escapes is None or r >= _ESCAPE_ROWS:
-                    esc_from, r = i + 1, 0
-                    escapes = _escapes(lp[esc_from : esc_from + _ESCAPE_ROWS], graph, blank_id)
-                final, stay, step = escapes
+                final, stay, step = _escapes(lp[i + 1], graph, blank_id)
                 scores = fresh[admitted]
                 nxt_cut = fresh_bests[i + 1] - beam_threshold
                 carried = (
                     final[admitted]
-                    | (scores + stay[r, admitted] >= nxt_cut)
-                    | (scores + step[r, admitted] + cb >= nxt_cut)
+                    | (scores + stay[admitted] >= nxt_cut)
+                    | (scores + step[admitted] + cb >= nxt_cut)
                 )
                 admitted = admitted[carried]
             for j, s in zip(admitted.tolist(), fresh[admitted].tolist()):

@@ -262,11 +262,14 @@ def _entry_points():
         "SpotterSession.process_chunk": session.process_chunk,
         "StreamingAligner.feed": aligner.feed,
         "StreamingPipeline.process_chunk": pipe.process_chunk,
+        "offline_pipeline": lambda m: offline_pipeline(m, graph, cfg, vocab=vocab),
     }, pipe
 
 
 def _malformed(kind):
     lp = random_logprobs(np.random.default_rng(12), 3, 4)
+    if kind == "0-d":
+        return np.float64(-1.0), DimensionMismatch
     if kind == "1-d":
         return lp[0], DimensionMismatch
     if kind == "1-wide":
@@ -275,18 +278,21 @@ def _malformed(kind):
     return lp, NonFiniteRows
 
 
-@pytest.mark.parametrize("kind", ["1-d", "1-wide", "nan", "+inf"])
+@pytest.mark.parametrize("kind", ["0-d", "1-d", "1-wide", "nan", "+inf"])
 @pytest.mark.parametrize("entry", [
     "validate_logprob_matrix",
     "spot_offline",
     "SpotterSession.process_chunk",
     "StreamingAligner.feed",
     "StreamingPipeline.process_chunk",
+    "offline_pipeline",
 ])
 def test_every_entry_point_rejects_malformed_input_alike(entry, kind):
+    """Each entry point names the caller's shape: a 0-d input is not
+    reported as 1-d."""
     entry_points, pipe = _entry_points()
     matrix, error = _malformed(kind)
-    with pytest.raises(error):
+    with pytest.raises(error, match=r"shape \(\)" if kind == "0-d" else None):
         entry_points[entry](matrix)
     assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 3
 

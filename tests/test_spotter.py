@@ -130,6 +130,7 @@ def test_non_finite_matrix_is_rejected(bad):
     ("cb_weight", float("nan")), ("cb_weight", float("inf")),
     ("beam_threshold", float("nan")), ("beam_threshold", -1.0),
     ("min_per_frame_score", float("nan")), ("max_keyword_frames", 0),
+    ("max_keyword_frames", float("nan")),
 ])
 def test_config_rejects_invalid_values(field, value):
     # a NaN score or floor fails every compare, so hypotheses would never retire
@@ -390,8 +391,7 @@ def test_exact_admission_matches_full_admission(case):
     and candidates as admitting every root child; searching each chunk of
     any chunking in one call ends in the same state with the same
     candidates, also when every frame but a chunk's last drops the fresh
-    entries that die next frame (one-frame calls never drop any), with
-    escape tables of two rows at a time."""
+    entries that die next frame (one-frame calls never drop any)."""
     graph, lp, cfg, sizes = case
     tables = reference_tables(graph)
     state, ref_state, per_frame = {}, {}, []
@@ -406,8 +406,7 @@ def test_exact_admission_matches_full_admission(case):
         per_frame.extend(cands)
     for min_filtered in (spotter._MIN_FILTERED, 1):
         chunked_state, chunked, t = {}, [], 0
-        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
-                mock.patch.object(spotter, "_ESCAPE_ROWS", 2):
+        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered):
             for n in sizes:
                 chunked_state = _search(
                     chunked_state, lp[t : t + n], t, graph, cfg, cfg.blank_id, chunked
@@ -433,7 +432,8 @@ def test_search_tables_are_c_ordered():
     """Every frames x columns table the search derives from a chunk is
     C-ordered, so each frame's row and row maximum read contiguous memory;
     ``lp[:, root_tok]`` would come back in Fortran order. With every frame
-    filtered, the next-frame escape tables are probed too."""
+    filtered, the search also reads the next-frame escapes, one row at a
+    time."""
     rng = np.random.default_rng(31)
     vocab = 16
     graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))

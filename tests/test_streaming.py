@@ -391,32 +391,77 @@ def test_minus_infinity_cells_are_legal_in_a_chunk():
     assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
 
 
-def test_session_invariant_survives_python_O():
-    """Session invariants raise typed errors, which ``python -O`` keeps."""
-    script = textwrap.dedent(
-        """
-        import numpy as np
-        from ctcspot import SpotterConfig, SpotterSession, build_graph
-        from ctcspot.errors import FrontierRegression
-
-        assert False, "asserts must be stripped in this interpreter"
-        session = SpotterSession(build_graph([]), SpotterConfig(blank_id=3))
-        session.process_chunk(np.log(np.full((4, 4), 0.25)))
-        session._frontier = 10  # a frontier ahead of every frame seen
-        try:
-            session.process_chunk(np.zeros((0, 4)))
-        except FrontierRegression:
-            print("raised")
-        """
-    )
+def _run_optimized(script: str, *args: str) -> str:
+    """Runs ``script`` in a child interpreter that strips asserts
+    (``python -O``); returns its stdout."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-B", "-O", "-c", script],
+        [sys.executable, "-B", "-O", "-c", script, *args],
         capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    return proc.stdout
+
+
+def test_session_invariant_survives_python_O():
+    """Session invariants raise typed errors, which ``python -O`` keeps: a
+    frontier moving back, and each ``InvariantViolation`` site (the commit
+    boundary moving back, a candidate still held after ``flush``, and a
+    finalized candidate overlapping an earlier one). No input reaches all
+    but the commit case, so session fields force them."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from ctcspot import (
+            CommitState, HeldPreview, MergePolicy, SpotChunkResult, SpottedCandidate,
+            SpotterConfig, SpotterSession, build_graph, commit_step,
+        )
+        from ctcspot.errors import FrontierRegression, InvariantViolation
+
+        assert False, "asserts must be stripped in this interpreter"
+
+        def session():
+            session = SpotterSession(build_graph([]), SpotterConfig(blank_id=3))
+            session.process_chunk(np.log(np.full((4, 4), 0.25)))
+            return session
+
+        def frontier_moves_back():
+            forced = session()
+            forced._frontier = 10  # a frontier ahead of every frame seen
+            forced.process_chunk(np.zeros((0, 4)))
+
+        def commit_moves_back():
+            state = CommitState(MergePolicy(), {})
+            commit_step(state, SpotChunkResult(10, [], HeldPreview((), 0)))
+            held = SpottedCandidate(0, 5, 7, -1.0)
+            commit_step(state, SpotChunkResult(10, [], HeldPreview((held,), 0)))
+
+        def held_after_flush():
+            forced = session()
+            forced._pending = [SpottedCandidate(0, 2, 4, -1.0)]  # ends after the last frame
+            forced.flush()
+
+        def finalized_overlap():
+            forced = session()
+            forced._pending = [SpottedCandidate(0, 0, 1, -1.0)]
+            forced._last_final_end = 2  # as if a candidate ending at frame 2 was finalized
+            forced.process_chunk(np.zeros((0, 4)))
+
+        cases = (frontier_moves_back, commit_moves_back, held_after_flush, finalized_overlap)
+        for case in cases:
+            try:
+                case()
+            except (FrontierRegression, InvariantViolation) as exc:
+                print(type(exc).__name__, exc)
+        """
+    )
+    assert _run_optimized(script).splitlines() == [
+        "FrontierRegression frontier moved from 10 back to 4",
+        "InvariantViolation commit boundary moved from 10 back to 5",
+        "InvariantViolation candidates still held after flush",
+        "InvariantViolation finalized candidate starting at 0 overlaps one ending at 2",
+    ]
 
 
 def test_streaming_at_160_ms_under_python_O_matches_offline(tmp_path):
@@ -459,14 +504,7 @@ def test_streaming_at_160_ms_under_python_O_matches_offline(tmp_path):
         print(json.dumps({"transcript": pipe.transcript, "candidates": cands}))
         """
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-B", "-O", "-c", child, str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
-    )
-    assert proc.returncode == 0, proc.stderr
-    streamed = json.loads(proc.stdout)
+    streamed = json.loads(_run_optimized(child, str(tmp_path)))
 
     graph = build_graph(entries)
     cfg = SpotterConfig(blank_id=blank)
