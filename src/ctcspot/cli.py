@@ -6,7 +6,8 @@ Subcommands:
   eval    WER and biasing-phrase precision/recall/F-score
   synth   synthetic log-probability generation with a known transcript
 
-Structured results are printed as line-delimited JSON records on stdout;
+Structured results are printed as line-delimited strict JSON records on
+stdout, with an infinite number written as the string "inf" or "-inf";
 the first record of every run is a manifest carrying the full
 configuration, printed once the files, the flags and the first chunk are
 accepted. Exit codes: 0 ok, 1 usage, 2 format error, 3 protocol error.
@@ -15,10 +16,12 @@ accepted. Exit codes: 0 ok, 1 usage, 2 format error, 3 protocol error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from .errors import CtcspotError, FormatError, ProtocolError
@@ -129,8 +132,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _finite(value):
+    """``value`` with every infinite float spelled as the flags accept it,
+    since JSON has no token for it."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record))
+    print(json.dumps(_finite(record), allow_nan=False))
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -151,13 +166,7 @@ def _engine_setup(args: argparse.Namespace):
     resolves and the graph is checked against that size. The input's width
     is checked by the engine, against the vocabulary or the graph, before
     the caller prints the manifest."""
-    cfg = SpotterConfig(
-        cb_weight=args.cb_weight,
-        beam_threshold=args.beam_threshold,
-        min_per_frame_score=args.min_per_frame_score,
-        max_keyword_frames=args.max_keyword_frames,
-        blank_id=args.blank_id,
-    )
+    cfg = SpotterConfig(**{f.name: getattr(args, f.name) for f in fields(SpotterConfig)})
     policy = MergePolicy(
         intersection_threshold=args.intersection_threshold,
         score_margin=args.score_margin,
@@ -219,29 +228,20 @@ def cmd_stream(args: argparse.Namespace) -> int:
         graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
     )
     timings: list[ChunkTiming] = []
-    index = 0
     code = 0  # 3 after a protocol error, 2 after a format error past the first chunk
+    t0 = time.perf_counter()
     try:
-        while True:
-            t0 = time.perf_counter()
-            try:
-                chunk = next(chunks)
-            except StopIteration:
-                break
+        # leading empty chunks print no record
+        for chunk in itertools.dropwhile(lambda c: not c.shape[0], chunks):
             feed_ms = (time.perf_counter() - t0) * 1e3
-            if index == 0 and chunk.shape[0] == 0:
-                continue  # leading empty chunks print no record
             out = pipeline.process_chunk(chunk)
-            if index == 0:  # the engine accepted the first chunk
+            if not timings:  # the engine accepted the first chunk
                 _emit(_manifest(args))
             step = pipeline.timings[-1]
-            timings.append(
-                ChunkTiming(asr_ms=feed_ms + step.align_ms, spot_ms=step.spot_ms, merge_ms=step.merge_ms)
-            )
             _emit(
                 {
                     "type": "chunk",
-                    "index": index,
+                    "index": len(timings),
                     "n_frames": int(chunk.shape[0]),
                     "commit_frontier": out.commit_frontier,
                     "delta": [asdict(w) for w in out.committed_delta],
@@ -250,21 +250,23 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     "merge_ms": step.merge_ms,
                 }
             )
-            index += 1
+            timings.append(
+                ChunkTiming(asr_ms=feed_ms + step.align_ms, spot_ms=step.spot_ms, merge_ms=step.merge_ms)
+            )
+            t0 = time.perf_counter()
     except ProtocolError as exc:
         print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
         code = 3
     except FormatError as exc:
-        if index == 0:  # nothing printed yet
+        if not timings:  # nothing printed yet
             raise
         # the engine rejects a chunk before changing any state, so the
         # chunks it accepted flush as after a protocol error
         print(f"ctcspot: error: {exc}", file=sys.stderr)
         code = 2
-    partial = code != 0
 
-    if index == 0:
-        if partial:
+    if not timings:
+        if code:
             _emit(_manifest(args))
             _emit({"type": "final", "transcript": "", "partial": True})
             return 3
@@ -277,7 +279,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "transcript": pipeline.transcript,
             "commit_frontier": out.commit_frontier,
             "delta": [asdict(w) for w in out.committed_delta],
-            "partial": partial,
+            "partial": code != 0,
         }
     )
     # the chunk the chunker cuts; envelope chunks may differ in length, so
@@ -300,13 +302,10 @@ def _read_transcripts(path: str) -> list[str]:
 def cmd_eval(args: argparse.Namespace) -> int:
     refs = _read_transcripts(args.refs)
     hyps = _read_transcripts(args.hyps)
-    if len(refs) != len(hyps):
-        raise FormatError(f"{len(refs)} references vs {len(hyps)} hypotheses")
-    surfaces = load_bias_surfaces(args.bias)
+    report = keyword_prf(refs, hyps, load_bias_surfaces(args.bias))
     _emit(_manifest(args))
     overall = corpus_wer(refs, hyps)
     _emit({"type": "wer", "wer": overall, "utterances": len(refs)})
-    report = keyword_prf(refs, hyps, surfaces)
     for record in report.to_records():
         if record["scope"] == "all" or args.per_keyword:
             _emit(record)

@@ -72,10 +72,9 @@ def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
     layout, and gathers its per-chunk fresh-entry table (frames x root
     children) with ``take(..., axis=1)``, which keeps C order;
     ``lp[:, idx]`` would return that table in Fortran order."""
-    lp = np.asarray(matrix, dtype=float)
+    lp = np.asarray(matrix, dtype=float, order="C")
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
-    lp = np.ascontiguousarray(lp)  # after the ndim check: it makes a 0-d input 1-d
     if width is not None and lp.shape[0] and lp.shape[1] != width:
         raise DimensionMismatch(f"chunk width {lp.shape[1]} != expected width {width}")
     if lp.size and not lp.max() <= 0.0:  # max propagates NaN

@@ -1,6 +1,7 @@
 import base64
 import io
 import json
+import math
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -468,6 +469,9 @@ def test_eval_identity_and_reference_counts(tmp_path, capsys):
 
     hyps.write_text("play halsey now\n", encoding="utf-8")
     assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--bias", bias]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 references vs 1 hypotheses" in captured.err
 
 
 def test_eval_accepts_surfaces_only_bias_list(tmp_path, capsys):
@@ -573,11 +577,17 @@ def _envelope(chunks) -> str:
     return buf.getvalue()
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON token")
+
+
 @pytest.mark.parametrize("run", ["synth", "spot", "stream --logits", "stream --stdin-envelope",
-                                 "eval", "eval --per-keyword"])
+                                 "eval", "eval --per-keyword", "stream infinite flags",
+                                 "spot infinite word score"])
 def test_every_stdout_line_is_a_json_record(tmp_path, capsys, monkeypatch, run):
-    """stdout carries only JSON records, the manifest first; summaries and
-    tables go to stderr."""
+    """stdout carries only strict JSON records, the manifest first, with an
+    infinite number written as "inf" or "-inf"; summaries and tables go to
+    stderr."""
     vocab = _write_vocab(tmp_path)
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
     logits, ref = str(tmp_path / "utt.ctcl"), str(tmp_path / "ref.txt")
@@ -590,6 +600,9 @@ def test_every_stdout_line_is_a_json_record(tmp_path, capsys, monkeypatch, run):
         monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:4], matrix[4:]])))
         engine = ["--vocab", vocab, "--bias", bias, "--cb-weight", "2",
                   "--min-per-frame-score", "-0.5"]
+        words = str(tmp_path / "words.tsv")
+        write_alignments(words, [WordAlignment("play", 2, 4, -math.inf),
+                                 WordAlignment("now", 15, 17, -0.4)])
         argv = {
             "spot": ["spot", "--logits", logits, *engine],
             "stream --logits": ["stream", "--logits", logits, "--chunk-ms", "160", *engine],
@@ -597,12 +610,22 @@ def test_every_stdout_line_is_a_json_record(tmp_path, capsys, monkeypatch, run):
             "eval": ["eval", "--refs", ref, "--hyps", ref, "--bias", bias],
             "eval --per-keyword": ["eval", "--refs", ref, "--hyps", ref, "--bias", bias,
                                    "--per-keyword"],
+            "stream infinite flags": ["stream", "--logits", logits, "--alignments", words,
+                                      "--bias", bias, "--beam-threshold", "inf",
+                                      "--score-margin=-inf"],
+            "spot infinite word score": ["spot", "--logits", logits, "--alignments", words],
         }[run]
         assert main(argv) == 0
     out, err = capsys.readouterr()
-    records = [json.loads(line) for line in out.splitlines()]
+    records = [json.loads(line, parse_constant=_not_json) for line in out.splitlines()]
     assert records and all(isinstance(r, dict) for r in records)
     assert records[0]["type"] == "manifest"
+    if run == "stream infinite flags":
+        config = records[0]["config"]
+        assert (config["beam_threshold"], config["score_margin"]) == ("inf", "-inf")
+    if run == "spot infinite word score":
+        assert records[-1]["words"][0] == {"word": "play", "start_frame": 2, "end_frame": 4,
+                                           "path_score": "-inf"}
     if run.startswith("eval"):
         assert "WER: 0.00" in err and "ALL" in err
         assert ("halsey" in err) == (run == "eval --per-keyword")
@@ -645,15 +668,16 @@ BAD_ENVELOPE_LINES = {
 @pytest.mark.parametrize("breach,where", [
     (breach, where)
     for breach in BAD_ENVELOPE_LINES
-    for where in ("first", "after a chunk")
-    if breach != "width change" or where != "first"  # the first chunk sets the width
+    for where in ("first", "after empty chunks", "after a chunk")
+    if breach != "width change" or where == "after a chunk"  # the first chunk sets the width
 ])
 def test_stream_envelope_breach_is_partial_after_the_manifest(tmp_path, capsys, monkeypatch,
                                                              breach, where):
     """Each breach exits 3 with the manifest first and a partial final record."""
     _, matrix = _synth_logits(tmp_path)
     vocab = _write_vocab(tmp_path)
-    lines = [_chunk_line(matrix[:4])] if where == "after a chunk" else []
+    lines = {"first": [], "after empty chunks": [_chunk_line(matrix[:0])] * 2,
+             "after a chunk": [_chunk_line(matrix[:4])]}[where]
     lines += [BAD_ENVELOPE_LINES[breach](matrix), _chunk_line(matrix[4:]), '{"type": "end"}']
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
     assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
