@@ -128,14 +128,12 @@ def check_duration(ms: float, what: str) -> float:
 
 
 def row_norm_error(matrix: np.ndarray) -> float:
-    """Largest |log sum exp| over rows; 0.0 for an empty matrix."""
+    """Largest |log sum exp| over rows; 0.0 if none. Cells must be <= 0, so exp cannot overflow."""
     lp = np.asarray(matrix, dtype=float)
     if lp.shape[0] == 0:
         return 0.0
-    peak = lp.max(axis=1, keepdims=True)
-    peak[peak == -np.inf] = 0.0  # an all -inf row sums to 0: log -inf, error inf
-    with np.errstate(divide="ignore"):
-        lse = peak[:, 0] + np.log(np.exp(lp - peak).sum(axis=1))
+    with np.errstate(divide="ignore"):  # an all -inf row sums to 0: log -inf, error inf
+        lse = np.log(np.exp(lp).sum(axis=1))
     return float(np.abs(lse).max())
 
 

@@ -10,6 +10,7 @@ streaming transcript equals the offline one exactly.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,8 @@ def _check_sources(graph, cfg, vocab, external_words) -> None:
 class StreamingPipeline:
     """Chunk-by-chunk contextual biasing over one utterance.
 
-    Provide either ``vocab`` (greedy words are decoded from the chunks) or
-    ``external_words`` (a complete word alignment from another decoder).
+    Provide either ``vocab`` (greedy words decoded from the chunks) or ``external_words``
+    (another decoder's alignment, handed on word by word as the stream reaches each start).
     """
 
     def __init__(
@@ -74,8 +75,7 @@ class StreamingPipeline:
             StreamingAligner(vocab, self.cfg.blank_id, marker) if vocab is not None else None
         )
         self.commit = CommitState(self.policy, graph.surfaces)
-        if external_words is not None:
-            self.commit.add_words(external_words)
+        self._unreached = list(external_words or ())  # sorted by start (check_words)
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
@@ -97,6 +97,11 @@ class StreamingPipeline:
         t1 = time.perf_counter()
         spot_result = self.spotter.flush() if chunk is None else self.spotter.process_chunk(chunk)
         t2 = time.perf_counter()
+        if self._unreached:
+            heard = float("inf") if chunk is None else self.spotter.frames_seen
+            n = bisect_left(self._unreached, heard, key=lambda w: w.start_frame)
+            self.commit.add_words(self._unreached[:n])
+            del self._unreached[:n]
         out = commit_step(self.commit, spot_result, open_word, final=chunk is None)
         t3 = time.perf_counter()
         self.timings.append(

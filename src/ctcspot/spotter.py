@@ -541,10 +541,6 @@ class SpotterSession:
     def frames_seen(self) -> int:
         return self._frames
 
-    @property
-    def commit_frontier(self) -> int:
-        return self._frontier
-
     def _require_open(self) -> None:
         if self._closed:
             raise SessionClosed("session was flushed")

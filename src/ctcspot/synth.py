@@ -51,7 +51,7 @@ def make_spec(
     :class:`~ctcspot.errors.DimensionMismatch`."""
     blank = resolve_blank(blank_id, vocab_size)
     segments = tuple(script)
-    if temperature <= 0:
+    if not temperature > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     for seg in segments:
         if seg.duration < 1:
@@ -63,7 +63,7 @@ def make_spec(
         if seg.shadow_token is not None:
             if not 0 <= seg.shadow_token < vocab_size or seg.shadow_token == seg.token:
                 raise ValueError(f"bad shadow token {seg.shadow_token}")
-            if seg.shadow_prob <= 0 or seg.peak + seg.shadow_prob >= 1.0:
+            if not seg.shadow_prob > 0 or seg.peak + seg.shadow_prob >= 1.0:
                 raise ValueError("peak + shadow probability must stay below 1")
             if vocab_size < 3:
                 raise ValueError("a shadowed segment needs at least one free symbol")

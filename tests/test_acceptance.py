@@ -55,7 +55,6 @@ def _stream_run(graph, cfg, vocab, lp, sizes):
     Returns (finalized candidates, transcript).
     """
     session_pipe = StreamingPipeline(graph, cfg, vocab=vocab)
-    spotter = session_pipe.spotter
     finalized = []
     emitted_text = ""
     prev_frontier = 0
@@ -64,16 +63,11 @@ def _stream_run(graph, cfg, vocab, lp, sizes):
     for n in sizes:
         out = session_pipe.process_chunk(lp[i : i + n])
         i += n
-        # criterion 3: frontier monotonicity and bounded hold
-        assert spotter.commit_frontier >= prev_frontier
-        prev_frontier = spotter.commit_frontier
-        assert spotter.frames_seen - spotter.commit_frontier <= cfg.max_keyword_frames
         # criterion 3: deltas are append-only
         new_text = session_pipe.transcript
         assert new_text.startswith(emitted_text)
         emitted_text = new_text
     out = session_pipe.flush()
-    assert spotter.commit_frontier == spotter.frames_seen
     assert session_pipe.transcript.startswith(emitted_text)
     # collect finalized candidates via a parallel session run (the pipeline
     # consumed its own); cheaper: rerun the spotter alone
@@ -82,12 +76,17 @@ def _stream_run(graph, cfg, vocab, lp, sizes):
     for n in sizes:
         res = session.process_chunk(lp[i : i + n])
         i += n
+        # criterion 3: frontier monotonicity and bounded hold
+        assert res.new_frontier >= prev_frontier
+        prev_frontier = res.new_frontier
+        assert session.frames_seen - res.new_frontier <= cfg.max_keyword_frames
         for c in res.finalized:
             assert c.end_frame < res.new_frontier
             assert c.start_frame > last_final_end  # criterion 3: no overlap
             last_final_end = c.end_frame
         finalized.extend(res.finalized)
     res = session.flush()
+    assert res.new_frontier == session.frames_seen
     for c in res.finalized:
         assert c.start_frame > last_final_end
         last_final_end = c.end_frame

@@ -438,11 +438,9 @@ def test_spot_and_stream_agree_on_external_alignments(tmp_path, capsys, chunk_ms
     logits, _ = _synth_logits(tmp_path)
     bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
     words_path = str(tmp_path / "words.tsv")
-    write_alignments(
-        words_path,
-        [WordAlignment("play", 2, 4, -0.4), WordAlignment("hal", 8, 10, -9.0),
-         WordAlignment("now", 15, 17, -0.4)],
-    )
+    external = [WordAlignment("play", 2, 4, -0.4), WordAlignment("hal", 8, 10, -9.0),
+                WordAlignment("now", 15, 17, -0.4)]
+    write_alignments(words_path, external)
     engine = ["--logits", logits, "--alignments", words_path, "--bias", bias,
               "--cb-weight", "2", "--min-per-frame-score", "-0.5"]
     assert main(["spot", *engine]) == 0
@@ -453,6 +451,13 @@ def test_spot_and_stream_agree_on_external_alignments(tmp_path, capsys, chunk_ms
     final = next(r for r in records if r["type"] == "final")
     assert spot["text"] == final["transcript"] == "play halsey now"
     assert words == spot["words"]
+    # no chunk record previews a word that starts past the frames read
+    start = {w.word: w.start_frame for w in external}
+    frames_read = 0
+    for r in records:
+        if r["type"] == "chunk":
+            frames_read += r["n_frames"]
+            assert all(start[w] < frames_read for w in (r["held_preview"] or "").split())
 
 
 def test_eval_identity_and_reference_counts(tmp_path, capsys):

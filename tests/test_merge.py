@@ -432,11 +432,21 @@ def test_streaming_pipeline_equals_offline_for_any_chunking(case):
     graph, sources, lp, cfg, policy, sizes = case
     transcript, words, _ = offline_pipeline(lp, graph, cfg, policy, **sources)
     pipe = StreamingPipeline(graph, cfg, policy, **sources)
+
+    def check_preview(out):
+        # an external word reaches the commit layer once the stream reaches
+        # its start, so the preview holds no word not yet heard
+        if "external_words" in sources:
+            held = [w.word for w in sources["external_words"]
+                    if w.start_frame < pipe.spotter.frames_seen
+                    and w.end_frame >= out.commit_frontier]
+            assert out.held_text_preview == (" ".join(held) or None)
+
     t = 0
     for n in sizes:
-        pipe.process_chunk(lp[t : t + n])
+        check_preview(pipe.process_chunk(lp[t : t + n]))
         t += n
-    pipe.flush()
+    check_preview(pipe.flush())
     assert pipe.transcript == transcript
     assert pipe.emitted_words == words
 

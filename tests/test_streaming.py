@@ -100,8 +100,8 @@ def test_hold_region_bounded_by_age_cap():
     cfg = SpotterConfig(blank_id=4, max_keyword_frames=1, **INVARIANT_CFG)
     session = SpotterSession(graph, cfg)
     for _ in range(30):
-        session.process_chunk(random_logprobs(rng, int(rng.integers(1, 5)), 5))
-        assert session.frames_seen - session.commit_frontier <= 1
+        res = session.process_chunk(random_logprobs(rng, int(rng.integers(1, 5)), 5))
+        assert session.frames_seen - res.new_frontier <= 1
 
 
 def test_blank_dominant_chunk_leaves_no_live_hypotheses():
@@ -330,11 +330,11 @@ def test_empty_chunk_is_a_no_op():
     session = SpotterSession(graph, SpotterConfig(blank_id=3))
     lp = random_logprobs(np.random.default_rng(4), 5, 4)
     prev = session.process_chunk(lp[:2])
-    before = (session.frames_seen, session.commit_frontier)
+    before = (session.frames_seen, prev.new_frontier)
     res = session.process_chunk(lp[2:2])
     assert not res.finalized
     assert res.held_preview == prev.held_preview
-    assert (session.frames_seen, session.commit_frontier) == before
+    assert (session.frames_seen, res.new_frontier) == before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -345,13 +345,15 @@ def test_non_finite_chunk_is_rejected(bad):
     cfg = SpotterConfig(blank_id=3, **INVARIANT_CFG)
     session = SpotterSession(graph, cfg)
     lp = random_logprobs(np.random.default_rng(9), 8, 4)
-    finalized = list(session.process_chunk(lp[:4]).finalized)
-    state = (session.frames_seen, session.commit_frontier)
+    first = session.process_chunk(lp[:4])
+    finalized = list(first.finalized)
+    state = (session.frames_seen, first.new_frontier)
     chunk = lp[4:].copy()
     chunk[1, 0] = bad
     with pytest.raises(NonFiniteRows):
         session.process_chunk(chunk)
-    assert (session.frames_seen, session.commit_frontier) == state
+    # an empty chunk reports the frontier without moving it
+    assert (session.frames_seen, session.process_chunk(lp[4:4]).new_frontier) == state
     finalized += session.process_chunk(lp[4:]).finalized
     finalized += session.flush().finalized
     assert finalized == dedup_overlaps(spot_offline(lp, graph, cfg))

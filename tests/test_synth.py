@@ -65,9 +65,11 @@ def test_scripted_keyword_found_at_scripted_interval():
         (4, ScriptSegment(0, 0, 0.5), 1.0, "duration 0 below 1"),
         (4, ScriptSegment(0, 1, 1.5), 1.0, "peak probability 1.5"),
         (4, ScriptSegment(0, 1, 0.5), 0.0, "temperature must be positive"),
+        (4, ScriptSegment(0, 1, 0.5), float("nan"), "temperature must be positive"),
         (4, ScriptSegment(4, 1, 0.5), 1.0, "scripted token 4 outside vocabulary"),
         (4, ScriptSegment(0, 1, 0.5, shadow_token=0, shadow_prob=0.3), 1.0, "bad shadow token 0"),
         (4, ScriptSegment(0, 1, 0.7, shadow_token=1, shadow_prob=0.5), 1.0, "must stay below 1"),
+        (4, ScriptSegment(0, 1, 0.5, shadow_token=1, shadow_prob=float("nan")), 1.0, "stay below 1"),
         (2, ScriptSegment(0, 1, 0.5, shadow_token=1, shadow_prob=0.3), 1.0, "free symbol"),
         (4, ScriptSegment(0, 1, 0.5, shadow_prob=0.3), 1.0, "without shadow_token"),
     ],
