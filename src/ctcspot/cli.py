@@ -306,9 +306,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _emit(_manifest(args))
     overall = corpus_wer(refs, hyps)
     _emit({"type": "wer", "wer": overall, "utterances": len(refs)})
-    for record in report.to_records():
-        if record["scope"] == "all" or args.per_keyword:
-            _emit(record)
+    for record in report.to_records() if args.per_keyword else [report.total.to_record("all")]:
+        _emit(record)
     print(f"WER: {overall:.2f}   F-score (P/R): {report.total.fscore:.2f} "
           f"({report.total.precision:.2f}/{report.total.recall:.2f})", file=sys.stderr)
     print(format_keyword_table(report, per_keyword=args.per_keyword), file=sys.stderr)

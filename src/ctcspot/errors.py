@@ -10,7 +10,8 @@ class EmptyTokenSequence(CtcspotError):
 
 
 class EmptySurface(CtcspotError):
-    """A biasing entry or bias-list line has an empty surface."""
+    """A biasing entry or bias-list line has an empty surface, or an
+    external word has empty text."""
 
 
 class DuplicateConflict(CtcspotError):

@@ -34,6 +34,7 @@ from .errors import (
     BadMagic,
     ChunkTooSmall,
     DimensionMismatch,
+    EmptySurface,
     FormatError,
     NegativeInterval,
     NonFiniteRows,
@@ -113,9 +114,14 @@ def check_intervals(items: Iterable, where: str = "") -> None:
 
 def check_words(words: Sequence[WordAlignment], where: str = "") -> None:
     """:func:`check_intervals` plus the path score rule: no NaN or +inf, which
-    no candidate could be compared with (-inf is a legal log 0)."""
+    no candidate could be compared with (-inf is a legal log 0); and the text
+    rule: no empty word (:class:`EmptySurface`), which the greedy aligner
+    never emits. Text made only of whitespace is legal, as a vocabulary
+    piece can be."""
     check_intervals(words, where)
     for w in words:
+        if not w.word:
+            raise EmptySurface(f"{where}{w} has empty text")
         if not w.path_score < math.inf:  # NaN fails the compare too
             raise NonFiniteScore(f"{where}path score of {w} is NaN or +inf")
 
@@ -187,13 +193,16 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
 
 def frames_per_chunk(chunk_ms: float, frame_duration_ms: float) -> int:
     """The chunk rule: a chunk of ``chunk_ms`` holds the whole frames that
-    fit in it, and at least one."""
+    fit in it, at least one, and fewer than a float can count."""
     check_duration(frame_duration_ms, "frame duration")
     if chunk_ms < frame_duration_ms:
         raise ChunkTooSmall(
             f"chunk of {chunk_ms} ms holds no whole {frame_duration_ms} ms frame"
         )
-    return int(check_duration(chunk_ms, "chunk duration") // frame_duration_ms)
+    n = check_duration(chunk_ms, "chunk duration") // frame_duration_ms
+    if n == math.inf:
+        raise BadDuration(f"chunk of {chunk_ms} ms holds too many {frame_duration_ms} ms frames")
+    return int(n)
 
 
 def chunker(

@@ -1,14 +1,22 @@
 """WER, biasing-phrase precision/recall/F-score, per-chunk runtime stats.
 
-Phrase scoring is count-based on normalized lowercase text: per utterance,
-each bias phrase is matched as a contiguous word subsequence, longest
-phrase first so nested phrases are not double counted; hits are
-min(reference count, hypothesis count), excess hypothesis occurrences are
-false alarms, excess reference occurrences are misses.
+Phrase scoring is count-based on normalized lowercase text. A bias
+phrase is its surface lower-cased and split on whitespace; empty phrases
+are dropped, and a phrase met again under another surface keeps its first.
+Phrases rank longest first, then lexicographically. Per utterance, each
+phrase is matched as a contiguous word subsequence, phrases in rank order
+and each from left to right, and an occurrence counts only if it overlaps
+no word claimed by an earlier one, so nested phrases are not double
+counted. Looking up each n-gram of the utterance and claiming the matches
+in (rank, start) order gives those counts at a cost set by the
+utterance's length and the longest phrase, not by the number of phrases.
+Hits are min(reference count, hypothesis count), excess hypothesis
+occurrences are false alarms, excess reference occurrences are misses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -97,22 +105,24 @@ class KeywordReport:
 
 
 def _count_occurrences(
-    words: list[str], phrases: list[tuple[str, tuple[str, ...]]]
-) -> dict[str, int]:
-    """Greedy longest-first phrase counting over one utterance."""
+    text: Sequence[str] | str, ranks: dict[tuple[str, ...], int], longest: int
+) -> Counter[int]:
+    """Occurrences per phrase rank in one utterance: each of its n-grams up
+    to ``longest`` words is looked up in ``ranks``, and the matches are
+    claimed in (rank, start) order unless they overlap a claimed word."""
+    words = [w.lower() for w in _as_words(text)]
+    matches = sorted(
+        (rank, i, n)
+        for n in range(1, longest + 1)
+        for i in range(len(words) - n + 1)
+        if (rank := ranks.get(tuple(words[i : i + n]))) is not None
+    )
     used = [False] * len(words)
-    counts: dict[str, int] = {}
-    for surface, phrase in phrases:
-        span = len(phrase)
-        i = 0
-        while i + span <= len(words):
-            window = words[i : i + span]
-            if tuple(window) == phrase and not any(used[i : i + span]):
-                counts[surface] = counts.get(surface, 0) + 1
-                used[i : i + span] = [True] * span
-                i += span
-            else:
-                i += 1
+    counts: Counter[int] = Counter()
+    for rank, i, n in matches:
+        if not any(used[i : i + n]):
+            used[i : i + n] = [True] * n
+            counts[rank] += 1
     return counts
 
 
@@ -122,35 +132,34 @@ def keyword_prf(
     surfaces: Iterable[str],
 ) -> KeywordReport:
     """Occurrence-level precision/recall/F-score over the bias phrase
-    ``surfaces``."""
+    ``surfaces``, counted by the rule in the module docstring.
+
+    Each utterance costs its words times the longest phrase in dict
+    lookups, plus a sort of its matches; the number of phrases sets only
+    the one-off ranking, since a phrase found in neither transcript of a
+    pair adds nothing to its counts."""
     if len(refs) != len(hyps):
         raise ValueError(f"{len(refs)} references vs {len(hyps)} hypotheses")
-    phrases: list[tuple[str, tuple[str, ...]]] = []
-    seen: set[tuple[str, ...]] = set()
+    first_surface: dict[tuple[str, ...], str] = {}
     for surface in surfaces:
-        normalized = tuple(surface.lower().split())
-        if not normalized or normalized in seen:
-            continue
-        seen.add(normalized)
-        phrases.append((surface, normalized))
-    phrases.sort(key=lambda p: (-len(p[1]), p[1]))
+        if phrase := tuple(surface.lower().split()):
+            first_surface.setdefault(phrase, surface)
+    phrases = sorted(first_surface, key=lambda p: (-len(p), p))
+    ranks = {phrase: rank for rank, phrase in enumerate(phrases)}
+    longest = len(phrases[0]) if phrases else 0
 
     report = KeywordReport()
-    report.per_keyword = {surface: KeywordCounts() for surface, _ in phrases}
+    tallies = [KeywordCounts() for _ in phrases]
+    report.per_keyword = {first_surface[p]: c for p, c in zip(phrases, tallies)}
     for ref, hyp in zip(refs, hyps):
-        ref_counts = _count_occurrences([w.lower() for w in _as_words(ref)], phrases)
-        hyp_counts = _count_occurrences([w.lower() for w in _as_words(hyp)], phrases)
-        for surface, _ in phrases:
-            rc = ref_counts.get(surface, 0)
-            hc = hyp_counts.get(surface, 0)
-            counts = report.per_keyword[surface]
-            counts.hits += min(rc, hc)
-            counts.false_alarms += max(0, hc - rc)
-            counts.misses += max(0, rc - hc)
-    for counts in report.per_keyword.values():
-        report.total.hits += counts.hits
-        report.total.false_alarms += counts.false_alarms
-        report.total.misses += counts.misses
+        ref_counts = _count_occurrences(ref, ranks, longest)
+        hyp_counts = _count_occurrences(hyp, ranks, longest)
+        for rank in ref_counts.keys() | hyp_counts.keys():
+            rc, hc = ref_counts[rank], hyp_counts[rank]
+            for counts in (tallies[rank], report.total):
+                counts.hits += min(rc, hc)
+                counts.false_alarms += max(0, hc - rc)
+                counts.misses += max(0, rc - hc)
     return report
 
 

@@ -255,3 +255,62 @@ def reference_merge_region(words, candidates, policy, surfaces, stats=None) -> l
     if stats is not None:
         stats.update(replaced=n_replaced, inserted=n_inserted, discarded=n_discarded)
     return merged
+
+
+def _reference_count_occurrences(words, phrases) -> dict:
+    """Every phrase tried at every position: phrases in rank order, each
+    from left to right, skipping a window that overlaps a claimed word."""
+    used = [False] * len(words)
+    counts = {}
+    for surface, phrase in phrases:
+        span = len(phrase)
+        i = 0
+        while i + span <= len(words):
+            window = words[i : i + span]
+            if tuple(window) == phrase and not any(used[i : i + span]):
+                counts[surface] = counts.get(surface, 0) + 1
+                used[i : i + span] = [True] * span
+                i += span
+            else:
+                i += 1
+    return counts
+
+
+def reference_keyword_prf(refs, hyps, surfaces):
+    """Keyword scoring by scanning every phrase over every utterance. The
+    package looks up each utterance's n-grams instead and must return the
+    same report."""
+    from ctcspot import KeywordCounts, KeywordReport
+
+    if len(refs) != len(hyps):
+        raise ValueError(f"{len(refs)} references vs {len(hyps)} hypotheses")
+    phrases = []
+    seen = set()
+    for surface in surfaces:
+        normalized = tuple(surface.lower().split())
+        if not normalized or normalized in seen:
+            continue
+        seen.add(normalized)
+        phrases.append((surface, normalized))
+    phrases.sort(key=lambda p: (-len(p[1]), p[1]))
+
+    def as_words(text):
+        return text.split() if isinstance(text, str) else list(text)
+
+    report = KeywordReport()
+    report.per_keyword = {surface: KeywordCounts() for surface, _ in phrases}
+    for ref, hyp in zip(refs, hyps):
+        ref_counts = _reference_count_occurrences([w.lower() for w in as_words(ref)], phrases)
+        hyp_counts = _reference_count_occurrences([w.lower() for w in as_words(hyp)], phrases)
+        for surface, _ in phrases:
+            rc = ref_counts.get(surface, 0)
+            hc = hyp_counts.get(surface, 0)
+            counts = report.per_keyword[surface]
+            counts.hits += min(rc, hc)
+            counts.false_alarms += max(0, hc - rc)
+            counts.misses += max(0, rc - hc)
+    for counts in report.per_keyword.values():
+        report.total.hits += counts.hits
+        report.total.false_alarms += counts.false_alarms
+        report.total.misses += counts.misses
+    return report

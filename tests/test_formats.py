@@ -346,6 +346,7 @@ ALIGNMENT_RULES = {
     ),
     "nan score": ([WordAlignment("a", 0, 2, NAN)], NonFiniteScore),
     "+inf score": ([WordAlignment("a", 0, 2, INF)], NonFiniteScore),
+    "empty word": ([WordAlignment("a", 0, 2, -1.0), WordAlignment("", 3, 4, -1.0)], EmptySurface),
 }
 # a file is sorted when read, so only words handed over in memory can be unsorted
 FILE_ENTRIES = ("read_alignments", "spot --alignments", "stream --alignments")
@@ -472,8 +473,19 @@ def test_minus_infinity_path_score_stays_legal(tmp_path):
     assert merge_region(words, [], MergePolicy(), {}) == words
 
 
+def test_whitespace_word_stays_legal(tmp_path):
+    """A vocabulary piece can be whitespace, so a word made only of it is
+    legal; only empty text is rejected."""
+    path = str(tmp_path / "words.tsv")
+    words = [WordAlignment(" ", 0, 2, -1.0)]
+    write_alignments(path, words)
+    assert read_alignments(path) == words
+    assert merge_region(words, [], MergePolicy(), {}) == words
+
+
 @pytest.mark.parametrize("chunk_ms,frame_ms", [
     (1120.0, 0.0), (1120.0, -40.0), (1120.0, NAN), (1120.0, INF), (NAN, 40.0), (INF, 40.0),
+    (1e308, 1e-44),  # a frame count past float range
 ])
 def test_chunker_durations_must_be_positive_and_finite(chunk_ms, frame_ms):
     matrix = random_logprobs(np.random.default_rng(14), 8, 4)

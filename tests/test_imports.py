@@ -1,6 +1,6 @@
-"""Module boundaries: no ``ctcspot`` module reads another's private name
-or imports a name it never uses, the package exports exactly what it
-binds, and the CLI module runs."""
+"""Module boundaries: no ``ctcspot`` module imports or reads another's
+private name or imports a name it never uses, the package exports exactly
+what it binds, and the CLI module runs."""
 
 import ast
 import os
@@ -36,6 +36,52 @@ def test_no_module_imports_a_private_name_from_another():
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
         if (names := _private_imports(path))
+    }
+    assert found == {}
+
+
+def _private_reads_from_elsewhere(path: Path) -> list[str]:
+    """``x._name`` for each private attribute the file reads (dunders and
+    reads through ``self`` or ``cls`` aside) that no class in the file
+    defines as a field, method or property, and that the file never sets
+    through ``self``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    defined.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    defined.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            defined.add(node.attr)
+    return sorted(
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and node.attr not in defined
+    )
+
+
+def test_no_module_reads_a_private_attribute_defined_elsewhere():
+    """``merge.commit_step`` reads the private fields of ``merge.CommitState``,
+    which the same module defines; no module reaches into another's."""
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _private_reads_from_elsewhere(path))
     }
     assert found == {}
 

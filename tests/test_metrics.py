@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctcspot import (
     ChunkTiming,
@@ -11,6 +13,8 @@ from ctcspot import (
     keyword_prf,
     runtime_report,
 )
+
+from conftest import reference_keyword_prf
 
 
 def _dp_distance(ref, hyp):
@@ -106,6 +110,48 @@ def test_keyword_prf_counts_surfaces_equal_after_normalization_once():
     assert list(report.per_keyword) == ["Halsey"]
     counts = report.per_keyword["Halsey"]
     assert (counts.hits, counts.false_alarms, counts.misses) == (1, 1, 0)
+
+
+WORDS = st.sampled_from(["a", "A", "b", "B", "c", "d"])  # case variants count as one word
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+def _joined(words: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(words, SEPARATORS).map(lambda ws: ws[1].join(ws[0]))
+
+
+@st.composite
+def keyword_cases(draw):
+    """Reference and hypothesis transcripts, each a string or a word list,
+    and a bias list of 0-8 surfaces: phrases of 1-4 words from a small
+    alphabet (so nested, overlapping and duplicate phrases are common),
+    padded or not, and empty or whitespace-only surfaces."""
+    text = st.one_of(st.lists(WORDS, max_size=12), _joined(st.lists(WORDS, max_size=12)))
+    n = draw(st.integers(0, 4))
+    refs = draw(st.lists(text, min_size=n, max_size=n))
+    hyps = draw(st.lists(text, min_size=n, max_size=n))
+    surface = st.one_of(
+        _joined(st.lists(WORDS, min_size=1, max_size=4)),
+        _joined(st.lists(WORDS, min_size=1, max_size=2)).map(lambda s: f" {s}\t"),
+        st.sampled_from(["", " ", "\t "]),
+    )
+    return refs, hyps, draw(st.lists(surface, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(keyword_cases())
+@example((["b a b"], ["b a b"], ["b a", "a b"]))  # same length: "a b" ranks first
+def test_keyword_prf_matches_the_scanning_reference(case):
+    report = keyword_prf(*case)
+    expected = reference_keyword_prf(*case)
+    assert report.to_records() == expected.to_records()
+    assert list(report.per_keyword) == list(expected.per_keyword)
+
+
+def test_keyword_prf_claims_equal_length_phrases_in_lexicographic_order():
+    report = keyword_prf(["b a b"], ["b a b"], ["b a", "a b"])
+    assert report.per_keyword["a b"].hits == 1  # claims words 1-2
+    assert report.per_keyword["b a"].hits == 0
 
 
 def test_corpus_wer_weights_by_reference_length():
