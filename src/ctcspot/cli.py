@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, fields
 
 from . import __version__
@@ -54,7 +53,7 @@ from .metrics import (
     runtime_report,
 )
 from .pipeline import StreamingPipeline, offline_pipeline
-from .spotter import SpotterConfig, check_graph
+from .spotter import SpotterConfig
 from .synth import generate, make_spec, word_script
 
 CHUNK_MS_CHOICES = (160.0, 560.0, 1120.0)  # common streaming latency settings
@@ -163,9 +162,10 @@ def _engine_setup(args: argparse.Namespace):
     """Shared spot/stream wiring, done before any input is read: config,
     policy, the vocabulary or the alignments, and the bias graph. With a
     vocabulary, the bias list is tokenized around the blank that its size
-    resolves and the graph is checked against that size. The input's width
-    is checked by the engine, against the vocabulary or the graph, before
-    the caller prints the manifest."""
+    resolves, and its token ids are checked against that size. Everything
+    else is the engine's to check: the graph and the blank against the
+    vocabulary when the pipeline is built, and the input's width before the
+    caller prints the manifest."""
     cfg = SpotterConfig(**{f.name: getattr(args, f.name) for f in fields(SpotterConfig)})
     policy = MergePolicy(
         intersection_threshold=args.intersection_threshold,
@@ -184,8 +184,6 @@ def _engine_setup(args: argparse.Namespace):
         else []
     )
     graph = build_graph(entries, vocab_size=None if vocab is None else len(vocab))
-    if vocab is not None:
-        check_graph(graph, len(vocab), cfg)
     words = read_alignments(args.alignments) if args.alignments is not None else None
     return cfg, policy, vocab, words, graph
 
@@ -217,6 +215,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     check_duration(args.frame_ms, "--frame-ms")
     check_duration(args.chunk_ms, "--chunk-ms")
     cfg, policy, vocab, words, graph = _engine_setup(args)
+    # built before any input is read, so its checks come first
+    pipeline = StreamingPipeline(
+        graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
+    )
     if args.logits:
         matrix, frame_ms = read_logits(args.logits)
         chunks = chunker(matrix, args.chunk_ms, frame_ms)
@@ -224,54 +226,47 @@ def cmd_stream(args: argparse.Namespace) -> int:
         frame_ms = args.frame_ms
         chunks = read_envelope(sys.stdin)
 
-    pipeline = StreamingPipeline(
-        graph, cfg, policy, vocab=vocab, external_words=words, marker=args.marker
-    )
-    timings: list[ChunkTiming] = []
+    steps = pipeline.timings  # the engine's clock: one step per accepted chunk
     code = 0  # 3 after a protocol error, 2 after a format error past the first chunk
-    t0 = time.perf_counter()
     try:
         # leading empty chunks print no record
         for chunk in itertools.dropwhile(lambda c: not c.shape[0], chunks):
-            feed_ms = (time.perf_counter() - t0) * 1e3
+            if chunk.shape[0]:  # a later empty chunk is legal
+                check_duration(chunk.shape[0] * frame_ms, "chunk duration")
             out = pipeline.process_chunk(chunk)
-            if not timings:  # the engine accepted the first chunk
+            if len(steps) == 1:  # the engine accepted the first chunk
                 _emit(_manifest(args))
-            step = pipeline.timings[-1]
             _emit(
                 {
                     "type": "chunk",
-                    "index": len(timings),
+                    "index": len(steps) - 1,
                     "n_frames": int(chunk.shape[0]),
                     "commit_frontier": out.commit_frontier,
                     "delta": [asdict(w) for w in out.committed_delta],
                     "held_preview": out.held_text_preview,
-                    "spot_ms": step.spot_ms,
-                    "merge_ms": step.merge_ms,
+                    "spot_ms": steps[-1].spot_ms,
+                    "merge_ms": steps[-1].merge_ms,
                 }
             )
-            timings.append(
-                ChunkTiming(asr_ms=feed_ms + step.align_ms, spot_ms=step.spot_ms, merge_ms=step.merge_ms)
-            )
-            t0 = time.perf_counter()
     except ProtocolError as exc:
         print(f"ctcspot: protocol error: {exc}", file=sys.stderr)
         code = 3
     except FormatError as exc:
-        if not timings:  # nothing printed yet
+        if not steps:  # nothing printed yet
             raise
         # the engine rejects a chunk before changing any state, so the
         # chunks it accepted flush as after a protocol error
         print(f"ctcspot: error: {exc}", file=sys.stderr)
         code = 2
 
-    if not timings:
+    if not steps:
         if code:
             _emit(_manifest(args))
             _emit({"type": "final", "transcript": "", "partial": True})
             return 3
         raise FormatError("input stream carried no frames")
 
+    timings = [ChunkTiming(t.align_ms, t.spot_ms, t.merge_ms) for t in steps]  # flush left out
     out = pipeline.flush()
     _emit(
         {
@@ -283,10 +278,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         }
     )
     # the chunk the chunker cuts; envelope chunks may differ in length, so
-    # there the report uses their mean
+    # there the report uses their mean, finite since each chunk's duration is
     chunk_ms = (
         frames_per_chunk(args.chunk_ms, frame_ms) * frame_ms if args.logits
-        else frame_ms * pipeline.spotter.frames_seen / len(timings)
+        else frame_ms * (pipeline.spotter.frames_seen / len(timings))
     )
     report = runtime_report(timings, chunk_ms)
     _emit(report.to_record())

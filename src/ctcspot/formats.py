@@ -159,10 +159,15 @@ def validate_logprob_matrix(matrix: np.ndarray, strict: bool = True) -> None:
 def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> None:
     lp = np.asarray(matrix, dtype=np.float32)
     validate_logprob_matrix(lp)
-    check_duration(frame_duration_ms, "frame duration")
     n_frames, vocab = lp.shape
+    try:
+        header = _HEADER.pack(LOGITS_MAGIC, LOGITS_VERSION, n_frames, vocab, frame_duration_ms)
+    except OverflowError:
+        raise BadDuration(f"frame duration of {frame_duration_ms} ms overflows float32") from None
+    # checked as read_logits will read it back: a tiny duration stores 0.0
+    check_duration(_HEADER.unpack(header)[-1], "frame duration stored as float32")
     with open(path, "wb") as fp:
-        fp.write(_HEADER.pack(LOGITS_MAGIC, LOGITS_VERSION, n_frames, vocab, frame_duration_ms))
+        fp.write(header)
         fp.write(lp.tobytes(order="C"))
 
 

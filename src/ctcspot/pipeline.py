@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,22 +40,30 @@ class StepTiming:
     merge_ms: float
 
 
-def _check_sources(graph, cfg, vocab, external_words) -> None:
-    """A vocabulary must fit the graph, so aligner and spotter reject alike;
-    external words are checked before any chunk, whatever the chunking."""
+def _setup(graph, cfg, policy, vocab, external_words):
+    """The set-up both pipelines share: (cfg, policy, words) with the
+    defaults applied. A vocabulary must fit the graph, so aligner and
+    spotter reject alike, and words is None; external words are read once
+    into the returned list and checked before any chunk, whatever the
+    chunking."""
     if (vocab is None) == (external_words is None):
         raise ValueError("provide exactly one of vocab / external_words")
+    cfg = cfg or SpotterConfig()
+    words = None
     if vocab is not None:
         check_graph(graph, len(vocab), cfg)
     else:
-        check_words(external_words)
+        words = list(external_words)
+        check_words(words)
+    return cfg, policy or MergePolicy(), words
 
 
 class StreamingPipeline:
     """Chunk-by-chunk contextual biasing over one utterance.
 
     Provide either ``vocab`` (greedy words decoded from the chunks) or ``external_words``
-    (another decoder's alignment, handed on word by word as the stream reaches each start).
+    (another decoder's alignment, any iterable, read once at construction and handed on
+    word by word as the stream reaches each start).
     """
 
     def __init__(
@@ -64,18 +72,16 @@ class StreamingPipeline:
         cfg: SpotterConfig | None = None,
         policy: MergePolicy | None = None,
         vocab: Sequence[str] | None = None,
-        external_words: Sequence[WordAlignment] | None = None,
+        external_words: Iterable[WordAlignment] | None = None,
         marker: str = DEFAULT_WORD_MARKER,
     ) -> None:
-        self.cfg = cfg or SpotterConfig()
-        _check_sources(graph, self.cfg, vocab, external_words)
-        self.policy = policy or MergePolicy()
+        self.cfg, self.policy, words = _setup(graph, cfg, policy, vocab, external_words)
         self.spotter = SpotterSession(graph, self.cfg)
         self.aligner = (
             StreamingAligner(vocab, self.cfg.blank_id, marker) if vocab is not None else None
         )
         self.commit = CommitState(self.policy, graph.surfaces)
-        self._unreached = list(external_words or ())  # sorted by start (check_words)
+        self._unreached = words or []  # sorted by start (check_words)
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
@@ -124,21 +130,17 @@ def offline_pipeline(
     cfg: SpotterConfig | None = None,
     policy: MergePolicy | None = None,
     vocab: Sequence[str] | None = None,
-    external_words: Sequence[WordAlignment] | None = None,
+    external_words: Iterable[WordAlignment] | None = None,
     marker: str = DEFAULT_WORD_MARKER,
 ) -> tuple[str, list[WordAlignment], list[SpottedCandidate]]:
     """Whole-utterance reference: greedy words + spot + de-overlap + merge.
 
     Returns (transcript, merged words, kept candidates).
     """
-    cfg = cfg or SpotterConfig()
-    _check_sources(graph, cfg, vocab, external_words)
-    policy = policy or MergePolicy()
+    cfg, policy, words = _setup(graph, cfg, policy, vocab, external_words)
     lp = np.asarray(logprobs, dtype=float, order="C")  # as in StreamingPipeline
     if vocab is not None:
         words = greedy_decode(lp, vocab, cfg.blank_id, marker)
-    else:
-        words = list(external_words)
     candidates = dedup_overlaps(spot_undominated(lp, graph, cfg))
     merged = merge_region(words, candidates, policy, graph.surfaces)
     return " ".join(w.word for w in merged), merged, candidates

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -243,6 +244,55 @@ def test_stream_envelope_chunk_ms_is_the_mean_chunk(tmp_path, capsys, monkeypatc
     assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 0
     report = next(r for r in _records(capsys) if r["type"] == "runtime_report")
     assert report["chunk_ms"] == pytest.approx(n * 40.0 / len(chunks))
+
+
+@pytest.mark.parametrize("sizes,code,kinds,chunk_ms", [
+    ([3, 3], 2, [], None),
+    ([1, 2], 2, ["manifest", "chunk", "final", "runtime_report"], 1e308),
+    ([1, 0, 1], 0, ["manifest", "chunk", "chunk", "chunk", "final", "runtime_report"],
+     1e308 * (2 / 3)),
+])
+def test_stream_envelope_chunk_duration_must_be_finite(tmp_path, capsys, monkeypatch, sizes,
+                                                       code, kinds, chunk_ms):
+    """At --frame-ms 1e308 a chunk of two or more frames lasts longer than a
+    float holds: the first such chunk exits 2 as any bad chunk does, and an
+    empty chunk is legal. The report's mean chunk stays finite."""
+    _, matrix = _synth_logits(tmp_path)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    chunks = [matrix[a : a + n] for a, n in zip(starts, sizes)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope(chunks)))
+    argv = ["stream", "--stdin-envelope", "--vocab", _write_vocab(tmp_path), "--frame-ms", "1e308"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["type"] for r in records] == kinds
+    if code:
+        assert "chunk duration" in err
+    if kinds:
+        assert records[-2]["partial"] is (code != 0)
+        assert records[-1]["chunk_ms"] == pytest.approx(chunk_ms)
+
+
+class _SlowStdin(io.StringIO):
+    """A producer that sends each line 50 ms after the one before."""
+
+    def __iter__(self):
+        for line in self.getvalue().splitlines(keepends=True):
+            time.sleep(0.05)
+            yield line
+
+
+def test_stream_report_leaves_out_the_wait_for_the_producer(tmp_path, capsys, monkeypatch):
+    """The report's rows are the engine's step times: the time spent
+    waiting for the next envelope line is not counted."""
+    _, matrix = _synth_logits(tmp_path)
+    chunks = [matrix[i : i + 4] for i in (0, 4, 8, 12)]  # five lines with the end record
+    monkeypatch.setattr("sys.stdin", _SlowStdin(_envelope(chunks)))
+    assert main(["stream", "--stdin-envelope", "--vocab", _write_vocab(tmp_path)]) == 0
+    report = next(r for r in _records(capsys) if r["type"] == "runtime_report")
+    assert report["n_samples"] == 4
+    assert report["asr_mean"] < 25.0
+    assert report["total_mean"] < 25.0
 
 
 def test_stream_envelope_without_end_is_partial(tmp_path, capsys, monkeypatch):
@@ -543,6 +593,19 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
     rc = main(["synth", "--vocab", vocab, "--text", "go", "--out",
                str(tmp_path / "x.ctcl"), "--peak", "1.5"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("frame_ms", ["1e39", "1e-50"])
+def test_synth_frame_duration_must_fit_a_float32(tmp_path, capsys, frame_ms):
+    """The header stores the frame duration as a float32: 1e39 overflows it
+    and 1e-50 stores 0.0, so both exit 2 before --out is opened."""
+    out = tmp_path / "x.ctcl"
+    assert main(["synth", "--vocab", _write_vocab(tmp_path), "--text", "go", "--out", str(out),
+                 "--frame-ms", frame_ms]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frame duration" in captured.err
+    assert not out.exists()
 
 
 def test_biasing_improves_fscore_on_synthetic_corpus(tmp_path, capsys):

@@ -42,8 +42,10 @@ FLAGS = {
 }
 STREAM_FLAGS = {
     "--chunk-ms": ["nan", "inf", "0", "40", "160", "1e-300", "1e308"],
-    "--frame-ms": ["nan", "inf", "0", "-40", "40", "1e-300"],
+    "--frame-ms": ["nan", "inf", "0", "-40", "40", "1e-300", "1e308"],
 }
+# and two more for synth: 1e39 overflows the header's float32, 1e-50 stores 0.0
+SYNTH_FRAME_MS = [*STREAM_FLAGS["--frame-ms"], "1e39", "1e-50"]
 
 
 def _mutate_lines(rng: random.Random, text: str) -> str:
@@ -148,8 +150,13 @@ def _case(rng: random.Random, base: dict[str, bytes], tmp_path) -> tuple[list[st
     """One mutated run: (argv, stdin text), its files written to
     ``tmp_path``."""
     files = dict(base)
-    command = rng.choice(["spot --logits", "stream --logits", "stream --stdin-envelope", "eval"])
-    if command == "eval":
+    command = rng.choice(["spot --logits", "stream --logits", "stream --stdin-envelope", "eval",
+                          "synth"])
+    if command == "synth":
+        targets = ["vocab.txt"]
+        argv = ["synth", "--vocab", "vocab.txt", "--text", "play halsey now", "--out",
+                str(tmp_path / "out.ctcl"), f"--frame-ms={rng.choice(SYNTH_FRAME_MS)}"]
+    elif command == "eval":
         targets = ["refs.txt", "hyps.txt", "bias.tsv"]
         argv = ["eval", "--refs", "refs.txt", "--hyps", "hyps.txt", "--bias", "bias.tsv"]
         if rng.random() < 0.5:
@@ -163,7 +170,9 @@ def _case(rng: random.Random, base: dict[str, bytes], tmp_path) -> tuple[list[st
         flags = {**FLAGS, **(STREAM_FLAGS if command.startswith("stream") else {})}
         for flag in rng.sample(sorted(flags), rng.randint(0, 2)):
             argv.append(f"{flag}={rng.choice(flags[flag])}")
-    for target in rng.sample(targets, rng.randint(1, 2)):
+    # synth runs unmutated half the time, so that its --frame-ms is reached
+    n_mutated = rng.randint(0, 1) if command == "synth" else rng.randint(1, 2)
+    for target in rng.sample(targets, n_mutated):
         if target == "utt.ctcl":
             files[target] = _mutate_logits(rng, files[target])
         elif target == "envelope":

@@ -493,6 +493,16 @@ def test_chunker_durations_must_be_positive_and_finite(chunk_ms, frame_ms):
         list(chunker(matrix, chunk_ms, frame_ms))
 
 
+@pytest.mark.parametrize("frame_ms", [1e39, 1e-50, NAN, INF, 0.0, -40.0])
+def test_write_logits_checks_the_frame_duration_the_header_stores(tmp_path, frame_ms):
+    """A duration is checked as float32 will hold it, before the file is
+    opened: 1e39 overflows a float32 and 1e-50 rounds to 0.0."""
+    path = tmp_path / "x.ctcl"
+    with pytest.raises(BadDuration, match="frame duration"):
+        write_logits(str(path), _normalized_f32(np.random.default_rng(3), 4, 4), frame_ms)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("frame_ms", ["0", "-40", "nan", "inf"])
 def test_stream_envelope_frame_duration_checked_before_any_record(
     tmp_path, capsys, monkeypatch, frame_ms

@@ -20,6 +20,7 @@ from ctcspot.errors import (
     DimensionMismatch,
     FrontierRegression,
     NonFiniteRows,
+    NonFiniteScore,
     OverlappingWords,
     SessionClosed,
     UnsortedInput,
@@ -465,6 +466,39 @@ def test_flush_commits_external_words_past_the_last_frame():
     out = pipe.flush()
     assert pipe.transcript == transcript and pipe.emitted_words == merged
     assert out.commit_frontier == 10
+
+
+@pytest.mark.parametrize("sizes", [[12], [4, 8], [1] * 12])
+def test_external_words_may_be_any_iterable_read_once(sizes):
+    """A generator of words gives both pipelines the output the list gives:
+    the set-up reads it once, checks that list and keeps it."""
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=3)
+    lp = random_logprobs(np.random.default_rng(51), 12, 4)
+    words = [WordAlignment("a", 0, 2, -1.0), WordAlignment("b", 4, 7, -1.0),
+             WordAlignment("c", 9, 9, -1.0)]
+    expected = offline_pipeline(lp, graph, cfg, external_words=words)
+    assert expected[0] == "a b c kw"  # words and a spotted keyword
+    assert offline_pipeline(lp, graph, cfg, external_words=(w for w in words)) == expected
+    pipe = StreamingPipeline(graph, cfg, external_words=(w for w in words))
+    t = 0
+    for n in sizes:
+        pipe.process_chunk(lp[t : t + n])
+        t += n
+    pipe.flush()
+    assert (pipe.transcript, pipe.emitted_words) == expected[:2]
+
+
+def test_a_generator_of_words_is_checked_in_full():
+    """A NaN-scored word inside a generator is rejected by both pipelines
+    at set-up, as it is inside a list."""
+    graph = build_graph([])
+    lp = random_logprobs(np.random.default_rng(47), 6, 4)
+    words = [WordAlignment("a", 0, 2, -1.0), WordAlignment("b", 4, 5, float("nan"))]
+    with pytest.raises(NonFiniteScore):
+        offline_pipeline(lp, graph, external_words=(w for w in words))
+    with pytest.raises(NonFiniteScore):
+        StreamingPipeline(graph, external_words=(w for w in words))
 
 
 @pytest.mark.parametrize("sources", ["neither", "both"])
