@@ -3,7 +3,10 @@
 Per frame the argmax symbol is chosen; repeats are collapsed, then blanks
 dropped. Tokens are grouped into words at the word-boundary marker (the
 leading-space convention of BPE vocabularies): only a piece that starts
-with the marker begins a word, as in :class:`ctcspot.graph.Tokenizer`. A
+with the marker begins a word, as in :class:`ctcspot.graph.Tokenizer`.
+One rule places each non-blank frame: a frame that is not a repeat starts
+a word if its piece carries the marker or no word is open; any other frame
+extends the open word, and a continuation piece also appends its text. A
 word's interval runs from the frame that emitted its first token through
 the last frame whose argmax belongs to one of its tokens, and its path
 score sums the argmax log-probabilities over that interval, interior
@@ -40,7 +43,14 @@ class _OpenWord:
 
 
 class StreamingAligner:
-    """Chunked greedy decoder; single writer per instance."""
+    """Chunked greedy decoder; single writer per instance.
+
+    :meth:`feed` and :meth:`flush` return the words they close, and
+    :attr:`open_word` is the word still in progress. A
+    :class:`~ctcspot.pipeline.StreamingPipeline` queues the closed words
+    with the same rule as an external alignment's and bounds its commit
+    boundary by the open word.
+    """
 
     def __init__(
         self,
@@ -71,13 +81,9 @@ class StreamingAligner:
             raise SessionClosed("aligner was flushed")
 
     def _close(self) -> WordAlignment | None:
-        if self._open is None:
-            return None
-        w, self._open = self._open, None
-        text = "".join(w.parts)
-        if not text:
-            return None  # a run of empty vocabulary pieces forms no word
-        return WordAlignment(text, w.start, w.end, w.score)
+        done, self._open = self.open_word, None
+        # a run of empty vocabulary pieces forms no word
+        return done if done is not None and done.word else None
 
     def feed(self, logprobs: np.ndarray) -> list[WordAlignment]:
         """Consume one chunk; returns words completed by this chunk."""
@@ -94,27 +100,21 @@ class StreamingAligner:
             t = self._frames
             sym = int(syms[i])
             x = float(chosen[i])
+            w = self._open
             if sym == self._blank:
-                if self._open is not None:
-                    self._open.tail += x
-            elif sym == self._prev:
-                # repeated token extends the current word's interval
-                w = self._open
-                w.score += w.tail + x
-                w.tail = 0.0
-                w.end = t
+                if w is not None:
+                    w.tail += x
             else:
+                fresh = sym != self._prev
                 piece = self._vocab[sym]
-                boundary = piece.startswith(marker)
-                text = piece[len(marker):] if boundary else piece
-                if boundary or self._open is None:
+                if fresh and (w is None or piece.startswith(marker)):
                     done = self._close()
                     if done is not None:
                         closed.append(done)
-                    self._open = _OpenWord(text, t, x)
+                    self._open = _OpenWord(piece.removeprefix(marker), t, x)
                 else:
-                    w = self._open
-                    w.parts.append(text)
+                    if fresh:  # a continuation piece; a repeat adds no text
+                        w.parts.append(piece)
                     w.score += w.tail + x
                     w.tail = 0.0
                     w.end = t

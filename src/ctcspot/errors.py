@@ -30,7 +30,8 @@ class TokenizationError(CtcspotError):
 
 class DimensionMismatch(CtcspotError):
     """Log-probability matrix is not 2-d, or its width disagrees with the
-    stream, graph, vocabulary (fewer than 2 symbols) or blank id."""
+    stream, graph, vocabulary (fewer than 2 symbols) or blank id, or the
+    blank id is not an integer."""
 
 
 class SessionClosed(CtcspotError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
@@ -89,13 +90,17 @@ def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
 
 def resolve_blank(blank_id: int | None, vocab_size: int) -> int:
     """The blank rule: a vocabulary holds at least 2 symbols, the blank
-    defaults to the last one and must lie inside it."""
+    defaults to the last one and must be an integer inside it. A ``bool``
+    is not taken for a symbol; a numpy integer is, and comes back as int."""
     if vocab_size < 2:
         raise DimensionMismatch(f"vocabulary size {vocab_size} is too small")
-    blank = blank_id if blank_id is not None else vocab_size - 1
-    if not 0 <= blank < vocab_size:
-        raise DimensionMismatch(f"blank id {blank} outside vocabulary of size {vocab_size}")
-    return blank
+    if blank_id is None:
+        return vocab_size - 1
+    if isinstance(blank_id, bool) or not isinstance(blank_id, numbers.Integral):
+        raise DimensionMismatch(f"blank id {blank_id!r} is not an integer")
+    if not 0 <= blank_id < vocab_size:
+        raise DimensionMismatch(f"blank id {blank_id} outside vocabulary of size {vocab_size}")
+    return int(blank_id)
 
 
 def check_intervals(items: Iterable, where: str = "") -> None:

@@ -5,7 +5,9 @@ more than a configurable fraction of each word's own interval (strictly
 more than 50% by default) and its accumulated score beats the replaced
 words' summed path scores by the configured margin. A candidate touching
 no word at all may be inserted into the silence gap instead; a candidate
-that only grazes words below the threshold is discarded.
+that only grazes words below the threshold, and covers none, is discarded.
+A candidate that covers one word and grazes another replaces the covered
+word only, so the grazed word stays and merged words can overlap.
 
 :class:`CommitState` applies the same rule incrementally: words and
 finalized candidates are buffered until no live hypothesis, held

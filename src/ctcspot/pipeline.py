@@ -62,8 +62,10 @@ class StreamingPipeline:
     """Chunk-by-chunk contextual biasing over one utterance.
 
     Provide either ``vocab`` (greedy words decoded from the chunks) or ``external_words``
-    (another decoder's alignment, any iterable, read once at construction and handed on
-    word by word as the stream reaches each start).
+    (another decoder's alignment, any iterable, read once at construction). Words from
+    either source wait in one queue and reach the commit layer by one rule: a word is
+    handed on once the stream reaches its start, and every word left at the flush. The
+    greedy aligner's word in progress, its ``open_word``, holds the commit boundary.
     """
 
     def __init__(
@@ -81,7 +83,7 @@ class StreamingPipeline:
             StreamingAligner(vocab, self.cfg.blank_id, marker) if vocab is not None else None
         )
         self.commit = CommitState(self.policy, graph.surfaces)
-        self._unreached = words or []  # sorted by start (check_words)
+        self._unreached = words or []  # words not yet handed on, sorted by start
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
@@ -96,19 +98,18 @@ class StreamingPipeline:
         """One timed align / spot / commit step; a chunk of None flushes."""
         t0 = time.perf_counter()
         aligner = self.aligner
-        open_word = None
         if aligner is not None:
-            self.commit.add_words(aligner.flush() if chunk is None else aligner.feed(chunk))
-            open_word = aligner.open_word
+            self._unreached += aligner.flush() if chunk is None else aligner.feed(chunk)
         t1 = time.perf_counter()
         spot_result = self.spotter.flush() if chunk is None else self.spotter.process_chunk(chunk)
         t2 = time.perf_counter()
-        if self._unreached:
-            heard = float("inf") if chunk is None else self.spotter.frames_seen
-            n = bisect_left(self._unreached, heard, key=lambda w: w.start_frame)
-            self.commit.add_words(self._unreached[:n])
-            del self._unreached[:n]
-        out = commit_step(self.commit, spot_result, open_word, final=chunk is None)
+        heard = float("inf") if chunk is None else self.spotter.frames_seen
+        n = bisect_left(self._unreached, heard, key=lambda w: w.start_frame)
+        self.commit.add_words(self._unreached[:n])
+        del self._unreached[:n]
+        out = commit_step(
+            self.commit, spot_result, aligner and aligner.open_word, final=chunk is None
+        )
         t3 = time.perf_counter()
         self.timings.append(
             StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)

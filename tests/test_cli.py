@@ -2,13 +2,18 @@ import base64
 import io
 import json
 import math
+import os
+import shlex
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import ctcspot
 from ctcspot.cli import build_parser, main
 from ctcspot.formats import read_logits, write_alignments, write_envelope, write_logits
 from ctcspot import MergePolicy, ScriptSegment, SpotterConfig, WordAlignment, generate, make_spec
@@ -835,3 +840,24 @@ def test_space_prefixed_vocabulary_works_with_a_space_marker(tmp_path, capsys):
     # with the default marker no piece starts a word, and the line cannot be tokenized
     assert main(["spot", "--logits", logits, "--vocab", vocab, "--bias", bias]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """Every command of the README quick start exits 0 in a fresh directory
+    and prints only strict JSON records, with ``ctcspot`` run as
+    ``python -m ctcspot.cli``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line and not line.startswith("#")]
+    assert commands[-1].startswith("ctcspot eval")
+    src = Path(ctcspot.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cli = f"{shlex.quote(sys.executable)} -m ctcspot.cli "
+    for command in commands:
+        if command.startswith("ctcspot "):
+            command = cli + command[len("ctcspot "):]
+        done = subprocess.run(["bash", "-o", "pipefail", "-c", command], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (command, done.stderr)
+        for line in done.stdout.splitlines():
+            assert isinstance(json.loads(line, parse_constant=_not_json), dict), command

@@ -8,6 +8,7 @@ import pytest
 from ctcspot import (
     BiasEntry,
     MergePolicy,
+    ScriptSegment,
     SpotterConfig,
     SpotterSession,
     StreamingAligner,
@@ -15,6 +16,7 @@ from ctcspot import (
     WordAlignment,
     build_graph,
     load_bias_list,
+    make_spec,
     merge_region,
     offline_pipeline,
     spot_offline,
@@ -295,6 +297,50 @@ def test_every_entry_point_rejects_malformed_input_alike(entry, kind):
     with pytest.raises(error, match=r"shape \(\)" if kind == "0-d" else None):
         entry_points[entry](matrix)
     assert pipe.aligner.frames_seen == pipe.spotter.frames_seen == 3
+
+
+def _blank_entry_points(blank):
+    """Each entry point that takes a blank id, as a callable that runs it
+    with ``blank`` on a good 4-wide chunk and returns what it made."""
+    vocab = synthetic_vocab(4)
+    graph = build_graph([BiasEntry(0, "kw", (0, 1))], vocab_size=4)
+    cfg = SpotterConfig(blank_id=blank)
+    good = random_logprobs(np.random.default_rng(13), 3, 4)
+
+    def pipeline():
+        pipe = StreamingPipeline(graph, cfg, vocab=vocab)
+        return pipe.process_chunk(good), pipe.flush()
+
+    return {
+        "SpotterSession.process_chunk": lambda: SpotterSession(graph, cfg).process_chunk(good),
+        "StreamingAligner": lambda: StreamingAligner(vocab, blank_id=blank).feed(good),
+        "make_spec": lambda: make_spec(0, 4, blank, [ScriptSegment(0, 2, 0.9)]),
+        "spot_offline": lambda: spot_offline(good, graph, cfg),
+        "StreamingPipeline": pipeline,
+        "offline_pipeline": lambda: offline_pipeline(good, graph, cfg, vocab=vocab),
+    }
+
+
+BLANK_ENTRY_POINTS = list(_blank_entry_points(3))
+
+
+@pytest.mark.parametrize("blank", [3.0, "3", True], ids=repr)
+@pytest.mark.parametrize("entry", BLANK_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_blank_id_that_is_not_an_integer(entry, blank):
+    """A float, a string or a bool is no symbol id: each entry point raises
+    the one blank rule's DimensionMismatch, not a bare TypeError or a
+    silent symbol 1."""
+    with pytest.raises(DimensionMismatch, match="not an integer"):
+        _blank_entry_points(blank)[entry]()
+
+
+@pytest.mark.parametrize("entry", BLANK_ENTRY_POINTS)
+def test_a_numpy_integer_blank_id_is_taken_as_that_int(entry):
+    assert _blank_entry_points(np.int64(3))[entry]() == _blank_entry_points(3)[entry]()
+
+
+def test_the_blank_rule_returns_a_numpy_integer_as_int():
+    assert type(make_spec(0, 4, np.int64(3), []).blank_id) is int
 
 
 def test_alignments_round_trip_and_sorting(tmp_path):

@@ -13,6 +13,7 @@ from ctcspot import (
     WordAlignment,
     build_graph,
     commit_step,
+    greedy_decode,
     merge_region,
     offline_pipeline,
 )
@@ -434,14 +435,20 @@ def test_streaming_pipeline_equals_offline_for_any_chunking(case):
     transcript, words, _ = offline_pipeline(lp, graph, cfg, policy, **sources)
     pipe = StreamingPipeline(graph, cfg, policy, **sources)
 
+    all_words = (sources["external_words"] if "external_words" in sources
+                 else greedy_decode(lp, sources["vocab"], cfg.blank_id))
+
     def check_preview(out):
-        # an external word reaches the commit layer once the stream reaches
-        # its start, so the preview holds no word not yet heard
-        if "external_words" in sources:
-            held = [w.word for w in sources["external_words"]
-                    if w.start_frame < pipe.spotter.frames_seen
-                    and w.end_frame >= out.commit_frontier]
-            assert out.held_text_preview == (" ".join(held) or None)
+        # a word of either source reaches the commit layer once the stream
+        # reaches its start, so the preview holds no word not yet heard; the
+        # greedy word in progress has not reached it and ends the preview
+        open_word = pipe.aligner and pipe.aligner.open_word
+        heard = open_word.start_frame if open_word else pipe.spotter.frames_seen
+        held = [w.word for w in all_words
+                if w.start_frame < heard and w.end_frame >= out.commit_frontier]
+        if open_word and open_word.word:
+            held.append(open_word.word)
+        assert out.held_text_preview == (" ".join(held) or None)
 
     t = 0
     for n in sizes:
@@ -524,8 +531,6 @@ def test_no_bias_identity():
         lp = random_logprobs(rng, int(rng.integers(0, 30)), 7)
         transcript, _, cands = offline_pipeline(lp, graph, vocab=vocab)
         assert cands == []
-        from ctcspot import greedy_decode
-
         expected = " ".join(w.word for w in greedy_decode(lp, vocab, blank_id=6))
         assert transcript == expected
 
