@@ -16,6 +16,7 @@ occurrences are false alarms, excess reference occurrences are misses.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -230,8 +231,8 @@ def runtime_report(timings: Sequence[ChunkTiming], chunk_ms: float) -> RuntimeRe
         raise ValueError("need at least one timing sample")
     check_duration(chunk_ms, "chunk duration")
     for t in timings:
-        if min(t.asr_ms, t.spot_ms, t.merge_ms) < 0:
-            raise ValueError("negative step timing")
+        if not all(0 <= ms < math.inf for ms in (t.asr_ms, t.spot_ms, t.merge_ms)):
+            raise ValueError(f"step timing {t} is not non-negative and finite")  # NaN fails too
     asr = [t.asr_ms for t in timings]
     spot = [t.spot_ms for t in timings]
     merge = [t.merge_ms for t in timings]
@@ -253,6 +254,11 @@ def runtime_report(timings: Sequence[ChunkTiming], chunk_ms: float) -> RuntimeRe
     )
 
 
+def _three_digits(x: float) -> str:
+    """Three significant digits, and every digit left of the point."""
+    return f"{x:.3g}" if abs(x) < 1000 else f"{x:.0f}"
+
+
 def format_runtime_table(report: RuntimeReport) -> str:
     rows = [
         ("Feed Time (ms)", report.asr_mean, report.asr_p95),
@@ -264,5 +270,5 @@ def format_runtime_table(report: RuntimeReport) -> str:
     width = max(len(name) for name, _, _ in rows)
     lines = [f"{'Metric':<{width}}  mean / P95   (chunk {report.chunk_ms:g} ms)"]
     for name, mean_v, p95_v in rows:
-        lines.append(f"{name:<{width}}  {mean_v:.1f} / {p95_v:.1f}")
+        lines.append(f"{name:<{width}}  {_three_digits(mean_v)} / {_three_digits(p95_v)}")
     return "\n".join(lines)

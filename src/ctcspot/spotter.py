@@ -31,6 +31,12 @@ at or above the floor, still replaces any lower one. Hypotheses over the
 age cap or under the per-frame floor are expanded all the same: their
 expansions count toward the best, and skipping them would move the floor.
 
+Pruning deletes the few hypotheses it prunes from the frame's table,
+which becomes the next state; a delete keeps the other entries' order, so
+the state and the candidates keep theirs. A fresh entry skips the prune
+tests: it is admitted at or above the beam and per-frame floors and is one
+frame old, within any age cap.
+
 The same bound looks one frame ahead. On noise a frame admits hundreds of
 fresh entries, and most of them are skipped on every expansion the next
 frame: their best escape (the larger of blank loop and repeat, or the
@@ -247,6 +253,17 @@ def _search(
     ``fresh_best``), is skipped before its dict probe: it would be pruned.
     Age-capped hypotheses are still expanded, as they count in the best.
 
+    The prune loop collects the keys it prunes and deletes them from
+    ``nxt``, which becomes the next ``state``; a dict delete keeps the
+    other keys' insertion order, so the state, ``at_terminal`` and the
+    candidates keep the order that a new dict of survivors would have.
+    An entry with ``start == t`` skips the four prune tests. Only a fresh
+    entry starts at t, and it is admitted at or above ``floor =
+    max(min_per_frame_score, best - beam_threshold)``: at or above the
+    beam floor, at or above ``min_per_frame_score * 1``, and never under
+    ``floor`` for the root-slot test. Its age is 1, and
+    :class:`SpotterConfig` requires ``max_keyword_frames >= 1``.
+
     On a frame t that admits at least ``_MIN_FILTERED`` fresh entries and is
     not the chunk's last row, an admitted entry of score f at root child j
     is doomed when its blank loop, its repeat and each step to a child all
@@ -354,23 +371,28 @@ def _search(
                 if prev is None or s > prev[0]:
                     nxt[k] = (s, t)
 
-        state = {}
+        pruned = []
         at_terminal: dict[int, tuple[float, int]] = {}
         for key, val in nxt.items():
             score, start = val
-            age = t - start + 1
-            if score < beam_floor or age > max_age or score < min_pfs * age:
-                continue
-            if score < floor:  # never a fresh entry, which is admitted at or above it
-                j = root_slot.get(key)
-                if j is not None and fresh[j] > score:
+            if start != t:  # a fresh entry passes every test: see the docstring
+                age = t - start + 1
+                if score < beam_floor or age > max_age or score < min_pfs * age:
+                    pruned.append(key)
                     continue
-            state[key] = val
+                if score < floor:
+                    j = root_slot.get(key)
+                    if j is not None and fresh[j] > score:
+                        pruned.append(key)
+                        continue
             node = key >> 1
             if terminals[node] >= 0:
                 prev = at_terminal.get(node)
                 if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):
                     at_terminal[node] = val
+        for key in pruned:
+            del nxt[key]
+        state = nxt
 
         # survivors already satisfy the per-frame floor, so all terminals qualify
         if ranks is None:

@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -184,6 +185,31 @@ def test_runtime_report_validation():
         runtime_report([ChunkTiming(asr_ms=0.0, spot_ms=-1.0, merge_ms=0.0)], 160.0)
     report = runtime_report([ChunkTiming(asr_ms=1.0, spot_ms=2.0, merge_ms=1.0)], 100.0)
     assert report.total_mean == 4.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["asr_ms", "spot_ms", "merge_ms"])
+def test_runtime_report_rejects_non_finite_timings(field, bad):
+    # min(...) < 0 is False for NaN, so NaN once came back as NaN means
+    steps = {"asr_ms": 0.1, "spot_ms": 0.1, "merge_ms": 0.02, field: bad}
+    with pytest.raises(ValueError):
+        runtime_report([ChunkTiming(asr_ms=1.0, spot_ms=1.0, merge_ms=1.0), ChunkTiming(**steps)],
+                       160.0)
+
+
+def test_runtime_table_keeps_three_significant_digits():
+    """Sub-millisecond steps of short chunks stay visible, and large
+    values lose no integer digits."""
+    timings = [ChunkTiming(asr_ms=0.018, spot_ms=1234.4, merge_ms=0.0234)]
+    table = format_runtime_table(runtime_report(timings, 160.0))
+    rows = dict(re.split(r"\s{2,}", line) for line in table.splitlines()[1:])
+    assert rows == {
+        "Feed Time (ms)": "0.018 / 0.018",
+        "Spot Time (ms)": "1234 / 1234",
+        "Merge Time (ms)": "0.0234 / 0.0234",
+        "Total Time (ms)": "1234 / 1234",
+        "Extra Proc. / Chunk (%)": "772 / 772",
+    }
 
 
 def test_p95_nearest_rank():

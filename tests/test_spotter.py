@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import defaultdict
 from unittest import mock
@@ -385,6 +386,35 @@ def _cand_keys(cands):
     SpotterConfig(cb_weight=1.0, beam_threshold=1.0, blank_id=3),
     [2],
 ))
+# In each of the next four, frame 1 prunes an entry started at frame 0 by one
+# rule alone while it admits the fresh entry "c".
+@example((  # the beam floor prunes the blank loop of "a"
+    build_graph([BiasEntry(0, "ab", (0, 1)), BiasEntry(1, "c", (2,))]),
+    np.array([[0.0, -4.0, -4.0, -4.0], [-4.0, 0.0, -1.0, -2.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=2.0, min_per_frame_score=float("-inf"),
+                  blank_id=3),
+    [2],
+))
+@example((  # the age cap prunes every entry started at frame 0
+    build_graph([BiasEntry(0, "ab", (0, 1)), BiasEntry(1, "c", (2,))]),
+    np.array([[0.0, -4.0, -4.0, -4.0], [-1.0, -1.0, -1.0, -1.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=float("inf"),
+                  min_per_frame_score=float("-inf"), max_keyword_frames=1, blank_id=3),
+    [2],
+))
+@example((  # the per-frame floor prunes the blank loop and the repeat of "a"
+    build_graph([BiasEntry(0, "ab", (0, 1)), BiasEntry(1, "c", (2,))]),
+    np.array([[0.0, -4.0, -4.0, -4.0], [-4.0, -4.0, 0.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=float("inf"), min_per_frame_score=-1.0,
+                  blank_id=3),
+    [2],
+))
+@example((  # a better fresh entry below the floor displaces the repeat of "a"
+    build_graph([BiasEntry(0, "ab", (0, 1)), BiasEntry(1, "c", (2,))]),
+    np.array([[-0.25, -4.0, -4.0, -4.0], [-2.5, -2.0, 0.0, -1.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=7.0, min_per_frame_score=-1.0, blank_id=3),
+    [2],
+))
 def test_exact_admission_matches_full_admission(case):
     """Frame by frame, the search admitting only fresh entries at or above
     the floor (or on a slot propagation filled) keeps the same survivors
@@ -415,6 +445,61 @@ def test_exact_admission_matches_full_admission(case):
         assert t == lp.shape[0]
         assert chunked_state == state, min_filtered
         assert chunked == per_frame, min_filtered
+
+
+def _order_case():
+    """Near-flat input in which all four prune rules fire and most frames
+    admit enough fresh entries to be filtered. Every cell is -k/8, so every
+    score is an exact sum and the digests below do not depend on the
+    platform's exp or log."""
+    rng = np.random.default_rng(24)
+    vocab = 40
+    graph = build_graph(random_entries(rng, 300, vocab=vocab, blank=vocab - 1))
+    lp = rng.integers(-40, 1, size=(56, vocab)) / 8.0
+    cfg = SpotterConfig(cb_weight=1.0, beam_threshold=6.0, min_per_frame_score=-1.0,
+                        max_keyword_frames=6, blank_id=vocab - 1)
+    return graph, lp, cfg
+
+
+def _digest(rows) -> str:
+    """sha256 of rows of ints and floats, in order, floats written in hex."""
+    text = "\n".join(
+        " ".join(x.hex() if isinstance(x, float) else str(x) for x in row) for row in rows
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded at commit 50969bd, whose prune loop copied the survivors into a new dict.
+ORDER_DIGESTS = {
+    "offline": "5390e82203b7a3af1d2892046af331975bb66c4772dd8e2106bb0f74a1ba8577",
+    "undominated": "e64aa5d6655fdc74e9ef082b0b06f72e378f33de82f99dceaf0564f173436767",
+    "states-1": "8dd54e8e1c22e745beacfc37042af13c9686f5b239ef204cac2de5446a832768",
+    "states-4": "4783fecd2070a5c0e8737dc83a9642c64d61c4ba241c2118d92ba53d3fafd13f",
+    "states-28": "3901a2d25d0031ad0d63663b8d9aca51875d6982eacd031a0f58bc9398db11f3",
+}
+
+
+def test_candidate_and_state_order_is_pinned():
+    """The search appends candidates and keeps live hypotheses in one fixed
+    order, not only the same sets: the candidate lists of both whole-
+    utterance paths and the state after each call, at 1-, 4- and 28-frame
+    chunks, hash to the digests recorded before the prune loop changed."""
+    graph, lp, cfg = _order_case()
+    blank = cfg.blank_id
+    offline = spot_offline(lp, graph, cfg)
+    undominated = spotter.spot_undominated(lp, graph, cfg)
+    digests = {
+        name: _digest((c.keyword_id, c.start_frame, c.end_frame, c.score) for c in cands)
+        for name, cands in (("offline", offline), ("undominated", undominated))
+    }
+    for size in (1, 4, 28):
+        state, ranks, out, rows = {}, [], [], []
+        for t in range(0, lp.shape[0], size):
+            state = _search(state, lp[t : t + size], t, graph, cfg, blank, out, ranks)
+            rows.extend((t, key, score, start) for key, (score, start) in state.items())
+        assert out == undominated, size
+        digests[f"states-{size}"] = _digest(rows)
+    assert digests == ORDER_DIGESTS
 
 
 class _LayoutProbe(np.ndarray):
