@@ -52,6 +52,7 @@ LOGITS_VERSION = 1
 _HEADER = struct.Struct("<4sIIIf")
 
 ROW_NORM_TOL = 1e-3
+_NORM_ROWS = 64  # rows per block of row_norm_error
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
     changes: a NaN score fails every prune compare, and the spotter's
     commit frontier bounds future scores by taking every cell to be at most
     0. The search reads each row through a memoryview, which needs that
-    layout, and gathers its per-chunk fresh-entry table (frames x root
+    layout, and gathers its fresh-entry tables (a block of rows x root
     children) with ``take(..., axis=1)``, which keeps C order;
-    ``lp[:, idx]`` would return that table in Fortran order."""
+    ``lp[:, idx]`` would return such a table in Fortran order."""
     lp = np.asarray(matrix, dtype=float, order="C")
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
@@ -139,13 +140,22 @@ def check_duration(ms: float, what: str) -> float:
 
 
 def row_norm_error(matrix: np.ndarray) -> float:
-    """Largest |log sum exp| over rows; 0.0 if none. Cells must be <= 0, so exp cannot overflow."""
+    """Largest |log sum exp| over rows; 0.0 if none. Cells must be <= 0, so exp cannot overflow.
+
+    Rows are exponentiated ``_NORM_ROWS`` at a time into one reused buffer,
+    so the check holds one block, not a second matrix. Each row is summed on
+    its own, so the result does not depend on the block size."""
     lp = np.asarray(matrix, dtype=float)
     if lp.shape[0] == 0:
         return 0.0
+    buf = np.empty((min(lp.shape[0], _NORM_ROWS), lp.shape[1]))
+    errs = []
     with np.errstate(divide="ignore"):  # an all -inf row sums to 0: log -inf, error inf
-        lse = np.log(np.exp(lp).sum(axis=1))
-    return float(np.abs(lse).max())
+        for i in range(0, lp.shape[0], _NORM_ROWS):
+            block = lp[i : i + _NORM_ROWS]
+            sums = np.exp(block, out=buf[: block.shape[0]]).sum(axis=1)
+            errs.append(np.abs(np.log(sums)).max())
+    return float(np.max(errs))  # np.max, unlike max, propagates a NaN
 
 
 def validate_logprob_matrix(matrix: np.ndarray, strict: bool = True) -> None:
@@ -179,24 +189,28 @@ def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> Non
 def read_logits(path: str) -> tuple[np.ndarray, float]:
     """Returns (float64 matrix, frame_duration_ms).
 
-    NaN or +inf cells raise; unnormalized rows only warn.
+    NaN or +inf cells raise; unnormalized rows only warn. The file is read
+    in one piece, and its bytes are dropped once the matrix is built, so
+    reading holds at most the bytes plus the matrix and validating the
+    matrix plus one row block. The payload's size comes from the file, not
+    the header, before anything is allocated for it.
     """
     with open(path, "rb") as fp:
-        header = fp.read(_HEADER.size)
-        if len(header) < _HEADER.size or header[:4] != LOGITS_MAGIC:
-            raise BadMagic(f"{path}: not a logits file")
-        _, version, n_frames, vocab, frame_ms = _HEADER.unpack(header)
-        if version != LOGITS_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        payload = fp.read()
+        data = fp.read()
+    if len(data) < _HEADER.size or data[:4] != LOGITS_MAGIC:
+        raise BadMagic(f"{path}: not a logits file")
+    _, version, n_frames, vocab, frame_ms = _HEADER.unpack_from(data)
+    if version != LOGITS_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    size = len(data) - _HEADER.size
     expected = 4 * n_frames * vocab
-    if len(payload) < expected:
-        raise TruncatedPayload(
-            f"{path}: header claims {expected} payload bytes, file has {len(payload)}"
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(n_frames, vocab).astype(float)
+    if size < expected:
+        raise TruncatedPayload(f"{path}: header claims {expected} payload bytes, file has {size}")
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
+    matrix = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    matrix = matrix.reshape(n_frames, vocab).astype(float)
+    del data
     validate_logprob_matrix(matrix, strict=False)
     return matrix, check_duration(frame_ms, f"{path}: frame duration")
 

@@ -9,10 +9,10 @@ best score, and survivors of beam pruning and the age cap that sit on a
 terminal node are reported as keyword candidates.
 
 The search reads the frozen :class:`~ctcspot.graph.ContextGraph` directly.
-Fresh-entry scores are computed per chunk with numpy, as one C-ordered
-frames x root-children gather, ``lp.take(root_tok, axis=1)``: numpy returns
-``lp[:, root_tok]`` in Fortran order, and each frame's row and maximum would
-then read strided memory. Per frame, only the
+Fresh-entry scores are computed with numpy, as C-ordered gathers of up to
+``_BLOCK_ROWS`` frames x root children (:func:`_fresh_table`), so a call
+over a whole utterance holds one block's table, not one as large as the
+input. Per frame, only the
 entries at or above the admission floor ``max(min_per_frame_score, best -
 beam_threshold)`` are inserted, and a live hypothesis below the floor on a
 root-child slot is pruned when a strictly better fresh entry would have
@@ -198,6 +198,23 @@ def _bound(score: float, age: int, height: int, cb: float) -> float:
 _MIN_FILTERED = 16
 
 
+# Rows per fresh-entry table. A longer call gathers each block after its
+# first twice, once for the frame maxima and once for the frames; a chunk of
+# up to this many rows, which covers every streamed chunk of the bench,
+# gathers once.
+_BLOCK_ROWS = 64
+
+
+def _fresh_table(rows: np.ndarray, root_tok: np.ndarray, cb: float) -> np.ndarray:
+    """The fresh-entry scores ``row[root_tok] + cb`` of each of ``rows``,
+    as one C-ordered table: ``rows[:, root_tok]`` would come back in
+    Fortran order, and each frame's row and maximum would then read strided
+    memory."""
+    table = rows.take(root_tok, axis=1)
+    table += cb
+    return table
+
+
 def _escapes(
     row: np.ndarray, graph: ContextGraph, blank_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,10 +259,11 @@ def _search(
 
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum, both
-    read from one C-ordered frames x root-children table per chunk:
-    ``lp.take(root_tok, axis=1)`` plus ``cb_weight`` in place.
-    ``lp[:, root_tok]`` holds the same values in Fortran order, and the row
-    maxima and every ``fresh`` row would stride over it.
+    read from C-ordered tables of up to ``_BLOCK_ROWS`` frames
+    (:func:`_fresh_table`). Every ``fresh_best`` of the call is computed
+    first, block by block from the last, because the next-frame filter
+    reads frame t+1's; the frame loop then regathers each later block as it
+    reaches it. A call of at most one block gathers once.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of its frame.
     An expansion below ``cut``, the beam threshold under the larger of the
@@ -293,9 +311,12 @@ def _search(
     terminals = graph.terminals
     root_keys = graph.root_keys
     root_slot = graph.root_slot
-    fresh_rows = lp.take(graph.root_tok, axis=1)
-    fresh_rows += cb
-    fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
+    root_tok = graph.root_tok
+    maxima = np.empty(lp.shape[0])
+    for b in reversed(range(0, lp.shape[0], _BLOCK_ROWS)):  # leaves the first block's table
+        fresh_rows = _fresh_table(lp[b : b + _BLOCK_ROWS], root_tok, cb)
+        fresh_rows.max(axis=1, initial=-np.inf, out=maxima[b : b + _BLOCK_ROWS])
+    fresh_bests = maxima.tolist()
     last = len(fresh_bests) - 1
     if ranks is not None:
         base = first_frame - len(ranks)
@@ -304,7 +325,10 @@ def _search(
     for i, fresh_best in enumerate(fresh_bests):
         t = first_frame + i
         row = memoryview(lp[i])
-        fresh = fresh_rows[i]
+        offset = i % _BLOCK_ROWS
+        if not offset and i:
+            fresh_rows = _fresh_table(lp[i : i + _BLOCK_ROWS], root_tok, cb)
+        fresh = fresh_rows[offset]
         lp_blank = row[blank_id]
         nxt: _State = {}
         # the frame's best is at least lo, so an expansion below cut is pruned anyway

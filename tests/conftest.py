@@ -3,6 +3,8 @@ independent mini-oracles kept deliberately separate from the package code."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from ctcspot import BiasEntry
@@ -77,6 +79,36 @@ def synthetic_vocab(vocab: int, rng: np.random.Generator | None = None) -> list[
         pieces.append(piece)
     pieces.append("<blank>")
     return pieces
+
+
+def reference_row_norm_error(matrix) -> float:
+    """The row check over the whole matrix at once: one exponentiated copy
+    of it, summed per row. The package exponentiates a block of rows at a
+    time and must return the same float, bit for bit."""
+    lp = np.asarray(matrix, dtype=float)
+    if lp.shape[0] == 0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        lse = np.log(np.exp(lp).sum(axis=1))
+    return float(np.abs(lse).max())
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the most memory in bytes that the call held at
+    once above what was held before it, as tracemalloc counts it. numpy
+    reports its buffers to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak
 
 
 def collapse(labels, blank) -> list[int]:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcspot import (
     BiasEntry,
@@ -41,6 +43,7 @@ from ctcspot.errors import (
     UnnormalizedRows,
     UnsortedInput,
 )
+from ctcspot import formats
 from ctcspot.formats import (
     chunker,
     read_alignments,
@@ -55,7 +58,7 @@ from ctcspot.formats import (
 from ctcspot.graph import load_bias_surfaces
 from ctcspot.spotter import check_graph
 
-from conftest import random_logprobs, synthetic_vocab
+from conftest import random_logprobs, reference_row_norm_error, synthetic_vocab, traced_peak
 
 
 def _normalized_f32(rng, n_frames, vocab):
@@ -105,6 +108,18 @@ def test_truncated_payload_and_bad_magic(tmp_path):
     Path(future).write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
     with pytest.raises(FormatError, match="unsupported version 2"):
         read_logits(future)
+    # the payload's size comes from the file: a header claiming up to 64 EiB
+    # of cells raises before anything is allocated for the claim
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"{piece}\n" for piece in synthetic_vocab(4)), encoding="utf-8")
+    forged = str(tmp_path / "forged.ctcl")
+    for frames, width in ((2**32 - 1, 2**32 - 1), (5, 2**32 - 1), (6, 4)):
+        claim = frames.to_bytes(4, "little") + width.to_bytes(4, "little")
+        Path(forged).write_bytes(blob[:8] + claim + blob[16:])
+        with pytest.raises(TruncatedPayload, match="header claims"):
+            read_logits(forged)
+        for command in ("spot", "stream"):
+            assert main([command, "--logits", forged, "--vocab", str(vocab)]) == 2
 
 
 def test_unnormalized_rows_strictness(tmp_path):
@@ -156,6 +171,71 @@ def test_all_minus_infinity_row_is_unnormalized():
         validate_logprob_matrix(matrix, strict=True)
     with pytest.warns(UserWarning):
         validate_logprob_matrix(matrix, strict=False)
+
+
+@st.composite
+def row_check_cases(draw):
+    """C-ordered matrices of 0 rows to several row blocks, with some rows
+    all -inf, some shifted off normalization and some -inf cells."""
+    n_frames = draw(st.integers(0, 3 * formats._NORM_ROWS + 5))
+    vocab = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = random_logprobs(rng, n_frames, vocab)
+    if n_frames:
+        rows = st.integers(0, n_frames - 1)
+        for row in draw(st.lists(rows, max_size=4)):
+            matrix[row] -= draw(st.floats(0.0, 5.0))
+        for row, col in draw(st.lists(st.tuples(rows, st.integers(0, vocab - 1)), max_size=4)):
+            matrix[row, col] = -np.inf
+        for row in draw(st.lists(rows, max_size=2)):
+            matrix[row] = -np.inf
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_check_cases())
+def test_row_check_by_blocks_equals_the_whole_matrix_check(matrix):
+    assert row_norm_error(matrix).hex() == reference_row_norm_error(matrix).hex()
+
+
+def test_row_check_reads_every_row_of_every_block():
+    rng = np.random.default_rng(11)
+    matrix = random_logprobs(rng, 2 * formats._NORM_ROWS + 3, 5)
+    for row in range(matrix.shape[0]):
+        shifted = matrix.copy()
+        shifted[row] -= 1.0
+        assert row_norm_error(shifted) == reference_row_norm_error(shifted) > 0.99, row
+
+
+def test_read_logits_warns_with_the_whole_matrix_row_error(tmp_path):
+    rng = np.random.default_rng(12)
+    matrix = random_logprobs(rng, 3 * formats._NORM_ROWS + 7, 9)
+    path = str(tmp_path / "x.ctcl")
+    write_logits(path, matrix, 40.0)
+    matrix[100] -= 0.5
+    matrix[150] -= 2.0
+    blob = bytearray(Path(path).read_bytes())
+    blob[20:] = matrix.astype("<f4").tobytes()
+    Path(path).write_bytes(bytes(blob))
+    with pytest.warns(UserWarning) as record:
+        back, _ = read_logits(path)
+    err = reference_row_norm_error(back)
+    assert row_norm_error(back) == err
+    assert [str(w.message) for w in record] == [
+        f"rows deviate from a normalized distribution by {err:.3g}"
+    ]
+
+
+def test_read_logits_holds_the_bytes_and_the_matrix_at_most(tmp_path):
+    """Reading holds the file's bytes and the float64 matrix, 1.5 times the
+    matrix, then validates the matrix one row block at a time. Keeping the
+    bytes while a second float64 matrix is exponentiated would hold 2.5."""
+    rng = np.random.default_rng(13)
+    path = str(tmp_path / "x.ctcl")
+    write_logits(path, random_logprobs(rng, 1024, 512), 40.0)
+    (matrix, _), peak = traced_peak(read_logits, path)
+    assert matrix.nbytes >= 4 << 20
+    assert peak <= 1.6 * matrix.nbytes, peak / matrix.nbytes
 
 
 def test_chunker():

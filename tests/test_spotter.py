@@ -31,6 +31,7 @@ from conftest import (
     reference_step_frame,
     reference_tables,
     synthetic_vocab,
+    traced_peak,
 )
 from oracle import brute_force_keyword_score, brute_force_scores_by_end
 
@@ -502,6 +503,14 @@ def test_candidate_and_state_order_is_pinned():
     assert digests == ORDER_DIGESTS
 
 
+def test_candidate_and_state_order_is_pinned_across_row_blocks():
+    """The same digests with fresh-entry tables of 8 rows: the 56-frame
+    whole-utterance calls and the 28-frame chunks then cross block
+    boundaries, and each block after a call's first is gathered twice."""
+    with mock.patch.object(spotter, "_BLOCK_ROWS", 8):
+        test_candidate_and_state_order_is_pinned()
+
+
 class _LayoutProbe(np.ndarray):
     """Records whether each 2-d array derived from it, with more than one
     row and one column, is C-contiguous."""
@@ -518,18 +527,46 @@ def test_search_tables_are_c_ordered():
     C-ordered, so each frame's row and row maximum read contiguous memory;
     ``lp[:, root_tok]`` would come back in Fortran order. With every frame
     filtered, the search also reads the next-frame escapes, one row at a
-    time."""
+    time. A 10-row chunk fits one default block; in blocks of 4 rows, the
+    three tables gathered for the frame maxima and the two regathered for
+    the frames are all checked."""
     rng = np.random.default_rng(31)
     vocab = 16
     graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))
     assert len(graph.root_tok) > 1
-    lp = random_logprobs(rng, 6, vocab)
-    for min_filtered in (spotter._MIN_FILTERED, 1):
-        _LayoutProbe.seen = []
-        probe = lp.view(_LayoutProbe)
-        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
-                mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
-            _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
-        assert escapes.called == (min_filtered == 1)
-        assert len(_LayoutProbe.seen) > 1  # the view above and the search's table(s)
-        assert all(_LayoutProbe.seen), _LayoutProbe.seen
+    lp = random_logprobs(rng, 10, vocab)
+    for block_rows, gathers in ((spotter._BLOCK_ROWS, 1), (4, 5)):
+        for min_filtered in (spotter._MIN_FILTERED, 1):
+            _LayoutProbe.seen = []
+            probe = lp.view(_LayoutProbe)
+            with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
+                    mock.patch.object(spotter, "_BLOCK_ROWS", block_rows), \
+                    mock.patch.object(spotter, "_fresh_table",
+                                      wraps=spotter._fresh_table) as tables, \
+                    mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
+                _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
+            assert escapes.called == (min_filtered == 1)
+            assert tables.call_count == gathers
+            # the view above, each block's rows and each table
+            assert len(_LayoutProbe.seen) > 2 * gathers
+            assert all(_LayoutProbe.seen), _LayoutProbe.seen
+
+
+def test_whole_utterance_search_holds_one_block_of_fresh_entries():
+    """spot_offline over 1,024 frames and 1,024 root children gathers the
+    fresh entries a block of rows at a time: a frames x root-children table
+    would hold 8 MiB, and the call holds under a quarter of that."""
+    vocab = 1025
+    blank = vocab - 1
+    entries = [BiasEntry(k, f"kw{k}", (k, (k + 1) % blank)) for k in range(blank)]
+    graph = build_graph(entries)
+    lp = np.full((1024, vocab), np.log(1e-6 / blank))
+    lp[:, blank] = np.log1p(-1e-6)
+    for t in (100, 500, 900):  # kw7 spoken three times, over silence
+        lp[t : t + 2] = np.log(1e-6 / blank)
+        lp[t, 7] = lp[t + 1, 8] = np.log1p(-1e-6)
+    table = lp.shape[0] * len(graph.root_tok) * 8
+    assert table >= 8 << 20
+    out, peak = traced_peak(spot_offline, lp, graph, SpotterConfig())
+    assert {(c.keyword_id, c.start_frame) for c in out} == {(7, 100), (7, 500), (7, 900)}
+    assert peak < table / 4, peak / table
