@@ -193,7 +193,8 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
     in one piece, and its bytes are dropped once the matrix is built, so
     reading holds at most the bytes plus the matrix and validating the
     matrix plus one row block. The payload's size comes from the file, not
-    the header, before anything is allocated for it.
+    the header, before anything is allocated for it; the header's fields,
+    the frame duration included, are checked before the payload is read.
     """
     with open(path, "rb") as fp:
         data = fp.read()
@@ -202,6 +203,7 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
     _, version, n_frames, vocab, frame_ms = _HEADER.unpack_from(data)
     if version != LOGITS_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    check_duration(frame_ms, f"{path}: frame duration")
     size = len(data) - _HEADER.size
     expected = 4 * n_frames * vocab
     if size < expected:
@@ -212,7 +214,7 @@ def read_logits(path: str) -> tuple[np.ndarray, float]:
     matrix = matrix.reshape(n_frames, vocab).astype(float)
     del data
     validate_logprob_matrix(matrix, strict=False)
-    return matrix, check_duration(frame_ms, f"{path}: frame duration")
+    return matrix, frame_ms
 
 
 def frames_per_chunk(chunk_ms: float, frame_duration_ms: float) -> int:
@@ -233,9 +235,11 @@ def chunker(
     matrix: np.ndarray, chunk_ms: float, frame_duration_ms: float
 ) -> Iterator[np.ndarray]:
     """Split a matrix into chunks of :func:`frames_per_chunk` frames; the
-    last may be ragged."""
+    last may be ragged. Each chunk is a view of ``np.asarray(matrix)``, in
+    the caller's dtype: the engine converts each chunk it takes
+    (:func:`check_logprobs`), so nothing is copied here."""
     n = frames_per_chunk(chunk_ms, frame_duration_ms)
-    lp = np.asarray(matrix, dtype=float)
+    lp = np.asarray(matrix)
     for i in range(0, lp.shape[0], n):
         yield lp[i : i + n]
 

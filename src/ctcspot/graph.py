@@ -200,9 +200,9 @@ class Tokenizer:
 
     The ``{piece: first token id}`` table over the non-empty pieces outside
     ``skip_ids`` is built once, so tokenizing many texts costs one pass
-    over the vocabulary. Spaces are mapped to the word-boundary marker
-    before matching, so a phrase like "justin bieber" matches
-    marker-prefixed pieces.
+    over the vocabulary. Each run of whitespace between words is mapped to
+    one word-boundary marker before matching, so a phrase like "justin
+    bieber" matches marker-prefixed pieces.
     """
 
     def __init__(
@@ -222,7 +222,7 @@ class Tokenizer:
 
     def __call__(self, text: str) -> list[int]:
         table, longest = self._table, self._longest
-        normalized = self.marker + text.strip().replace(" ", self.marker)
+        normalized = self.marker + self.marker.join(text.split())
         out: list[int] = []
         i = 0
         while i < len(normalized):
@@ -238,17 +238,21 @@ class Tokenizer:
 
 
 def _bias_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
-    """(line number, stripped surface, token id column or None) per
-    bias-list entry; an empty surface raises :class:`EmptySurface`."""
+    """(line number, surface, token id column or None) per bias-list
+    entry; an empty surface raises :class:`EmptySurface`. The surface is
+    stripped and each inner run of whitespace becomes one space, so the
+    graph, the tokenizer and :func:`ctcspot.metrics.keyword_prf` read the
+    same words."""
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             surface, tab, id_col = line.partition("\t")
-            if not surface.strip():
+            surface = " ".join(surface.split())
+            if not surface:
                 raise EmptySurface(f"{path}:{lineno}: empty surface")
-            yield lineno, surface.strip(), id_col if tab else None
+            yield lineno, surface, id_col if tab else None
 
 
 def load_bias_surfaces(path: str) -> list[str]:

@@ -10,9 +10,9 @@ terminal node are reported as keyword candidates.
 
 The search reads the frozen :class:`~ctcspot.graph.ContextGraph` directly.
 Fresh-entry scores are computed with numpy, as C-ordered gathers of up to
-``_BLOCK_ROWS`` frames x root children (:func:`_fresh_table`), so a call
-over a whole utterance holds one block's table, not one as large as the
-input. Per frame, only the
+``_BLOCK_ROWS`` frames x root children (:func:`_fresh_table`), each with
+one more frame for the look-ahead below, so a call over a whole utterance
+holds one block's table, not one as large as the input. Per frame, only the
 entries at or above the admission floor ``max(min_per_frame_score, best -
 beam_threshold)`` are inserted, and a live hypothesis below the floor on a
 root-child slot is pruned when a strictly better fresh entry would have
@@ -198,10 +198,10 @@ def _bound(score: float, age: int, height: int, cb: float) -> float:
 _MIN_FILTERED = 16
 
 
-# Rows per fresh-entry table. A longer call gathers each block after its
-# first twice, once for the frame maxima and once for the frames; a chunk of
-# up to this many rows, which covers every streamed chunk of the bench,
-# gathers once.
+# Rows per fresh-entry table, which also holds the next block's first row for
+# the next-frame filter. A call gathers one table per block as it reaches it;
+# a chunk of up to this many rows, which covers every streamed chunk of the
+# bench, gathers once.
 _BLOCK_ROWS = 64
 
 
@@ -260,10 +260,10 @@ def _search(
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum, both
     read from C-ordered tables of up to ``_BLOCK_ROWS`` frames
-    (:func:`_fresh_table`). Every ``fresh_best`` of the call is computed
-    first, block by block from the last, because the next-frame filter
-    reads frame t+1's; the frame loop then regathers each later block as it
-    reaches it. A call of at most one block gathers once.
+    (:func:`_fresh_table`), gathered at each block's first row. Each table
+    holds one row more, the next block's first, because the next-frame
+    filter reads frame t+1's ``fresh_best``; so a call gathers one table per
+    block, and a call of at most one block gathers once.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of its frame.
     An expansion below ``cut``, the beam threshold under the larger of the
@@ -312,23 +312,20 @@ def _search(
     root_keys = graph.root_keys
     root_slot = graph.root_slot
     root_tok = graph.root_tok
-    maxima = np.empty(lp.shape[0])
-    for b in reversed(range(0, lp.shape[0], _BLOCK_ROWS)):  # leaves the first block's table
-        fresh_rows = _fresh_table(lp[b : b + _BLOCK_ROWS], root_tok, cb)
-        fresh_rows.max(axis=1, initial=-np.inf, out=maxima[b : b + _BLOCK_ROWS])
-    fresh_bests = maxima.tolist()
-    last = len(fresh_bests) - 1
+    last = lp.shape[0] - 1
     if ranks is not None:
         base = first_frame - len(ranks)
-        ranks.extend([_UNRANKED] * len(fresh_bests))
+        ranks.extend([_UNRANKED] * lp.shape[0])
 
-    for i, fresh_best in enumerate(fresh_bests):
+    for i in range(lp.shape[0]):
         t = first_frame + i
         row = memoryview(lp[i])
         offset = i % _BLOCK_ROWS
-        if not offset and i:
-            fresh_rows = _fresh_table(lp[i : i + _BLOCK_ROWS], root_tok, cb)
+        if not offset:  # the block's rows and the next block's first, for the filter
+            fresh_rows = _fresh_table(lp[i : i + _BLOCK_ROWS + 1], root_tok, cb)
+            fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
         fresh = fresh_rows[offset]
+        fresh_best = fresh_bests[offset]
         lp_blank = row[blank_id]
         nxt: _State = {}
         # the frame's best is at least lo, so an expansion below cut is pruned anyway
@@ -382,7 +379,7 @@ def _search(
                 # frame's cut, and those that emit a candidate now
                 final, stay, step = _escapes(lp[i + 1], graph, blank_id)
                 scores = fresh[admitted]
-                nxt_cut = fresh_bests[i + 1] - beam_threshold
+                nxt_cut = fresh_bests[offset + 1] - beam_threshold
                 carried = (
                     final[admitted]
                     | (scores + stay[admitted] >= nxt_cut)

@@ -332,9 +332,10 @@ def test_criterion_6_overhead_bound():
         pipe.process_chunk(matrix[i : i + frames_per_chunk])
     pipe.flush()
 
+    # the chunk steps only, as ctcspot stream reports them: the flush is left out
     timings = [
         ChunkTiming(asr_ms=t.align_ms, spot_ms=t.spot_ms, merge_ms=t.merge_ms)
-        for t in pipe.timings
+        for t in pipe.timings[:-1]
     ]
     report = runtime_report(timings, 1120.0)
     budget_ms = 0.25 * 1120.0

@@ -122,6 +122,26 @@ def test_truncated_payload_and_bad_magic(tmp_path):
             assert main([command, "--logits", forged, "--vocab", str(vocab)]) == 2
 
 
+@pytest.mark.parametrize("frame_ms", [float("nan"), 0.0, -40.0, float("inf")])
+def test_read_logits_checks_the_frame_duration_before_the_payload(tmp_path, capsys, frame_ms):
+    """A header's frame duration is checked with its other fields: a file
+    with unnormalized rows raises BadDuration without converting or
+    row-checking the payload, so nothing warns "rows deviate" first."""
+    rng = np.random.default_rng(15)
+    path = str(tmp_path / "x.ctcl")
+    write_logits(path, _normalized_f32(rng, 5, 4), 40.0)
+    blob = bytearray(Path(path).read_bytes())
+    blob[16:20] = np.array(frame_ms, dtype="<f4").tobytes()
+    blob[20:] = (_normalized_f32(rng, 5, 4) - 0.5).astype("<f4").tobytes()
+    Path(path).write_bytes(bytes(blob))
+    with pytest.raises(BadDuration, match="frame duration"):
+        read_logits(path)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"{piece}\n" for piece in synthetic_vocab(4)), encoding="utf-8")
+    assert main(["stream", "--logits", path, "--vocab", str(vocab)]) == 2
+    assert "rows deviate" not in capsys.readouterr().err
+
+
 def test_unnormalized_rows_strictness(tmp_path):
     rng = np.random.default_rng(2)
     matrix = _normalized_f32(rng, 4, 4) - 0.5  # rows now sum to exp(-0.5)
@@ -249,6 +269,19 @@ def test_chunker():
         list(chunker(matrix, 39.0, 40.0))
     with pytest.raises(ChunkTooSmall):
         list(chunker(matrix, 0.0, 40.0))
+
+
+def test_chunker_cuts_the_callers_rows_without_a_copy():
+    """A float32 matrix is cut as it is, with no float64 copy of it before
+    the first chunk (the engine converts each chunk it takes), and a
+    float64 matrix is cut into views."""
+    matrix = np.full((4096, 1024), -np.log(1024), dtype=np.float32)
+    assert matrix.nbytes >= 16 << 20
+    first, peak = traced_peak(lambda: next(chunker(matrix, 1120.0, 40.0)))
+    assert first.dtype == np.float32 and np.shares_memory(first, matrix)
+    assert peak < matrix.nbytes / 16, peak / matrix.nbytes
+    matrix64 = random_logprobs(np.random.default_rng(5), 70, 4)
+    assert all(np.shares_memory(c, matrix64) for c in chunker(matrix64, 1120.0, 40.0))
 
 
 def test_envelope_round_trip():

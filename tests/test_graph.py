@@ -8,6 +8,7 @@ from ctcspot import (
     SpotterConfig,
     Tokenizer,
     build_graph,
+    keyword_prf,
     load_bias_list,
     load_vocab,
 )
@@ -18,6 +19,7 @@ from ctcspot.errors import (
     TokenizationError,
     TokenOutOfRange,
 )
+from ctcspot.graph import load_bias_surfaces
 from ctcspot.spotter import check_graph
 
 from conftest import MARKER, child_map, random_entries
@@ -173,6 +175,26 @@ def test_tokenizer_greedy_longest_match():
         tokenize("qqq")
     with pytest.raises(TokenizationError, match="no usable pieces"):
         Tokenizer(["", "<b>"], skip_ids={1})  # empty pieces and skipped ids match nothing
+
+
+def test_whitespace_runs_in_a_surface_are_one_word_boundary(tmp_path):
+    """A run of whitespace between words is one word boundary: the
+    tokenizer maps it to one marker, and a bias list keeps the surface with
+    one space there, as the graph, the surfaces and keyword_prf all read
+    it."""
+    tokenize = Tokenizer([f"{MARKER}play", f"{MARKER}now", "<b>"], skip_ids={2})
+    assert tokenize("play  now") == tokenize(" play \t now ") == [0, 1]
+    vocab = [f"{MARKER}play", f"{MARKER}now", MARKER, "<b>"]
+    assert Tokenizer(vocab, MARKER, {3})("play   now") == [0, 1]  # no lone marker token
+    path = tmp_path / "bias.txt"
+    path.write_text("  play   now \nplay  later\t0,2\n", encoding="utf-8")
+    entries = load_bias_list(str(path), vocab=vocab, blank_id=3)
+    assert entries == [BiasEntry(0, "play now", (0, 1)), BiasEntry(1, "play later", (0, 2))]
+    surfaces = load_bias_surfaces(str(path))
+    assert list(build_graph(entries).surfaces.values()) == surfaces
+    report = keyword_prf(["play now"], ["play  now"], surfaces)
+    assert list(report.per_keyword) == ["play later", "play now"]
+    assert report.per_keyword["play now"].hits == 1
 
 
 def test_one_tokenizer_matches_tokenize_word_by_word():

@@ -422,7 +422,9 @@ def test_exact_admission_matches_full_admission(case):
     and candidates as admitting every root child; searching each chunk of
     any chunking in one call ends in the same state with the same
     candidates, also when every frame but a chunk's last drops the fresh
-    entries that die next frame (one-frame calls never drop any)."""
+    entries that die next frame (one-frame calls never drop any). In
+    tables of 2 rows, every block's last row reads the next frame's best
+    fresh entry from its table's look-ahead row."""
     graph, lp, cfg, sizes = case
     tables = reference_tables(graph)
     state, ref_state, per_frame = {}, {}, []
@@ -435,17 +437,19 @@ def test_exact_admission_matches_full_admission(case):
         assert state == ref_state, t
         assert _cand_keys(cands) == _cand_keys(ref_cands), t
         per_frame.extend(cands)
-    for min_filtered in (spotter._MIN_FILTERED, 1):
+    for min_filtered, block_rows in ((spotter._MIN_FILTERED, spotter._BLOCK_ROWS),
+                                     (1, spotter._BLOCK_ROWS), (1, 2)):
         chunked_state, chunked, t = {}, [], 0
-        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered):
+        with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
+                mock.patch.object(spotter, "_BLOCK_ROWS", block_rows):
             for n in sizes:
                 chunked_state = _search(
                     chunked_state, lp[t : t + n], t, graph, cfg, cfg.blank_id, chunked
                 )
                 t += n
         assert t == lp.shape[0]
-        assert chunked_state == state, min_filtered
-        assert chunked == per_frame, min_filtered
+        assert chunked_state == state, (min_filtered, block_rows)
+        assert chunked == per_frame, (min_filtered, block_rows)
 
 
 def _order_case():
@@ -506,7 +510,8 @@ def test_candidate_and_state_order_is_pinned():
 def test_candidate_and_state_order_is_pinned_across_row_blocks():
     """The same digests with fresh-entry tables of 8 rows: the 56-frame
     whole-utterance calls and the 28-frame chunks then cross block
-    boundaries, and each block after a call's first is gathered twice."""
+    boundaries, where each block's last frame reads the next frame's best
+    fresh entry from its table's look-ahead row."""
     with mock.patch.object(spotter, "_BLOCK_ROWS", 8):
         test_candidate_and_state_order_is_pinned()
 
@@ -527,15 +532,15 @@ def test_search_tables_are_c_ordered():
     C-ordered, so each frame's row and row maximum read contiguous memory;
     ``lp[:, root_tok]`` would come back in Fortran order. With every frame
     filtered, the search also reads the next-frame escapes, one row at a
-    time. A 10-row chunk fits one default block; in blocks of 4 rows, the
-    three tables gathered for the frame maxima and the two regathered for
-    the frames are all checked."""
+    time. A 10-row chunk fits one default block; in blocks of 4 rows, it
+    gathers three tables, one per block, the first two with the next
+    block's first row, and all three are checked."""
     rng = np.random.default_rng(31)
     vocab = 16
     graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))
     assert len(graph.root_tok) > 1
     lp = random_logprobs(rng, 10, vocab)
-    for block_rows, gathers in ((spotter._BLOCK_ROWS, 1), (4, 5)):
+    for block_rows, gathers in ((spotter._BLOCK_ROWS, 1), (4, 3)):
         for min_filtered in (spotter._MIN_FILTERED, 1):
             _LayoutProbe.seen = []
             probe = lp.view(_LayoutProbe)
