@@ -290,7 +290,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _read_transcripts(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8-sig") as fp:
         return [line.rstrip("\r\n") for line in fp]
 
 

@@ -20,8 +20,9 @@ class DuplicateConflict(CtcspotError):
 
 
 class TokenOutOfRange(CtcspotError):
-    """A biasing entry contains a token id outside the vocabulary, or the
-    blank id inside a phrase."""
+    """A biasing entry contains a token id that is negative, too large to
+    index an array or outside the vocabulary, or the blank id inside a
+    phrase."""
 
 
 class TokenizationError(CtcspotError):

@@ -322,7 +322,7 @@ def write_alignments(path: str, words: Iterable[WordAlignment]) -> None:
 def read_alignments(path: str) -> list[WordAlignment]:
     """Read an external word alignment, sort it and apply :func:`check_words`."""
     words: list[WordAlignment] = []
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8-sig") as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -10,6 +10,7 @@ lists live in one place, the chunk search ``_search`` of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +31,7 @@ ROOT = 0
 DEFAULT_WORD_MARKER = "▁"  # the leading-space convention of BPE vocabularies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BiasEntry:
     """One biasing phrase: canonical surface text plus its token ids."""
 
@@ -115,10 +116,14 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
     Entries with identical token sequences are deduplicated silently when
     their surfaces match and rejected otherwise. A negative keyword id,
     which the table could not tell from "no keyword", raises
-    ``ValueError``. Token ids must not be negative nor, when ``vocab_size``
-    is given, reach it; :func:`ctcspot.spotter.check_graph` rejects a phrase
-    holding the blank.
+    ``ValueError``. Token ids must not be negative, too large to index an
+    array nor, when ``vocab_size`` is given, reach it; the walk that adds a
+    phrase checks each token as it reaches it and raises
+    :class:`~ctcspot.errors.TokenOutOfRange` at the first bad one.
+    :func:`ctcspot.spotter.check_graph` rejects a phrase holding the blank.
     """
+    # largest token id allowed: root_tok holds ids in an np.intp array
+    top = sys.maxsize if vocab_size is None else min(vocab_size - 1, sys.maxsize)
     tokens, first_child, next_sibling, terminals, heights = [-1], [-1], [-1], [-1], [0]
     # child lookup while building, keyed by token << 32 | parent (node ids
     # stay below 2**32); dropped on return, so only the flat lists remain
@@ -131,21 +136,17 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
             raise EmptyTokenSequence(f"entry {entry.keyword_id} ({entry.surface!r}) has no tokens")
         if not entry.surface:
             raise EmptySurface(f"entry {entry.keyword_id} has an empty surface")
-        for tok in entry.tokens:
-            if tok < 0 or (vocab_size is not None and tok >= vocab_size):
-                raise TokenOutOfRange(
-                    f"entry {entry.surface!r}: token {tok} outside vocabulary of size {vocab_size}"
-                )
         node = ROOT
         below = len(entry.tokens)  # tokens of the phrase below the current node
         if heights[ROOT] < below:
             heights[ROOT] = below
         for tok in entry.tokens:
+            if not 0 <= tok <= top:
+                raise _token_out_of_range(entry.surface, tok, vocab_size)
             below -= 1
-            key = tok << 32 | node
-            child = edges.get(key)
-            if child is None:
-                child = edges[key] = len(tokens)
+            n = len(tokens)
+            child = edges.setdefault(tok << 32 | node, n)
+            if child == n:
                 tokens.append(tok)
                 first_child.append(-1)
                 next_sibling.append(first_child[node])
@@ -186,12 +187,24 @@ def build_graph(entries: Iterable[BiasEntry], vocab_size: int | None = None) -> 
     )
 
 
+def _token_out_of_range(surface: str, tok: int, vocab_size: int | None) -> TokenOutOfRange:
+    """The error for a token id that fails :func:`build_graph`'s range
+    check, naming the rule it breaks."""
+    if tok < 0:
+        rule = "is negative"
+    elif vocab_size is not None and tok >= vocab_size:
+        rule = f"outside vocabulary of size {vocab_size}"
+    else:
+        rule = "too large to index"
+    return TokenOutOfRange(f"entry {surface!r}: token {tok} {rule}")
+
+
 # vocabulary and bias-list files ------------------------------------------
 
 
 def load_vocab(path: str) -> list[str]:
     """Vocabulary file: one token string per line, line number = token id."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8-sig") as fp:
         return [line.rstrip("\r\n") for line in fp]
 
 
@@ -243,10 +256,11 @@ def _bias_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
     stripped and each inner run of whitespace becomes one space, so the
     graph, the tokenizer and :func:`ctcspot.metrics.keyword_prf` read the
     same words."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8-sig") as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            text = line.lstrip()
+            if not text or text[0] == "#":
                 continue
             surface, tab, id_col = line.partition("\t")
             surface = " ".join(surface.split())
@@ -268,18 +282,22 @@ def load_bias_list(
 ) -> list[BiasEntry]:
     """Read a bias list: ``surface<TAB>token_id,token_id,...`` per line.
 
-    Lines starting with ``#`` and blank lines are ignored. Lines without a
-    token column are tokenized against ``vocab``; without one, such a line
-    raises :class:`~ctcspot.errors.BadTokenList`.
+    Lines starting with ``#`` and blank lines are ignored, and so are blank
+    items in a token column. Lines without a token column are tokenized
+    against ``vocab``; without one, such a line raises
+    :class:`~ctcspot.errors.BadTokenList`.
     """
     entries: list[BiasEntry] = []
     tokenizer = None  # built at the first line that needs it
     for lineno, surface, id_col in _bias_lines(path):
         if id_col is not None:
             try:
-                tokens = tuple(int(x) for x in id_col.split(",") if x.strip())
-            except ValueError as exc:
-                raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
+                tokens = tuple(map(int, id_col.split(",")))
+            except ValueError:  # a bad item, or a blank one ("3,,7", "3,7,"), which is skipped
+                try:
+                    tokens = tuple(int(x) for x in id_col.split(",") if x.strip())
+                except ValueError as exc:
+                    raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
         else:
             if vocab is None:
                 raise BadTokenList(

@@ -419,6 +419,43 @@ def test_alignments_bias_id_past_the_input_width_exits_2_with_nothing_on_stdout(
     assert "graph token id 9 outside vocabulary of size 6" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["spot", "stream --logits", "stream --stdin-envelope"])
+def test_alignments_bias_id_too_large_to_index_exits_2_with_nothing_on_stdout(
+    tmp_path, capsys, monkeypatch, mode
+):
+    """Without a vocabulary, an id must still fit an array index: 2**64
+    first in a phrase is TokenOutOfRange at set-up, not a traceback."""
+    logits, matrix = _synth_logits(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_envelope([matrix[:4], matrix[4:]])))
+    engine = ["--alignments", _write_words(tmp_path),
+              "--bias", _write_bias(tmp_path, ["kw\t18446744073709551616\n"])]
+    argv = {
+        "spot": ["spot", "--logits", logits, *engine],
+        "stream --logits": ["stream", "--logits", logits, "--chunk-ms", "160", *engine],
+        "stream --stdin-envelope": ["stream", "--stdin-envelope", *engine],
+    }[mode]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "token 18446744073709551616 too large to index" in captured.err
+
+
+def test_eval_ignores_a_byte_order_mark(tmp_path, capsys):
+    """A byte-order mark before the first transcript or bias line is not
+    read as text."""
+    bias = _write_bias(tmp_path, ["halsey\t1,2\n"])
+    runs = []
+    for mark in ("", "\ufeff"):
+        refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+        refs.write_text(mark + "halsey now\n", encoding="utf-8")
+        hyps.write_text("halsey\n", encoding="utf-8")  # only some files carry one
+        Path(bias).write_text(mark + "halsey\t1,2\n", encoding="utf-8")
+        assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--bias", bias]) == 0
+        runs.append([r for r in _records(capsys) if r["type"] != "manifest"])
+    assert runs[0] == runs[1]
+    assert next(r for r in runs[1] if r["type"] == "keyword_metrics")["fscore"] == 100.0
+
+
 @pytest.mark.parametrize("source", ["--vocab", "--alignments"])
 @pytest.mark.parametrize("cell,message", [(float("nan"), "not finite"),
                                           (float("inf"), "not finite"),

@@ -466,6 +466,18 @@ def test_alignments_round_trip_and_sorting(tmp_path):
     assert back[0].path_score == -1.25
 
 
+def test_alignments_ignore_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark before the first line is not part of its
+    first record or comment."""
+    path = str(tmp_path / "words.tsv")
+    write_alignments(path, [WordAlignment("a", 0, 4, -1.25), WordAlignment("b", 5, 8, -2.5)])
+    plain = read_alignments(path)
+    text = Path(path).read_text(encoding="utf-8")
+    for body in (text, text.split("\n", 1)[1]):  # with and without the header comment
+        Path(path).write_text("\ufeff" + body, encoding="utf-8")
+        assert read_alignments(path) == plain
+
+
 def test_alignments_empty_and_errors(tmp_path):
     path = str(tmp_path / "words.tsv")
     path_obj = tmp_path / "words.tsv"

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ctcspot import (
     load_vocab,
 )
 from ctcspot.errors import (
+    BadTokenList,
     DuplicateConflict,
     EmptySurface,
     EmptyTokenSequence,
@@ -235,3 +237,76 @@ def test_heights_are_the_depth_of_the_deepest_terminal_below_each_node():
         assert graph.heights == expected
         assert min(expected) >= 0  # every node lies on a phrase, so has a terminal below
     assert build_graph([]).heights == [0]
+
+
+def _reference_token_column(id_col: str) -> tuple[int, ...]:
+    """The one-expression parse of a token column that ``load_bias_list``
+    must keep reproducing: blank items skipped, every other one ``int``."""
+    return tuple(int(x) for x in id_col.split(",") if x.strip())
+
+
+@pytest.mark.parametrize(
+    "id_col", ["3,7", " 3 , 7 ", "3,,7", "3,7,", ",3", " , ", "3,x", "3 7", "+3", "1_0"]
+)
+def test_token_column_parses_as_the_reference_expression(tmp_path, id_col):
+    path = tmp_path / "bias.tsv"
+    path.write_text(f"ok\t1\nkw\t{id_col}\n", encoding="utf-8")
+    try:
+        expected = _reference_token_column(id_col)
+    except ValueError:
+        with pytest.raises(BadTokenList) as excinfo:
+            load_bias_list(str(path))
+        assert str(excinfo.value) == f"{path}:2: bad token id list {id_col!r}"
+    else:
+        assert load_bias_list(str(path))[1] == BiasEntry(1, "kw", expected)
+
+
+def _graph_lists(graph):
+    return (graph.tokens, graph.first_child, graph.next_sibling, graph.terminals, graph.heights,
+            graph.root_tok.tolist(), graph.root_keys, graph.root_slot, graph.surfaces)
+
+
+@pytest.mark.parametrize("bad,vocab_size,rule", [
+    ((1, 2, 9, 10), 8, "token 9 outside vocabulary of size 8"),
+    ((1, 2, -2, -3), 8, "token -2 is negative"),
+    ((1, 2, -2, 9), None, "token -2 is negative"),
+    ((1, 2, 2**64, 2**65), None, f"token {2**64} too large to index"),
+])
+def test_range_error_mid_walk_names_the_first_bad_token(bad, vocab_size, rule):
+    """The range is checked during the trie walk: a bad token after a shared
+    prefix raises at the first bad token, and the half-built graph is gone
+    with the call."""
+    kept = [BiasEntry(0, "a", (1, 2, 3)), BiasEntry(1, "b", (1, 4)), BiasEntry(3, "c", (5,))]
+    fresh = _graph_lists(build_graph(kept, vocab_size))
+    with pytest.raises(TokenOutOfRange) as excinfo:
+        build_graph([*kept[:2], BiasEntry(2, "bad", bad), kept[2]], vocab_size)
+    assert str(excinfo.value) == f"entry 'bad': {rule}"
+    assert _graph_lists(build_graph(kept, vocab_size)) == fresh
+
+
+def test_token_too_large_to_index_is_out_of_range():
+    """Without a vocabulary the limit is the largest array index, which the
+    root tokens' index array must hold."""
+    with pytest.raises(TokenOutOfRange, match="too large to index"):
+        build_graph([BiasEntry(0, "kw", (2**64,))])
+    with pytest.raises(TokenOutOfRange, match="too large to index"):
+        build_graph([BiasEntry(0, "kw", (1, sys.maxsize + 1))], vocab_size=2**70)
+    graph = build_graph([BiasEntry(0, "kw", (sys.maxsize,))])
+    assert graph.root_tok.tolist() == [sys.maxsize]
+
+
+def test_byte_order_mark_is_not_read_as_text(tmp_path):
+    """A UTF-8 byte-order mark before the first line of a bias list or a
+    vocabulary is not part of the first comment, surface or piece."""
+    for first in ("# my list\n", ""):
+        text = f"{first}kw0\t1,2\nkw1\t3\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_bias_list(str(marked)) == load_bias_list(str(plain))
+        assert load_bias_surfaces(str(marked)) == ["kw0", "kw1"]
+    vocab = [f"{MARKER}hal", "sey", "<blank>"]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("".join(f"{v}\n" for v in vocab), encoding="utf-8")
+    marked.write_text("\ufeff" + "".join(f"{v}\n" for v in vocab), encoding="utf-8")
+    assert load_vocab(str(marked)) == load_vocab(str(plain)) == vocab

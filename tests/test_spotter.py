@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 from collections import defaultdict
 from unittest import mock
 
@@ -259,6 +261,18 @@ def test_candidates_are_slotted():
     thousands of them at once."""
     cand = SpottedCandidate(0, 2, 5, -1.0)
     assert not hasattr(cand, "__dict__")
+
+
+def test_bias_entries_are_slotted():
+    """A bias entry carries no instance dict either, since a bias list may
+    hold tens of thousands; it stays a frozen, hashable, picklable value."""
+    entry = BiasEntry(0, "kw", (1, 2))
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.surface = "other"
+    assert entry == BiasEntry(0, "kw", (1, 2)) != BiasEntry(1, "kw", (1, 2))
+    assert hash(entry) == hash(BiasEntry(0, "kw", (1, 2)))
+    assert pickle.loads(pickle.dumps(entry)) == entry
 
 
 # A few per-frame scores make ranking ties common.
