@@ -291,13 +291,10 @@ def load_bias_list(
     tokenizer = None  # built at the first line that needs it
     for lineno, surface, id_col in _bias_lines(path):
         if id_col is not None:
-            try:
-                tokens = tuple(map(int, id_col.split(",")))
-            except ValueError:  # a bad item, or a blank one ("3,,7", "3,7,"), which is skipped
-                try:
-                    tokens = tuple(int(x) for x in id_col.split(",") if x.strip())
-                except ValueError as exc:
-                    raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
+            try:  # blank items ("3,,7", "3,7,") are skipped
+                tokens = tuple(map(int, filter(str.strip, id_col.split(","))))
+            except ValueError as exc:
+                raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
         else:
             if vocab is None:
                 raise BadTokenList(

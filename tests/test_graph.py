@@ -261,11 +261,6 @@ def test_token_column_parses_as_the_reference_expression(tmp_path, id_col):
         assert load_bias_list(str(path))[1] == BiasEntry(1, "kw", expected)
 
 
-def _graph_lists(graph):
-    return (graph.tokens, graph.first_child, graph.next_sibling, graph.terminals, graph.heights,
-            graph.root_tok.tolist(), graph.root_keys, graph.root_slot, graph.surfaces)
-
-
 @pytest.mark.parametrize("bad,vocab_size,rule", [
     ((1, 2, 9, 10), 8, "token 9 outside vocabulary of size 8"),
     ((1, 2, -2, -3), 8, "token -2 is negative"),
@@ -274,14 +269,19 @@ def _graph_lists(graph):
 ])
 def test_range_error_mid_walk_names_the_first_bad_token(bad, vocab_size, rule):
     """The range is checked during the trie walk: a bad token after a shared
-    prefix raises at the first bad token, and the half-built graph is gone
-    with the call."""
+    prefix raises at the first bad token, before any later entry is read."""
     kept = [BiasEntry(0, "a", (1, 2, 3)), BiasEntry(1, "b", (1, 4)), BiasEntry(3, "c", (5,))]
-    fresh = _graph_lists(build_graph(kept, vocab_size))
+    read = []
+
+    def entries():
+        for entry in [*kept[:2], BiasEntry(2, "bad", bad), kept[2]]:
+            read.append(entry.surface)
+            yield entry
+
     with pytest.raises(TokenOutOfRange) as excinfo:
-        build_graph([*kept[:2], BiasEntry(2, "bad", bad), kept[2]], vocab_size)
+        build_graph(entries(), vocab_size)
     assert str(excinfo.value) == f"entry 'bad': {rule}"
-    assert _graph_lists(build_graph(kept, vocab_size)) == fresh
+    assert read == ["a", "b", "bad"]
 
 
 def test_token_too_large_to_index_is_out_of_range():
