@@ -291,10 +291,17 @@ def load_bias_list(
     tokenizer = None  # built at the first line that needs it
     for lineno, surface, id_col in _bias_lines(path):
         if id_col is not None:
-            try:  # blank items ("3,,7", "3,7,") are skipped
-                tokens = tuple(map(int, filter(str.strip, id_col.split(","))))
-            except ValueError as exc:
-                raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
+            # one map(int) per column; only a column where it raises, for a
+            # bad item or a blank one ("3,,7", "3,7,"), which is skipped, is
+            # parsed again: filtering every column's items made the bench's
+            # 10k-entry set-up 5% slower
+            try:
+                tokens = tuple(map(int, id_col.split(",")))
+            except ValueError:
+                try:
+                    tokens = tuple(map(int, filter(str.strip, id_col.split(","))))
+                except ValueError as exc:
+                    raise BadTokenList(f"{path}:{lineno}: bad token id list {id_col!r}") from exc
         else:
             if vocab is None:
                 raise BadTokenList(
