@@ -30,6 +30,11 @@ from .errors import SessionClosed
 from .formats import WordAlignment, check_logprobs, resolve_blank
 from .graph import DEFAULT_WORD_MARKER
 
+# Rows per argmax call. numpy's argmax copies a read-only input whole first
+# (an envelope chunk, np.frombuffer or mmap_mode="r"), so one call per
+# block holds one block's copy, not a second matrix.
+_ARGMAX_ROWS = 64
+
 
 class _OpenWord:
     __slots__ = ("parts", "start", "end", "score", "tail")
@@ -92,7 +97,9 @@ class StreamingAligner:
         n = lp.shape[0]
         if n == 0:
             return []
-        syms = lp.argmax(axis=1)
+        syms = np.empty(n, dtype=np.intp)
+        for i in range(0, n, _ARGMAX_ROWS):
+            lp[i : i + _ARGMAX_ROWS].argmax(axis=1, out=syms[i : i + _ARGMAX_ROWS])
         chosen = lp[np.arange(n), syms]
         closed: list[WordAlignment] = []
         marker = self._marker

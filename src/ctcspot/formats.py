@@ -6,15 +6,17 @@ frames u32, vocab u32, frame_duration_ms f32) followed by frames x vocab
 
 Chunk stream envelope: line-delimited JSON records on a byte stream,
 ``{"type": "chunk", "n_frames": N, "frames": "<base64 f32 LE>"}`` followed
-by exactly one ``{"type": "end"}``.
+by exactly one ``{"type": "end"}``, each line at most
+:data:`MAX_ENVELOPE_LINE` characters long.
 
 External word alignments: tab-separated text, one record per word:
 ``word<TAB>start_frame<TAB>end_frame<TAB>path_score``; ``#`` comments.
 :class:`WordAlignment` is that record and the greedy aligner's output.
 
-The input rules of every entry point live here once: :func:`check_logprobs`,
-:func:`resolve_blank`, :func:`check_intervals`, :func:`check_words`,
-:func:`check_duration` and :func:`frames_per_chunk`.
+The input rules of every entry point live here once: :func:`check_logprobs`
+with its dtype rule :func:`as_logprobs`, :func:`resolve_blank`,
+:func:`check_intervals`, :func:`check_words`, :func:`check_duration` and
+:func:`frames_per_chunk`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import base64
 import json
 import math
 import numbers
+import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -54,6 +58,13 @@ _HEADER = struct.Struct("<4sIIIf")
 ROW_NORM_TOL = 1e-3
 _NORM_ROWS = 64  # rows per block of row_norm_error
 
+# The longest envelope line read_envelope takes, in characters, its newline
+# included: 16 MiB, which holds the record of a chunk of 3,000 frames x
+# 1,024 symbols (the base64 of 12,288,000 bytes of float32 and the JSON
+# around it). A longer line is a ProtocolError before any of it is
+# decoded, so one record cannot make the reader hold more than this.
+MAX_ENVELOPE_LINE = 1 << 24
+
 
 @dataclass(frozen=True)
 class WordAlignment:
@@ -65,17 +76,30 @@ class WordAlignment:
     path_score: float
 
 
+def as_logprobs(matrix: np.ndarray) -> np.ndarray:
+    """The dtype rule of every entry point: ``matrix`` as a C-contiguous
+    array, native float32 if it is one (as a logits file and the envelope
+    carry it) and float64 otherwise. It copies only to change dtype or
+    layout; a 0-d input stays 0-d. A float32 cell widens to float64
+    exactly, and every score is summed in float64 (the search's Python
+    floats and fresh-entry tables, the aligner's word scores, the row
+    check's exponentials), so both dtypes give the same results to the
+    bit; float32 halves what a caller holds."""
+    lp = np.asarray(matrix)
+    return np.asarray(lp, dtype=np.float32 if lp.dtype == np.float32 else float, order="C")
+
+
 def check_logprobs(matrix: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Return the matrix as C-contiguous native float64 if it is 2-d, as
-    wide as ``width`` (an empty chunk fits any), free of NaN and +inf and
-    with no cell above 0; -inf is a legal log 0. Run before any state
-    changes: a NaN score fails every prune compare, and the spotter's
-    commit frontier bounds future scores by taking every cell to be at most
-    0. The search reads each row through a memoryview, which needs that
-    layout, and gathers its fresh-entry tables (a block of rows x root
-    children) with ``take(..., axis=1)``, which keeps C order;
-    ``lp[:, idx]`` would return such a table in Fortran order."""
-    lp = np.asarray(matrix, dtype=float, order="C")
+    """Return :func:`as_logprobs` of the matrix if it is 2-d, as wide as
+    ``width`` (an empty chunk fits any), free of NaN and +inf and with no
+    cell above 0; -inf is a legal log 0. Run before any state changes: a
+    NaN score fails every prune compare, and the spotter's commit frontier
+    bounds future scores by taking every cell to be at most 0. The search
+    reads each row through a memoryview, which needs that layout, and
+    gathers its fresh-entry tables (a block of rows x root children) with
+    ``take(..., axis=1)``, which keeps C order; ``lp[:, idx]`` would return
+    such a table in Fortran order."""
+    lp = as_logprobs(matrix)
     if lp.ndim != 2:
         raise DimensionMismatch(f"log-probability matrix must be 2-d, got shape {lp.shape}")
     if width is not None and lp.shape[0] and lp.shape[1] != width:
@@ -144,8 +168,12 @@ def row_norm_error(matrix: np.ndarray) -> float:
 
     Rows are exponentiated ``_NORM_ROWS`` at a time into one reused buffer,
     so the check holds one block, not a second matrix. Each row is summed on
-    its own, so the result does not depend on the block size."""
-    lp = np.asarray(matrix, dtype=float)
+    its own, so the result does not depend on the block size. A block is
+    widened into the float64 buffer before it is exponentiated:
+    ``np.exp(block, out=buf)`` would compute a float32 block's exponentials
+    in float32, and a row near the tolerance could then warn for one dtype
+    and pass for the other."""
+    lp = np.asarray(matrix)
     if lp.shape[0] == 0:
         return 0.0
     buf = np.empty((min(lp.shape[0], _NORM_ROWS), lp.shape[1]))
@@ -153,7 +181,9 @@ def row_norm_error(matrix: np.ndarray) -> float:
     with np.errstate(divide="ignore"):  # an all -inf row sums to 0: log -inf, error inf
         for i in range(0, lp.shape[0], _NORM_ROWS):
             block = lp[i : i + _NORM_ROWS]
-            sums = np.exp(block, out=buf[: block.shape[0]]).sum(axis=1)
+            exp = buf[: block.shape[0]]
+            exp[...] = block
+            sums = np.exp(exp, out=exp).sum(axis=1)
             errs.append(np.abs(np.log(sums)).max())
     return float(np.max(errs))  # np.max, unlike max, propagates a NaN
 
@@ -187,32 +217,38 @@ def write_logits(path: str, matrix: np.ndarray, frame_duration_ms: float) -> Non
 
 
 def read_logits(path: str) -> tuple[np.ndarray, float]:
-    """Returns (float64 matrix, frame_duration_ms).
+    """Returns (float32 matrix, frame_duration_ms).
 
-    NaN or +inf cells raise; unnormalized rows only warn. The file is read
-    in one piece, and its bytes are dropped once the matrix is built, so
-    reading holds at most the bytes plus the matrix and validating the
-    matrix plus one row block. The payload's size comes from the file, not
-    the header, before anything is allocated for it; the header's fields,
-    the frame duration included, are checked before the payload is read.
+    NaN or +inf cells raise; unnormalized rows only warn. The header's
+    fields, the frame duration included, are checked first, and the
+    payload's size, taken from ``os.fstat``, against the header's claim,
+    so nothing is allocated for a truncated or overlong file. The payload
+    is then read straight into the matrix, so reading holds the float32
+    matrix alone, and validating it the matrix plus one float64 row block.
+    Anything but a regular file, such as a pipe, whose size ``fstat`` does
+    not know, raises :class:`FormatError`.
     """
     with open(path, "rb") as fp:
-        data = fp.read()
-    if len(data) < _HEADER.size or data[:4] != LOGITS_MAGIC:
-        raise BadMagic(f"{path}: not a logits file")
-    _, version, n_frames, vocab, frame_ms = _HEADER.unpack_from(data)
-    if version != LOGITS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    check_duration(frame_ms, f"{path}: frame duration")
-    size = len(data) - _HEADER.size
-    expected = 4 * n_frames * vocab
-    if size < expected:
-        raise TruncatedPayload(f"{path}: header claims {expected} payload bytes, file has {size}")
-    if size > expected:
-        raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
-    matrix = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    matrix = matrix.reshape(n_frames, vocab).astype(float)
-    del data
+        st = os.fstat(fp.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError(f"{path}: not a regular file, so its size cannot be checked")
+        header = fp.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:4] != LOGITS_MAGIC:
+            raise BadMagic(f"{path}: not a logits file")
+        _, version, n_frames, vocab, frame_ms = _HEADER.unpack(header)
+        if version != LOGITS_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        check_duration(frame_ms, f"{path}: frame duration")
+        size = st.st_size - _HEADER.size
+        expected = 4 * n_frames * vocab
+        if size < expected:
+            raise TruncatedPayload(f"{path}: header claims {expected} payload bytes, file has {size}")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
+        matrix = np.empty((n_frames, vocab), dtype="<f4")
+        got = fp.readinto(matrix)
+    if got < expected:  # the file shrank after fstat
+        raise TruncatedPayload(f"{path}: header claims {expected} payload bytes, read {got}")
     validate_logprob_matrix(matrix, strict=False)
     return matrix, frame_ms
 
@@ -236,8 +272,9 @@ def chunker(
 ) -> Iterator[np.ndarray]:
     """Split a matrix into chunks of :func:`frames_per_chunk` frames; the
     last may be ragged. Each chunk is a view of ``np.asarray(matrix)``, in
-    the caller's dtype: the engine converts each chunk it takes
-    (:func:`check_logprobs`), so nothing is copied here."""
+    the caller's dtype: the engine applies :func:`as_logprobs` to each
+    chunk it takes, which keeps a float32 chunk as it is, so nothing is
+    copied here."""
     n = frames_per_chunk(chunk_ms, frame_duration_ms)
     lp = np.asarray(matrix)
     for i in range(0, lp.shape[0], n):
@@ -260,11 +297,19 @@ def write_envelope(fp: IO[str], chunks: Iterable[np.ndarray]) -> None:
 
 
 def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
-    """Yield chunk matrices; raises ProtocolError on any protocol breach,
-    including a stream that ends without its end record."""
+    """Yield chunk matrices, float32 as the envelope carries them and read-only
+    views of each record's decoded bytes; raises ProtocolError on any
+    protocol breach, including a stream that ends without its end record
+    and a line longer than :data:`MAX_ENVELOPE_LINE` characters, which is
+    rejected before it is decoded."""
     ended = False
     vocab_size = None
-    for lineno, raw in enumerate(fp, start=1):
+    limit = MAX_ENVELOPE_LINE
+    lineno = 0
+    while raw := fp.readline(limit + 1):
+        lineno += 1
+        if len(raw) > limit:
+            raise ProtocolError(f"line {lineno}: record longer than {limit} characters")
         line = raw.strip()
         if not line:
             continue
@@ -292,7 +337,7 @@ def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
         if n_frames == 0:
             if payload:
                 raise ProtocolError(f"line {lineno}: empty chunk carries payload")
-            yield np.zeros((0, vocab_size or 0))
+            yield np.zeros((0, vocab_size or 0), dtype=np.float32)
             continue
         if not payload or len(payload) % (4 * n_frames) != 0:
             raise ProtocolError(
@@ -304,7 +349,7 @@ def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
             vocab_size = vocab
         elif vocab != vocab_size:
             raise ProtocolError(f"line {lineno}: chunk width {vocab} != {vocab_size}")
-        yield np.frombuffer(payload, dtype="<f4").reshape(n_frames, vocab).astype(float)
+        yield np.frombuffer(payload, dtype="<f4").reshape(n_frames, vocab)
     if not ended:
         raise ProtocolError("stream ended without an end record")
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .aligner import StreamingAligner, greedy_decode
-from .formats import WordAlignment, check_words
+from .formats import WordAlignment, as_logprobs, check_words
 from .graph import DEFAULT_WORD_MARKER, ContextGraph
 from .merge import ChunkOutput, CommitState, MergePolicy, commit_step, merge_region
 from .spotter import (  # noqa: F401  (spot_offline: bench/drive.py patches it here by name)
@@ -87,9 +87,9 @@ class StreamingPipeline:
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
-        # converted once for the aligner's and the spotter's checks, which then
-        # return it as is; unlike np.ascontiguousarray, a 0-d input stays 0-d
-        return self._step(np.asarray(logprobs, dtype=float, order="C"))
+        # converted once, by the dtype rule, for the aligner's and the spotter's
+        # checks, which then return it as is: a float32 chunk stays float32
+        return self._step(as_logprobs(logprobs))
 
     def flush(self) -> ChunkOutput:
         return self._step(None)
@@ -139,7 +139,7 @@ def offline_pipeline(
     Returns (transcript, merged words, kept candidates).
     """
     cfg, policy, words = _setup(graph, cfg, policy, vocab, external_words)
-    lp = np.asarray(logprobs, dtype=float, order="C")  # as in StreamingPipeline
+    lp = as_logprobs(logprobs)  # as in StreamingPipeline
     if vocab is not None:
         words = greedy_decode(lp, vocab, cfg.blank_id, marker)
     candidates = dedup_overlaps(spot_undominated(lp, graph, cfg))

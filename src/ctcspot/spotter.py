@@ -207,10 +207,11 @@ _BLOCK_ROWS = 64
 
 def _fresh_table(rows: np.ndarray, root_tok: np.ndarray, cb: float) -> np.ndarray:
     """The fresh-entry scores ``row[root_tok] + cb`` of each of ``rows``,
-    as one C-ordered table: ``rows[:, root_tok]`` would come back in
-    Fortran order, and each frame's row and maximum would then read strided
-    memory."""
-    table = rows.take(root_tok, axis=1)
+    as one C-ordered float64 table: ``rows[:, root_tok]`` would come back
+    in Fortran order, and each frame's row and maximum would then read
+    strided memory. A float32 gather is widened before ``cb`` is added, so
+    the sums are the float64 ones."""
+    table = rows.take(root_tok, axis=1).astype(float, copy=False)
     table += cb
     return table
 
@@ -226,7 +227,8 @@ def _escapes(
     ``row[c]`` over the tokens c of all its children. That counts a child
     with j's own token, which the search reaches only through the blank,
     so ``step`` is an upper bound. At a leaf it is a placeholder: a leaf
-    is final."""
+    is final. Both keep the row's dtype, which a maximum cannot round; the
+    caller adds them to float64 scores."""
     final, step_tok, starts = graph.root_steps
     stay = row.take(graph.root_tok)
     np.maximum(stay, row[blank_id], out=stay)

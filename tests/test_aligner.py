@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ctcspot import StreamingAligner, greedy_decode
+from ctcspot import StreamingAligner, aligner, greedy_decode
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, SessionClosed
 
-from conftest import MARKER, collapse, random_logprobs, synthetic_vocab
+from conftest import MARKER, collapse, random_logprobs, synthetic_vocab, traced_peak
 
 
 def _forced(rows, vocab_size):
@@ -151,3 +151,19 @@ def test_lone_marker_piece_forms_no_word_at_any_chunking():
             words += aligner.feed(lp[a:b])
         words += aligner.flush()
         assert words == offline
+
+
+def test_read_only_input_holds_one_argmax_block():
+    """numpy's argmax copies a read-only array whole before it starts, so
+    the decoder takes it one block of rows at a time: decoding a read-only
+    float32 matrix (as from np.frombuffer) holds one block's copy and a few
+    numbers a row, not a second matrix."""
+    n, width = 4096, 1024
+    lp = np.full((n, width), -10.0, dtype=np.float32)
+    lp[:, -1] = -0.01  # blank everywhere: no word objects to count
+    lp = np.frombuffer(lp.tobytes(), dtype=np.float32).reshape(n, width)
+    assert not lp.flags.writeable
+    words, peak = traced_peak(greedy_decode, lp, synthetic_vocab(width))
+    assert words == []
+    block = aligner._ARGMAX_ROWS * width * 4
+    assert peak <= block + 24 * n, peak / block

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ctcspot
+from ctcspot import formats
 from ctcspot.cli import build_parser, main
 from ctcspot.formats import read_logits, write_alignments, write_envelope, write_logits
 from ctcspot import MergePolicy, ScriptSegment, SpotterConfig, WordAlignment, generate, make_spec
@@ -353,6 +354,25 @@ def test_stream_envelope_non_object_record_is_partial(tmp_path, capsys, monkeypa
     assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
     final = next(r for r in _records(capsys) if r["type"] == "final")
     assert final["partial"] is True
+
+
+def test_stream_envelope_over_long_record_is_partial(tmp_path, capsys, monkeypatch):
+    """A record longer than ``MAX_ENVELOPE_LINE`` is a protocol error: the
+    chunks before it flush into a final record flagged partial, exit 3."""
+    _, matrix = _synth_logits(tmp_path)
+    vocab = _write_vocab(tmp_path)
+    buf = io.StringIO()
+    write_envelope(buf, [matrix[:4], matrix[4:]])
+    first, second, _ = buf.getvalue().splitlines()
+    assert len(second) > len(first)
+    monkeypatch.setattr(formats, "MAX_ENVELOPE_LINE", len(first) + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    assert main(["stream", "--stdin-envelope", "--vocab", vocab]) == 3
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["type"] for r in records[:3]] == ["manifest", "chunk", "final"]
+    assert records[1]["n_frames"] == 4 and records[2]["partial"] is True
+    assert "line 2: record longer than" in captured.err
 
 
 @pytest.mark.parametrize("command", ["spot", "stream"])

@@ -11,6 +11,7 @@ import struct
 import pytest
 
 from ctcspot import generate, make_spec, word_script
+from ctcspot import formats
 from ctcspot.cli import main
 from ctcspot.formats import WordAlignment, write_alignments, write_envelope, write_logits
 
@@ -44,6 +45,9 @@ STREAM_FLAGS = {
     "--chunk-ms": ["nan", "inf", "0", "40", "160", "1e-300", "1e308"],
     "--frame-ms": ["nan", "inf", "0", "-40", "40", "1e-300", "1e308"],
 }
+# the envelope line limit during the fuzz, so that an over-long record costs
+# kilobytes, not the default's 16 MiB; every unpadded record fits
+LINE_LIMIT = 4096
 # and two more for synth: 1e39 overflows the header's float32, 1e-50 stores 0.0
 SYNTH_FRAME_MS = [*STREAM_FLAGS["--frame-ms"], "1e39", "1e-50"]
 
@@ -104,7 +108,8 @@ def _mutate_logits(rng: random.Random, blob: bytes) -> bytes:
 
 def _mutate_envelope(rng: random.Random, text: str) -> str:
     """A line mutation, or one field of a chunk record changed: a new
-    value, a deleted key, or damaged base64 or float cells."""
+    value, a deleted key, or damaged base64 or float cells; or a chunk
+    record padded past the line limit."""
     lines = text.splitlines()
     chunk_lines = [i for i, line in enumerate(lines) if '"chunk"' in line]
     if rng.random() < 0.3 or not chunk_lines:
@@ -112,7 +117,7 @@ def _mutate_envelope(rng: random.Random, text: str) -> str:
     i = rng.choice(chunk_lines)
     record = json.loads(lines[i])
     key = rng.choice(["type", "n_frames", "frames"])
-    op = rng.randrange(4)
+    op = rng.randrange(5)
     if op == 0:
         record[key] = rng.choice(JSON_VALUES)
     elif op == 1:
@@ -120,10 +125,12 @@ def _mutate_envelope(rng: random.Random, text: str) -> str:
     elif op == 2:
         payload = base64.b64decode(record["frames"])
         record["frames"] = base64.b64encode(_mutate_cells(rng, payload)).decode("ascii")
-    else:
+    elif op == 3:
         cut = rng.randrange(len(record["frames"]) + 1)
         record["frames"] = record["frames"][:cut] + rng.choice(["", "=", "?", "A"])
     lines[i] = json.dumps(record)
+    if op == 4:  # still a valid record, but longer than the reader takes
+        lines[i] += " " * LINE_LIMIT
     return "".join(line + "\n" for line in lines)
 
 
@@ -193,6 +200,8 @@ def _not_json(constant):
 def test_mutated_inputs_and_flags_end_in_a_documented_exit(tmp_path, capsys, monkeypatch):
     rng = random.Random(SEED)
     base = _base_inputs(tmp_path)
+    monkeypatch.setattr(formats, "MAX_ENVELOPE_LINE", LINE_LIMIT)
+    assert max(map(len, base["envelope"].splitlines())) < LINE_LIMIT
     codes = set()
     for _ in range(CASES):
         argv, stdin = _case(rng, base, tmp_path)

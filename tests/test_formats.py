@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,8 @@ def test_truncated_payload_and_bad_magic(tmp_path):
     Path(bad).write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(BadMagic):
         read_logits(bad)
+    with pytest.raises(FormatError, match="not a regular file"):
+        read_logits(os.devnull)
     future = str(tmp_path / "future.ctcl")
     Path(future).write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
     with pytest.raises(FormatError, match="unsupported version 2"):
@@ -246,16 +249,47 @@ def test_read_logits_warns_with_the_whole_matrix_row_error(tmp_path):
     ]
 
 
-def test_read_logits_holds_the_bytes_and_the_matrix_at_most(tmp_path):
-    """Reading holds the file's bytes and the float64 matrix, 1.5 times the
-    matrix, then validates the matrix one row block at a time. Keeping the
-    bytes while a second float64 matrix is exponentiated would hold 2.5."""
+def test_read_logits_holds_the_float32_matrix_and_one_block_at_most(tmp_path):
+    """The payload is read straight into the float32 matrix, with no bytes
+    object or float64 copy beside it, and the row check widens one block of
+    64 rows at a time into a float64 buffer: the peak is the matrix plus
+    that block, where the float64 matrix alone would be twice the matrix."""
     rng = np.random.default_rng(13)
     path = str(tmp_path / "x.ctcl")
     write_logits(path, random_logprobs(rng, 1024, 512), 40.0)
     (matrix, _), peak = traced_peak(read_logits, path)
-    assert matrix.nbytes >= 4 << 20
-    assert peak <= 1.6 * matrix.nbytes, peak / matrix.nbytes
+    assert matrix.dtype == np.float32 and matrix.flags.writeable and matrix.flags.c_contiguous
+    block = formats._NORM_ROWS * 512 * 8
+    assert matrix.nbytes == 8 * block
+    assert peak <= matrix.nbytes + block + (16 << 10), (peak - matrix.nbytes) / block
+
+
+def test_read_logits_rejects_a_file_that_shrinks_after_its_size_is_checked(tmp_path, monkeypatch):
+    """The size check reads ``os.fstat``; a payload that then comes up short
+    raises ``TruncatedPayload`` too, not a matrix with unread cells."""
+    path = Path(tmp_path / "x.ctcl")
+    write_logits(str(path), random_logprobs(np.random.default_rng(14), 8, 4), 40.0)
+    whole = path.stat()
+    path.write_bytes(path.read_bytes()[:-16])
+    monkeypatch.setattr(formats.os, "fstat", lambda fd: whole)
+    with pytest.raises(TruncatedPayload, match="claims 128 payload bytes, read 112"):
+        read_logits(str(path))
+
+
+def test_dtype_rule_keeps_native_float32_and_widens_the_rest():
+    """``check_logprobs`` keeps a native float32 matrix float32, with no
+    copy when it is C-contiguous, and makes every other dtype float64."""
+    lp = random_logprobs(np.random.default_rng(15), 5, 4)
+    f32 = lp.astype(np.float32)
+    assert formats.check_logprobs(f32) is f32
+    fortran = formats.check_logprobs(np.asfortranarray(f32))
+    assert fortran.dtype == np.float32 and fortran.flags.c_contiguous
+    assert formats.check_logprobs(lp) is lp
+    for other in (f32.astype(">f4"), f32.astype(np.float16), np.zeros((2, 3), dtype=int),
+                  lp.tolist(), lp.astype(">f8")):
+        checked = formats.check_logprobs(other)
+        assert checked.dtype == np.float64 and checked.dtype.isnative
+        assert np.array_equal(checked, np.asarray(other, dtype=float))
 
 
 def test_chunker():
@@ -356,6 +390,28 @@ def test_envelope_empty_chunks_take_the_stream_width():
     write_envelope(buf, [empty, chunk, empty])
     buf.seek(0)
     assert [c.shape for c in read_envelope(buf)] == [(0, 0), (2, 4), (0, 4)]
+
+
+def test_envelope_line_limit(monkeypatch):
+    """A line of ``MAX_ENVELOPE_LINE`` characters, its newline included, is
+    read, as a read-only float32 chunk over the record's bytes; one
+    character more is a ProtocolError before any of the line is decoded,
+    whatever it holds. The default limit holds the record of a chunk of
+    3,000 frames x 1,024 symbols."""
+    cells = 3000 * 1024
+    record = {"type": "chunk", "n_frames": 3000, "frames": "A" * (4 * -(-4 * cells // 3))}
+    assert len(json.dumps(record)) + 1 <= formats.MAX_ENVELOPE_LINE
+    chunk = random_logprobs(np.random.default_rng(9), 2, 4).astype(np.float32)
+    buf = io.StringIO()
+    write_envelope(buf, [chunk])
+    first, end = buf.getvalue().splitlines()
+    monkeypatch.setattr(formats, "MAX_ENVELOPE_LINE", len(first) + 1)
+    (back,) = read_envelope(io.StringIO(first + "\n" + end + "\n"))
+    assert back.dtype == np.float32 and not back.flags.writeable
+    assert np.array_equal(back, chunk)
+    for line in (first + " ", "x" * (len(first) + 1)):
+        with pytest.raises(ProtocolError, match="line 1: record longer than"):
+            list(read_envelope(io.StringIO(line + "\n" + end + "\n")))
 
 
 def _entry_points():

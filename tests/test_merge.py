@@ -570,8 +570,9 @@ def test_rejected_chunk_leaves_aligner_and_spotter_in_step():
 
 
 def test_each_pipeline_converts_a_fortran_chunk_once(monkeypatch):
-    """The pipeline makes the chunk C-contiguous float64 once, so the
-    aligner's and the spotter's input checks both return that one array."""
+    """The pipeline makes the chunk C-contiguous, in the dtype its rule
+    picks, once, so the aligner's and the spotter's input checks both
+    return that one array."""
     import ctcspot.aligner
     import ctcspot.spotter
 

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcspot import (
     BiasEntry,
@@ -16,12 +18,14 @@ from ctcspot import (
     build_graph,
     dedup_overlaps,
     generate,
+    greedy_decode,
     make_spec,
     offline_pipeline,
     spot_offline,
     word_script,
 )
 from ctcspot import spotter
+from ctcspot.formats import row_norm_error
 from ctcspot.errors import DimensionMismatch, NonFiniteRows, PositiveLogProbs, SessionClosed
 
 from conftest import (
@@ -283,21 +287,24 @@ LAYOUTS = {
 }
 
 
-def _pipeline_words(graph, cfg, vocab, lp, sizes):
+def _streamed(graph, cfg, vocab, lp, sizes):
+    """Every chunk's output, the final one and the words of a pipeline fed
+    ``lp`` in chunks of ``sizes``."""
     pipe = StreamingPipeline(graph, cfg, vocab=vocab)
-    i = 0
+    outs, i = [], 0
     for n in sizes:
-        pipe.process_chunk(lp[i : i + n])
+        outs.append(pipe.process_chunk(lp[i : i + n]))
         i += n
-    pipe.flush()
-    return pipe.emitted_words
+    outs.append(pipe.flush())
+    return outs, pipe.emitted_words
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_every_input_layout_matches_the_c_contiguous_matrix(layout):
     """The search reads each row through a memoryview of the checked
     matrix. A Fortran-order, column-strided or big-endian input gives every
-    entry point the same candidates and words as its C-contiguous copy."""
+    entry point the same candidates, chunk outputs and words as its
+    C-contiguous copy."""
     rng = np.random.default_rng(24)
     vocab_size = 7
     vocab = synthetic_vocab(vocab_size, rng)
@@ -312,9 +319,52 @@ def test_every_input_layout_matches_the_c_contiguous_matrix(layout):
         assert _run_chunks(SpotterSession(graph, cfg), other, sizes) == _run_chunks(
             SpotterSession(graph, cfg), lp, sizes
         )
-        assert _pipeline_words(graph, cfg, vocab, other, sizes) == _pipeline_words(
+        assert _streamed(graph, cfg, vocab, other, sizes) == _streamed(
             graph, cfg, vocab, lp, sizes
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 48))
+def test_float32_input_gives_the_results_of_its_float64_widening(seed, n_frames):
+    """Each entry point keeps a float32 matrix float32 and sums in float64,
+    so it returns what the matrix widened to float64 gives, bit for bit:
+    candidates, live states after each chunk, words, chunk outputs and the
+    row check. The matrices hold -inf cells and ties at the row maximum,
+    which the argmax and the prune compares must break alike."""
+    rng = np.random.default_rng(seed)
+    vocab_size = int(rng.integers(3, 9))
+    blank = vocab_size - 1
+    vocab = synthetic_vocab(vocab_size, rng)
+    graph = build_graph(random_entries(rng, 8, vocab=vocab_size, blank=blank, max_len=3))
+    cfg = SpotterConfig(blank_id=blank, cb_weight=float(rng.uniform(0.5, 4.0)),
+                        max_keyword_frames=int(rng.integers(1, 30)), **INVARIANT_CFG)
+    lp32 = random_logprobs(rng, n_frames, vocab_size).astype(np.float32)
+    lp32[rng.random(lp32.shape) < 0.1] = -np.inf
+    for t in np.flatnonzero(rng.random(n_frames) < 0.4):
+        lp32[t, rng.integers(vocab_size)] = lp32[t].max()
+    lp64 = lp32.astype(np.float64)
+    sizes = random_partition(rng, n_frames)
+
+    def results(lp):
+        states, out, t = [], [], 0
+        for n in sizes:
+            state = spotter._search(states[-1] if states else {}, lp[t : t + n], t, graph, cfg,
+                                    blank, out)
+            states.append(state)
+            t += n
+        return {
+            "spot_offline": spot_offline(lp, graph, cfg),
+            "spot_undominated": spotter.spot_undominated(lp, graph, cfg),
+            "offline_pipeline": offline_pipeline(lp, graph, cfg, vocab=vocab),
+            "StreamingPipeline": _streamed(graph, cfg, vocab, lp, sizes),
+            "greedy_decode": greedy_decode(lp, vocab, blank),
+            "chunked candidates": out,
+            "chunked states": states,
+            "row_norm_error": row_norm_error(lp),
+        }
+
+    assert results(lp32) == results(lp64)
 
 
 def test_chunk_width_must_stay_constant():
