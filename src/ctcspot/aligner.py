@@ -95,18 +95,14 @@ class StreamingAligner:
         self._require_open()
         lp = check_logprobs(logprobs, len(self._vocab))
         n = lp.shape[0]
-        if n == 0:
-            return []
         syms = np.empty(n, dtype=np.intp)
         for i in range(0, n, _ARGMAX_ROWS):
             lp[i : i + _ARGMAX_ROWS].argmax(axis=1, out=syms[i : i + _ARGMAX_ROWS])
         chosen = lp[np.arange(n), syms]
         closed: list[WordAlignment] = []
         marker = self._marker
-        for i in range(n):
+        for sym, x in zip(syms.tolist(), chosen.tolist()):
             t = self._frames
-            sym = int(syms[i])
-            x = float(chosen[i])
             w = self._open
             if sym == self._blank:
                 if w is not None:

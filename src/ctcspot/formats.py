@@ -310,13 +310,12 @@ def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
         lineno += 1
         if len(raw) > limit:
             raise ProtocolError(f"line {lineno}: record longer than {limit} characters")
-        line = raw.strip()
-        if not line:
+        if raw.isspace():
             continue
         if ended:
             raise ProtocolError(f"line {lineno}: record after the end record")
         try:
-            record = json.loads(line)
+            record = json.loads(raw)  # JSON allows the newline around it: no stripped copy
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"line {lineno}: not a JSON record") from exc
         if not isinstance(record, dict):
@@ -328,10 +327,13 @@ def read_envelope(fp: IO[str]) -> Iterator[np.ndarray]:
         if kind != "chunk":
             raise ProtocolError(f"line {lineno}: unknown record type {kind!r}")
         try:
-            n_frames = record["n_frames"]
-            payload = base64.b64decode(record["frames"], validate=True)
+            n_frames, frames = record["n_frames"], record["frames"]
+            # only the frames text, its ASCII bytes and the payload are live in the decode
+            del raw, record
+            payload = base64.b64decode(frames, validate=True)
         except (KeyError, ValueError, TypeError) as exc:
             raise ProtocolError(f"line {lineno}: malformed chunk record") from exc
+        del frames
         if type(n_frames) is not int or n_frames < 0:
             raise ProtocolError(f"line {lineno}: n_frames {n_frames!r} is not a count")
         if n_frames == 0:

@@ -13,7 +13,9 @@ word only, so the grazed word stays and merged words can overlap.
 finalized candidates are buffered until no live hypothesis, held
 candidate, or still-open decoder word can change their region, then the
 region is merged and emitted. Emitted output is therefore append-only and
-equal to merging the whole utterance at once.
+equal to merging the whole utterance at once. Each step's words and
+candidates enter through one call, :func:`commit_step`, which raises
+before it changes the state, so a refused step can be retried or dropped.
 """
 
 from __future__ import annotations
@@ -94,17 +96,16 @@ def merge_region(
     for cand in candidates:
         lo = bisect_left(ends, cand.start_frame)  # words lo..hi-1 overlap cand
         hi = bisect_right(starts, cand.end_frame)
-        covered = [
-            i
-            for i in range(lo, hi)
-            if _overlap(cand, words[i])
-            > policy.intersection_threshold * (ends[i] - starts[i] + 1)
-        ]
+        covered, total = [], 0.0  # summed left to right: sum() compensates on 3.12
+        for i in range(lo, hi):
+            if _overlap(cand, words[i]) > policy.intersection_threshold * (ends[i] - starts[i] + 1):
+                covered.append(i)
+                total += words[i].path_score
         as_word = WordAlignment(
             surfaces[cand.keyword_id], cand.start_frame, cand.end_frame, cand.score
         )
         if covered:
-            if cand.score >= sum(words[i].path_score for i in covered) + policy.score_margin:
+            if cand.score >= total + policy.score_margin:
                 replaced.update(covered)
                 added.append(as_word)
                 n_replaced += 1
@@ -125,9 +126,12 @@ def merge_region(
 
 @dataclass
 class CommitState:
-    """Buffered words and candidates awaiting a safe commit boundary. Each
-    arrives in time order, at or after the boundary (:meth:`add_words`,
-    :func:`commit_step`)."""
+    """Buffered words and candidates awaiting a safe commit boundary.
+
+    :func:`commit_step` is the only call that changes it: each step's words
+    and finalized candidates arrive in time order, at or after the
+    boundary, and the step either applies whole or raises with the state
+    unchanged."""
 
     policy: MergePolicy
     surfaces: Mapping[int, str]
@@ -137,19 +141,18 @@ class CommitState:
     _boundary: int = field(default=0, init=False)
     _spot_frontier: int = field(default=0, init=False)
 
-    def add_words(self, words: Iterable[WordAlignment]) -> None:
-        self._words.extend(self._appendable(self._words, words))
-
-    def _appendable(self, buffered: list, items: Iterable) -> list:
-        """``items`` as a list if each starts at or after the commit
-        boundary and after the item buffered before it ends, else
-        :class:`OverlappingWords`: emitted output is append-only, so an item
-        behind the boundary could only come out after later words."""
+    def _appended(self, buffered: list, items: Iterable, check) -> list:
+        """``buffered`` followed by ``items``, a new list, if each item starts
+        at or after the commit boundary and ``check`` (:func:`check_words`
+        or :func:`check_intervals`) passes them with the item buffered
+        before them; else the error, with :class:`OverlappingWords` for an
+        item behind the boundary: emitted output is append-only, so it
+        could only come out after later words."""
         items = list(items)
         if items and items[0].start_frame < self._boundary:
             raise OverlappingWords(f"{items[0]} starts before commit boundary {self._boundary}")
-        check_intervals(buffered[-1:] + items)
-        return items
+        check(buffered[-1:] + items)
+        return buffered + items
 
     @property
     def transcript(self) -> str:
@@ -161,8 +164,10 @@ def commit_step(
     spot_result: SpotChunkResult,
     open_word: WordAlignment | None = None,
     final: bool = False,
+    words: Iterable[WordAlignment] = (),
 ) -> ChunkOutput:
-    """Merge and emit every buffered word and candidate that is settled.
+    """Take one step's closed ``words`` and finalized candidates, then merge
+    and emit every buffered word and candidate that is settled.
 
     ``open_word`` is the decoder's word still in progress, if any
     (:attr:`ctcspot.aligner.StreamingAligner.open_word`); its text ends the
@@ -175,40 +180,45 @@ def commit_step(
     nothing more can arrive, so the boundary starts past every buffered
     item, external words that end after the last frame included, as in the
     whole-utterance merge.
-    """
-    if spot_result.new_frontier < state._spot_frontier:
-        raise FrontierRegression(
-            f"spot frontier moved from {state._spot_frontier} back to {spot_result.new_frontier}"
-        )
-    finalized = state._appendable(state._cands, spot_result.finalized)
-    state._spot_frontier = spot_result.new_frontier
-    state._cands.extend(finalized)
 
-    cut = spot_result.new_frontier
-    if final:
-        cut = max([cut, *(w.end_frame + 1 for w in state._words)])
+    Every check, and the merge, runs before ``state`` changes: a step that
+    raises (:class:`FrontierRegression`, the word and interval errors of
+    :func:`check_words`, :class:`InvariantViolation`) leaves it as it was.
+    """
+    frontier = spot_result.new_frontier
+    if frontier < state._spot_frontier:
+        raise FrontierRegression(
+            f"spot frontier moved from {state._spot_frontier} back to {frontier}"
+        )
+    buf_words = state._appended(state._words, words, check_words)
+    buf_cands = state._appended(state._cands, spot_result.finalized, check_intervals)
+
+    cut = frontier
+    if final and buf_words:
+        cut = max(cut, buf_words[-1].end_frame + 1)
     for held in spot_result.held_preview.candidates:
         cut = min(cut, held.start_frame)
     if open_word is not None:
         cut = min(cut, open_word.start_frame)
-    spans = [(w.start_frame, w.end_frame) for w in state._words]
-    spans += [(c.start_frame, c.end_frame) for c in state._cands]
+    spans = [(w.start_frame, w.end_frame) for w in buf_words]
+    spans += [(c.start_frame, c.end_frame) for c in buf_cands]
     for start, end in sorted(spans, reverse=True):
         if start < cut <= end:
             cut = start
     if cut < state._boundary:
         raise InvariantViolation(f"commit boundary moved from {state._boundary} back to {cut}")
 
-    ready_words = [w for w in state._words if w.end_frame < cut]
-    ready_cands = [c for c in state._cands if c.end_frame < cut]
+    # both buffers are sorted and disjoint, so what ends before the cut is a prefix
+    ready_words = [w for w in buf_words if w.end_frame < cut]
+    ready_cands = [c for c in buf_cands if c.end_frame < cut]
+    delta = []
     if ready_words or ready_cands:
-        state._words = [w for w in state._words if w.end_frame >= cut]
-        state._cands = [c for c in state._cands if c.end_frame >= cut]
         delta = merge_region(ready_words, ready_cands, state.policy, state.surfaces)
-        state.emitted.extend(delta)
-    else:
-        delta = []
+    state._words = buf_words[len(ready_words) :]
+    state._cands = buf_cands[len(ready_cands) :]
+    state._spot_frontier = frontier
     state._boundary = cut
+    state.emitted += delta
 
     held_parts = [w.word for w in state._words]
     if open_word is not None and open_word.word:

@@ -64,8 +64,10 @@ class StreamingPipeline:
     Provide either ``vocab`` (greedy words decoded from the chunks) or ``external_words``
     (another decoder's alignment, any iterable, read once at construction). Words from
     either source wait in one queue and reach the commit layer by one rule: a word is
-    handed on once the stream reaches its start, and every word left at the flush. The
-    greedy aligner's word in progress, its ``open_word``, holds the commit boundary.
+    handed on once the stream reaches its start, and every word left at the flush. Each
+    step hands them to :func:`~ctcspot.merge.commit_step` with the spotter's result, and
+    they leave the queue only once that call returns. The greedy aligner's word in
+    progress, its ``open_word``, holds the commit boundary.
     """
 
     def __init__(
@@ -105,11 +107,9 @@ class StreamingPipeline:
         t2 = time.perf_counter()
         heard = float("inf") if chunk is None else self.spotter.frames_seen
         n = bisect_left(self._unreached, heard, key=lambda w: w.start_frame)
-        self.commit.add_words(self._unreached[:n])
-        del self._unreached[:n]
-        out = commit_step(
-            self.commit, spot_result, aligner and aligner.open_word, final=chunk is None
-        )
+        open_word = aligner and aligner.open_word
+        out = commit_step(self.commit, spot_result, open_word, chunk is None, self._unreached[:n])
+        del self._unreached[:n]  # only once the commit layer has taken them
         t3 = time.perf_counter()
         self.timings.append(
             StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)

@@ -270,7 +270,10 @@ def reference_merge_region(words, candidates, policy, surfaces, stats=None) -> l
             surfaces[cand.keyword_id], cand.start_frame, cand.end_frame, cand.score
         )
         if covered:
-            if cand.score >= sum(words[i].path_score for i in covered) + policy.score_margin:
+            total = 0.0
+            for i in covered:  # left to right on every Python, as merge_region adds
+                total += words[i].path_score
+            if cand.score >= total + policy.score_margin:
                 replaced.update(covered)
                 added.append(as_word)
                 n_replaced += 1

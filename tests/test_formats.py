@@ -414,6 +414,21 @@ def test_envelope_line_limit(monkeypatch):
             list(read_envelope(io.StringIO(line + "\n" + end + "\n")))
 
 
+def test_envelope_record_decodes_within_three_times_its_line(tmp_path):
+    """While it decodes a record the reader holds the frames text, its ASCII
+    bytes and the payload, about 2.75 times the line: neither a stripped
+    copy of the line nor the line and the parsed record beside them."""
+    chunk = random_logprobs(np.random.default_rng(10), 256, 1024).astype(np.float32)
+    path = tmp_path / "chunks.jsonl"
+    with open(path, "w") as fp:
+        write_envelope(fp, [chunk])
+    line = len(path.read_text().splitlines()[0]) + 1
+    with open(path) as fp:
+        back, peak = traced_peak(lambda: next(read_envelope(fp)))
+    assert np.array_equal(back, chunk)
+    assert peak < 3 * line, peak / line
+
+
 def _entry_points():
     """Each entry point that reads log-probabilities, as a callable taking
     one matrix; the stateful ones have already taken a good 4-wide chunk."""

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,10 @@ from ctcspot import (
 )
 from ctcspot.errors import (
     DimensionMismatch,
+    EmptySurface,
     FrontierRegression,
+    InvariantViolation,
+    NegativeInterval,
     NonFiniteRows,
     NonFiniteScore,
     OverlappingWords,
@@ -146,6 +151,20 @@ def test_low_threshold_lets_two_candidates_replace_one_word():
     assert stats == {"replaced": 2, "inserted": 0, "discarded": 0}
 
 
+def test_covered_scores_add_left_to_right_on_every_python():
+    """1e16 + 1.0 rounds back to 1e16, so the covered words sum to 0.0 left
+    to right; Python 3.12's sum() compensates and gets 1.0. A candidate
+    scoring 0.5 replaces the words on every interpreter."""
+    words = [WordAlignment("big", 0, 1, 1e16), WordAlignment("one", 2, 3, 1.0),
+             WordAlignment("neg", 4, 5, -1e16)]
+    cand = _cand(0, 0, 5, 0.5)
+    for merge in (merge_region, reference_merge_region):
+        stats = {}
+        merged = merge(words, [cand], MergePolicy(), SURFACES, stats=stats)
+        assert [w.word for w in merged] == ["halsey"]
+        assert stats == {"replaced": 1, "inserted": 0, "discarded": 0}
+
+
 def _sorted_intervals(draw, max_items):
     """Sorted, disjoint inclusive intervals with gaps of 0 to 3 frames."""
     out = []
@@ -266,8 +285,8 @@ def _spot_result(frontier, finalized=(), held=(), actives=0):
 
 def test_commit_step_emits_everything_at_full_frontier():
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("a", 0, 2, -1.0), WordAlignment("b", 4, 6, -1.0)])
-    out = commit_step(state, _spot_result(10))
+    words = [WordAlignment("a", 0, 2, -1.0), WordAlignment("b", 4, 6, -1.0)]
+    out = commit_step(state, _spot_result(10), words=words)
     assert [w.word for w in out.committed_delta] == ["a", "b"]
     assert out.commit_frontier == 10
     assert out.held_text_preview is None
@@ -275,8 +294,8 @@ def test_commit_step_emits_everything_at_full_frontier():
 
 def test_commit_step_holds_straddling_word():
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("early", 2, 8, -1.0), WordAlignment("late", 10, 20, -1.0)])
-    out = commit_step(state, _spot_result(15))
+    words = [WordAlignment("early", 2, 8, -1.0), WordAlignment("late", 10, 20, -1.0)]
+    out = commit_step(state, _spot_result(15), words=words)
     assert [w.word for w in out.committed_delta] == ["early"]
     assert out.commit_frontier == 10  # pulled back to the straddler's start
     assert out.held_text_preview == "late"
@@ -287,8 +306,8 @@ def test_commit_step_holds_straddling_word():
 
 def test_commit_step_cut_retreats_through_a_chain_of_straddlers():
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("a", 0, 1, -1.0), WordAlignment("b", 5, 12, -1.0)])
-    out = commit_step(state, _spot_result(10, finalized=[_cand(0, 2, 7, -9.0)]))
+    words = [WordAlignment("a", 0, 1, -1.0), WordAlignment("b", 5, 12, -1.0)]
+    out = commit_step(state, _spot_result(10, finalized=[_cand(0, 2, 7, -9.0)]), words=words)
     # 10 splits "b", so the cut drops to 5, which splits the candidate: 2
     assert out.commit_frontier == 2
     assert [w.word for w in out.committed_delta] == ["a"]
@@ -301,16 +320,15 @@ def test_commit_state_takes_only_policy_and_surfaces():
 
 def test_commit_step_waits_for_held_candidates_and_open_word():
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("a", 0, 2, -1.0)])
     held = _cand(0, 1, 6, -0.2)
-    out = commit_step(state, _spot_result(8, held=[held]))
+    out = commit_step(state, _spot_result(8, held=[held]), words=[WordAlignment("a", 0, 2, -1.0)])
     assert out.committed_delta == []  # the held candidate may replace "a"
     out = commit_step(state, _spot_result(12, finalized=[_cand(0, 1, 6, -0.2)]))
     assert [w.word for w in out.committed_delta] == ["halsey"]
 
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("a", 0, 2, -1.0)])
-    out = commit_step(state, _spot_result(9), WordAlignment("a?", 1, 4, -0.5))
+    out = commit_step(state, _spot_result(9), WordAlignment("a?", 1, 4, -0.5),
+                      words=[WordAlignment("a", 0, 2, -1.0)])
     assert out.committed_delta == []
     assert out.held_text_preview.endswith("a?")
 
@@ -319,34 +337,34 @@ def test_commit_layer_refuses_input_behind_its_boundary():
     # emitted output is append-only, so a word or candidate ending before
     # the boundary cannot be emitted after the words already out
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("late", 10, 12, -1.0)])
-    assert commit_step(state, _spot_result(20)).commit_frontier == 20
+    late = [WordAlignment("late", 10, 12, -1.0)]
+    assert commit_step(state, _spot_result(20), words=late).commit_frontier == 20
     with pytest.raises(OverlappingWords):
-        state.add_words([WordAlignment("early", 5, 6, -1.0)])
+        commit_step(state, _spot_result(20), words=[WordAlignment("early", 5, 6, -1.0)])
     with pytest.raises(OverlappingWords):
-        state.add_words([WordAlignment("straddles", 19, 22, -1.0)])
+        commit_step(state, _spot_result(20), words=[WordAlignment("straddles", 19, 22, -1.0)])
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(30, finalized=[_cand(0, 5, 6, -0.1)]))
     # the refused calls changed nothing: the frontier is still 20
-    state.add_words([WordAlignment("next", 20, 22, -1.0)])
-    commit_step(state, _spot_result(25))
+    commit_step(state, _spot_result(25), words=[WordAlignment("next", 20, 22, -1.0)])
     assert state.transcript == "late next"
 
 
 def test_commit_layer_refuses_overlap_with_the_buffered_item_before_it():
     state = CommitState(MergePolicy(), SURFACES)
-    state.add_words([WordAlignment("a", 0, 4, -1.0)])
+    commit_step(state, _spot_result(0), words=[WordAlignment("a", 0, 4, -1.0)])
     with pytest.raises(OverlappingWords):
-        state.add_words([WordAlignment("b", 4, 6, -1.0)])
+        commit_step(state, _spot_result(0), words=[WordAlignment("b", 4, 6, -1.0)])
     with pytest.raises(OverlappingWords):  # nothing of a refused batch is added
-        state.add_words([WordAlignment("b", 5, 6, -1.0), WordAlignment("c", 6, 7, -1.0)])
+        commit_step(state, _spot_result(0),
+                    words=[WordAlignment("b", 5, 6, -1.0), WordAlignment("c", 6, 7, -1.0)])
     # the candidate straddles the frontier, so it stays buffered
     out = commit_step(state, _spot_result(3, finalized=[_cand(0, 1, 3, -0.1)]))
     assert out.commit_frontier == 0
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(9, finalized=[_cand(1, 3, 5, -0.1)]))
-    state.add_words([WordAlignment("b", 5, 6, -1.0)])
-    commit_step(state, _spot_result(9, finalized=[_cand(1, 4, 5, -0.1)]))
+    commit_step(state, _spot_result(9, finalized=[_cand(1, 4, 5, -0.1)]),
+                words=[WordAlignment("b", 5, 6, -1.0)])
     assert state.transcript == "halsey b"  # the first candidate replaces "a"
 
 
@@ -355,6 +373,140 @@ def test_frontier_regression_detected():
     commit_step(state, _spot_result(5))
     with pytest.raises(FrontierRegression):
         commit_step(state, _spot_result(3))
+
+
+def _three_steps():
+    """The word "a" commits at 5; then "b" and "c" arrive with a candidate that
+    replaces "b"; the final step commits the rest: "a halsey c"."""
+    return [
+        dict(spot_result=_spot_result(5), words=[WordAlignment("a", 0, 2, -1.0)]),
+        dict(spot_result=_spot_result(12, finalized=[_cand(0, 5, 7, -0.1)]),
+             words=[WordAlignment("b", 5, 7, -1.0), WordAlignment("c", 9, 10, -1.0)]),
+        dict(spot_result=_spot_result(12), final=True),
+    ]
+
+
+B, C = WordAlignment("b", 5, 7, -1.0), WordAlignment("c", 9, 10, -1.0)
+
+
+@pytest.mark.parametrize("error, change", [
+    (FrontierRegression, {"spot_result": _spot_result(4, finalized=[_cand(0, 5, 7, -0.1)])}),
+    (OverlappingWords, {"words": [WordAlignment("b", 4, 7, -1.0), C]}),
+    (OverlappingWords, {"spot_result": _spot_result(12, finalized=[_cand(0, 4, 7, -0.1)])}),
+    (NegativeInterval, {"words": [B, WordAlignment("c", 10, 9, -1.0)]}),
+    (EmptySurface, {"words": [B, WordAlignment("", 9, 10, -1.0)]}),
+    (NonFiniteScore, {"words": [B, WordAlignment("c", 9, 10, float("nan"))]}),
+    (InvariantViolation, {"open_word": WordAlignment("d", 3, 4, -1.0)}),  # behind the boundary
+], ids=["frontier", "word-behind", "candidate-behind", "negative", "empty", "nan", "open-behind"])
+def test_a_refused_step_leaves_the_state_as_it_was(error, change):
+    """The second step, broken in one way, raises before any state changes,
+    so the valid step after it emits what an uninterrupted run emits."""
+    whole = CommitState(MergePolicy(), SURFACES)
+    for step in _three_steps():
+        commit_step(whole, **step)
+    assert whole.transcript == "a halsey c"
+
+    first, second, last = _three_steps()
+    state = CommitState(MergePolicy(), SURFACES)
+    commit_step(state, **first)
+    before = copy.deepcopy(state)
+    with pytest.raises(error):
+        commit_step(state, **{**second, **change})
+    assert state == before
+    commit_step(state, **second)
+    commit_step(state, **last)
+    assert state.emitted == whole.emitted
+
+
+@st.composite
+def commit_runs(draw):
+    """Words and candidates laid out as in ``merge_cases``, delivered by a
+    valid run of steps at rising frontiers. A step hands on each word the
+    frontier has passed the start of, except that the latest may stay open;
+    of the candidates the frontier has passed the start of, it finalizes
+    the earliest few and holds the rest. The final step takes the rest."""
+    words, cands, policy = draw(merge_cases())
+    horizon = max([0, *(x.end_frame + 1 for x in [*words, *cands])])
+    steps, n_words, n_cands = [], 0, 0
+    for frontier in sorted(draw(st.lists(st.integers(0, horizon), max_size=6))):
+        heard = [w for w in words[n_words:] if w.start_frame < frontier]
+        open_word = heard.pop() if heard and draw(st.booleans()) else None
+        n_words += len(heard)
+        started = [c for c in cands[n_cands:] if c.start_frame < frontier]
+        k = draw(st.integers(0, len(started)))
+        n_cands += k
+        steps.append(dict(spot_result=_spot_result(frontier, started[:k], started[k:]),
+                          open_word=open_word, words=heard))
+    steps.append(dict(spot_result=_spot_result(horizon, cands[n_cands:]), final=True,
+                      words=words[n_words:]))
+    return words, cands, policy, steps, horizon + 1
+
+
+def _bad_steps(step, boundary, frontier, far):
+    """Each way to break ``step`` with one bad word or candidate, as
+    (error, step), given the commit boundary and spot frontier before it and
+    a frame ``far`` past every item of the run."""
+    res, words = step["spot_result"], step.get("words", [])
+    finalized, held = res.finalized, list(res.held_preview.candidates)
+
+    def spot(new_frontier=res.new_frontier, finalized=finalized, held=held):
+        return {**step, "spot_result": _spot_result(new_frontier, finalized, held)}
+
+    def word(start, end, text="x", score=-1.0):
+        return WordAlignment(text, start, end, score)
+
+    bad = [
+        (NegativeInterval, {**step, "words": [*words, word(far + 1, far)]}),
+        (NegativeInterval, spot(finalized=[*finalized, _cand(0, far + 1, far, -1.0)])),
+        (EmptySurface, {**step, "words": [*words, word(far, far, text="")]}),
+        (NonFiniteScore, {**step, "words": [*words, word(far, far, score=float("nan"))]}),
+        (NonFiniteScore, {**step, "words": [*words, word(far, far, score=float("inf"))]}),
+    ]
+    if words:
+        bad.append((OverlappingWords, {**step, "words": [*words, word(words[-1].end_frame, far)]}))
+    if finalized:
+        last = finalized[-1].end_frame
+        bad.append((OverlappingWords, spot(finalized=[*finalized, _cand(0, last, far, -1.0)])))
+    if boundary > 0:
+        behind = boundary - 1
+        bad += [
+            (OverlappingWords, {**step, "words": [word(behind, behind), *words]}),
+            (OverlappingWords, spot(finalized=[_cand(0, behind, behind, -1.0), *finalized])),
+            (InvariantViolation, spot(held=[*held, _cand(0, behind, behind, -1.0)])),
+            (InvariantViolation, {**step, "open_word": word(behind, behind)}),
+        ]
+    if frontier > 0:
+        bad.append((FrontierRegression, spot(new_frontier=frontier - 1)))
+    return bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(commit_runs(), st.data())
+def test_a_step_with_one_bad_item_raises_and_changes_nothing(run, data):
+    """commit_step is the one entry into the commit layer: a step with one
+    bad word or candidate raises, the state compares equal before and after,
+    and the run finished without the bad item emits what the uninterrupted
+    run emits, which is the whole-utterance merge."""
+    words, cands, policy, steps, far = run
+    whole = CommitState(policy, SURFACES)
+    for step in steps:
+        commit_step(whole, **step)
+    assert whole.emitted == merge_region(words, cands, policy, SURFACES)
+
+    k = data.draw(st.integers(0, len(steps) - 1), label="bad step")
+    state = CommitState(policy, SURFACES)
+    boundary = frontier = 0
+    for step in steps[:k]:
+        boundary = commit_step(state, **step).commit_frontier
+        frontier = step["spot_result"].new_frontier
+    error, bad = data.draw(st.sampled_from(_bad_steps(steps[k], boundary, frontier, far)))
+    before = copy.deepcopy(state)
+    with pytest.raises(error):
+        commit_step(state, **bad)
+    assert state == before
+    for step in steps[k:]:
+        commit_step(state, **step)
+    assert state.emitted == whole.emitted
 
 
 def test_emitted_transcript_stable_across_chunk_sizes():
