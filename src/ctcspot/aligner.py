@@ -54,7 +54,8 @@ class StreamingAligner:
     :attr:`open_word` is the word still in progress. A
     :class:`~ctcspot.pipeline.StreamingPipeline` queues the closed words
     with the same rule as an external alignment's and bounds its commit
-    boundary by the open word.
+    boundary by the open word. ``vocab`` is read in place, not copied, so
+    it must not change while the aligner is in use.
     """
 
     def __init__(
@@ -63,7 +64,7 @@ class StreamingAligner:
         blank_id: int | None = None,
         marker: str = DEFAULT_WORD_MARKER,
     ) -> None:
-        self._vocab = list(vocab)
+        self._vocab = vocab
         self._blank = resolve_blank(blank_id, len(self._vocab))
         self._marker = marker
         self._prev = self._blank

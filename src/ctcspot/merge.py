@@ -12,10 +12,13 @@ word only, so the grazed word stays and merged words can overlap.
 :class:`CommitState` applies the same rule incrementally: words and
 finalized candidates are buffered until no live hypothesis, held
 candidate, or still-open decoder word can change their region, then the
-region is merged and emitted. Emitted output is therefore append-only and
-equal to merging the whole utterance at once. Each step's words and
-candidates enter through one call, :func:`commit_step`, which raises
-before it changes the state, so a refused step can be retried or dropped.
+region is merged and returned as that step's delta. The commit layer keeps
+no delta once returned: it holds only the region still deferred, so its
+size does not grow with the stream. The deltas are append-only, and their
+concatenation equals merging the whole utterance at once. Each step's
+words and candidates enter through one call, :func:`commit_step`, which
+raises before it changes the state, so a refused step can be retried or
+dropped.
 """
 
 from __future__ import annotations
@@ -131,11 +134,11 @@ class CommitState:
     :func:`commit_step` is the only call that changes it: each step's words
     and finalized candidates arrive in time order, at or after the
     boundary, and the step either applies whole or raises with the state
-    unchanged."""
+    unchanged. Only the deferred region is kept; what a step commits is
+    returned as its ``committed_delta`` and is the caller's to keep."""
 
     policy: MergePolicy
     surfaces: Mapping[int, str]
-    emitted: list[WordAlignment] = field(default_factory=list, init=False)
     _words: list[WordAlignment] = field(default_factory=list, init=False)
     _cands: list[SpottedCandidate] = field(default_factory=list, init=False)
     _boundary: int = field(default=0, init=False)
@@ -146,17 +149,13 @@ class CommitState:
         at or after the commit boundary and ``check`` (:func:`check_words`
         or :func:`check_intervals`) passes them with the item buffered
         before them; else the error, with :class:`OverlappingWords` for an
-        item behind the boundary: emitted output is append-only, so it
-        could only come out after later words."""
+        item behind the boundary: the deltas are append-only, so it could
+        only come out after later words."""
         items = list(items)
         if items and items[0].start_frame < self._boundary:
             raise OverlappingWords(f"{items[0]} starts before commit boundary {self._boundary}")
         check(buffered[-1:] + items)
         return buffered + items
-
-    @property
-    def transcript(self) -> str:
-        return " ".join(w.word for w in self.emitted)
 
 
 def commit_step(
@@ -167,7 +166,8 @@ def commit_step(
     words: Iterable[WordAlignment] = (),
 ) -> ChunkOutput:
     """Take one step's closed ``words`` and finalized candidates, then merge
-    and emit every buffered word and candidate that is settled.
+    every buffered word and candidate that is settled and return them as
+    the step's ``committed_delta``, which ``state`` does not keep.
 
     ``open_word`` is the decoder's word still in progress, if any
     (:attr:`ctcspot.aligner.StreamingAligner.open_word`); its text ends the
@@ -218,7 +218,6 @@ def commit_step(
     state._cands = buf_cands[len(ready_cands) :]
     state._spot_frontier = frontier
     state._boundary = cut
-    state.emitted += delta
 
     held_parts = [w.word for w in state._words]
     if open_word is not None and open_word.word:

@@ -67,7 +67,12 @@ class StreamingPipeline:
     handed on once the stream reaches its start, and every word left at the flush. Each
     step hands them to :func:`~ctcspot.merge.commit_step` with the spotter's result, and
     they leave the queue only once that call returns. The greedy aligner's word in
-    progress, its ``open_word``, holds the commit boundary.
+    progress, its ``open_word``, holds the commit boundary. The aligner reads ``vocab``
+    in place, so it must not change while the stream runs.
+
+    The commit layer keeps only the region it still defers; the pipeline appends each
+    step's ``committed_delta`` to the stream's history, which :attr:`transcript` and
+    :attr:`emitted_words` read.
     """
 
     def __init__(
@@ -79,13 +84,12 @@ class StreamingPipeline:
         external_words: Iterable[WordAlignment] | None = None,
         marker: str = DEFAULT_WORD_MARKER,
     ) -> None:
-        self.cfg, self.policy, words = _setup(graph, cfg, policy, vocab, external_words)
-        self.spotter = SpotterSession(graph, self.cfg)
-        self.aligner = (
-            StreamingAligner(vocab, self.cfg.blank_id, marker) if vocab is not None else None
-        )
-        self.commit = CommitState(self.policy, graph.surfaces)
+        cfg, policy, words = _setup(graph, cfg, policy, vocab, external_words)
+        self.spotter = SpotterSession(graph, cfg)
+        self.aligner = StreamingAligner(vocab, cfg.blank_id, marker) if vocab is not None else None
+        self.commit = CommitState(policy, graph.surfaces)
         self._unreached = words or []  # words not yet handed on, sorted by start
+        self._emitted: list[WordAlignment] = []  # every committed delta, in order
         self.timings: list[StepTiming] = []
 
     def process_chunk(self, logprobs: np.ndarray) -> ChunkOutput:
@@ -110,6 +114,7 @@ class StreamingPipeline:
         open_word = aligner and aligner.open_word
         out = commit_step(self.commit, spot_result, open_word, chunk is None, self._unreached[:n])
         del self._unreached[:n]  # only once the commit layer has taken them
+        self._emitted += out.committed_delta
         t3 = time.perf_counter()
         self.timings.append(
             StepTiming(align_ms=(t1 - t0) * 1e3, spot_ms=(t2 - t1) * 1e3, merge_ms=(t3 - t2) * 1e3)
@@ -118,11 +123,11 @@ class StreamingPipeline:
 
     @property
     def transcript(self) -> str:
-        return self.commit.transcript
+        return " ".join(w.word for w in self._emitted)
 
     @property
     def emitted_words(self) -> list[WordAlignment]:
-        return list(self.commit.emitted)
+        return list(self._emitted)
 
 
 def offline_pipeline(

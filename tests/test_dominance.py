@@ -14,6 +14,7 @@ from ctcspot import (
     SpotChunkResult,
     SpotterConfig,
     SpotterSession,
+    SpottedCandidate,
     build_graph,
     dedup_overlaps,
     spot_offline,
@@ -109,6 +110,27 @@ def test_tightened_frontier_never_trails_the_earliest_live_start_nor_regresses(c
         finalized += res.finalized
     finalized += session.flush().finalized
     assert finalized == dedup_overlaps(spot_offline(lp, graph, cfg))
+
+
+def test_frontier_waits_for_a_hypothesis_whose_bound_ties_the_candidate_it_would_pass():
+    """At an exact tie a hypothesis still holds the frontier. After frame 0,
+    "a" (0-0) has scored 1.0 a frame, and the hypothesis on x, which "b"
+    extends, has a bound of exactly 1.0; "b" then reaches 1.0 a frame too,
+    over two frames, so it outranks "a" and the whole-utterance sweep keeps
+    it. A frontier that passed the hypothesis would finalize "a" instead."""
+    x, y, blank = 0, 1, 2
+    graph = build_graph([BiasEntry(0, "a", (x,)), BiasEntry(1, "b", (x, y))])
+    inf = math.inf
+    lp = np.array([[0.0, -inf, -inf], [-inf, 0.0, -inf]])
+    cfg = SpotterConfig(cb_weight=1.0, blank_id=blank)
+    session = SpotterSession(graph, cfg)
+    res = session.process_chunk(lp[:1])
+    assert _bound(1.0, 1, 1, cfg.cb_weight) == 1.0  # the tie
+    assert (res.new_frontier, res.finalized) == (0, [])
+    finalized = session.process_chunk(lp[1:]).finalized + session.flush().finalized
+    expected = dedup_overlaps(spot_offline(lp, graph, cfg))
+    assert expected == [SpottedCandidate(1, 0, 1, 2.0)]
+    assert finalized == expected
 
 
 def test_rank_index_stays_bounded_on_a_long_blank_dominant_stream():

@@ -338,7 +338,8 @@ def test_commit_layer_refuses_input_behind_its_boundary():
     # the boundary cannot be emitted after the words already out
     state = CommitState(MergePolicy(), SURFACES)
     late = [WordAlignment("late", 10, 12, -1.0)]
-    assert commit_step(state, _spot_result(20), words=late).commit_frontier == 20
+    first = commit_step(state, _spot_result(20), words=late)
+    assert first.commit_frontier == 20
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(20), words=[WordAlignment("early", 5, 6, -1.0)])
     with pytest.raises(OverlappingWords):
@@ -346,13 +347,14 @@ def test_commit_layer_refuses_input_behind_its_boundary():
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(30, finalized=[_cand(0, 5, 6, -0.1)]))
     # the refused calls changed nothing: the frontier is still 20
-    commit_step(state, _spot_result(25), words=[WordAlignment("next", 20, 22, -1.0)])
-    assert state.transcript == "late next"
+    last = commit_step(state, _spot_result(25), words=[WordAlignment("next", 20, 22, -1.0)])
+    assert [w.word for w in first.committed_delta + last.committed_delta] == ["late", "next"]
 
 
 def test_commit_layer_refuses_overlap_with_the_buffered_item_before_it():
     state = CommitState(MergePolicy(), SURFACES)
-    commit_step(state, _spot_result(0), words=[WordAlignment("a", 0, 4, -1.0)])
+    out = commit_step(state, _spot_result(0), words=[WordAlignment("a", 0, 4, -1.0)])
+    assert out.committed_delta == []
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(0), words=[WordAlignment("b", 4, 6, -1.0)])
     with pytest.raises(OverlappingWords):  # nothing of a refused batch is added
@@ -360,12 +362,12 @@ def test_commit_layer_refuses_overlap_with_the_buffered_item_before_it():
                     words=[WordAlignment("b", 5, 6, -1.0), WordAlignment("c", 6, 7, -1.0)])
     # the candidate straddles the frontier, so it stays buffered
     out = commit_step(state, _spot_result(3, finalized=[_cand(0, 1, 3, -0.1)]))
-    assert out.commit_frontier == 0
+    assert out.commit_frontier == 0 and out.committed_delta == []
     with pytest.raises(OverlappingWords):
         commit_step(state, _spot_result(9, finalized=[_cand(1, 3, 5, -0.1)]))
-    commit_step(state, _spot_result(9, finalized=[_cand(1, 4, 5, -0.1)]),
-                words=[WordAlignment("b", 5, 6, -1.0)])
-    assert state.transcript == "halsey b"  # the first candidate replaces "a"
+    out = commit_step(state, _spot_result(9, finalized=[_cand(1, 4, 5, -0.1)]),
+                      words=[WordAlignment("b", 5, 6, -1.0)])
+    assert [w.word for w in out.committed_delta] == ["halsey", "b"]  # the first replaces "a"
 
 
 def test_frontier_regression_detected():
@@ -373,6 +375,12 @@ def test_frontier_regression_detected():
     commit_step(state, _spot_result(5))
     with pytest.raises(FrontierRegression):
         commit_step(state, _spot_result(3))
+
+
+def _committed(state, steps):
+    """Run ``steps`` through ``commit_step`` on ``state``; returns their
+    committed deltas joined in order."""
+    return [w for step in steps for w in commit_step(state, **step).committed_delta]
 
 
 def _three_steps():
@@ -401,21 +409,17 @@ B, C = WordAlignment("b", 5, 7, -1.0), WordAlignment("c", 9, 10, -1.0)
 def test_a_refused_step_leaves_the_state_as_it_was(error, change):
     """The second step, broken in one way, raises before any state changes,
     so the valid step after it emits what an uninterrupted run emits."""
-    whole = CommitState(MergePolicy(), SURFACES)
-    for step in _three_steps():
-        commit_step(whole, **step)
-    assert whole.transcript == "a halsey c"
+    whole = _committed(CommitState(MergePolicy(), SURFACES), _three_steps())
+    assert [w.word for w in whole] == ["a", "halsey", "c"]
 
     first, second, last = _three_steps()
     state = CommitState(MergePolicy(), SURFACES)
-    commit_step(state, **first)
+    committed = _committed(state, [first])
     before = copy.deepcopy(state)
     with pytest.raises(error):
         commit_step(state, **{**second, **change})
     assert state == before
-    commit_step(state, **second)
-    commit_step(state, **last)
-    assert state.emitted == whole.emitted
+    assert committed + _committed(state, [second, last]) == whole
 
 
 @st.composite
@@ -488,25 +492,23 @@ def test_a_step_with_one_bad_item_raises_and_changes_nothing(run, data):
     and the run finished without the bad item emits what the uninterrupted
     run emits, which is the whole-utterance merge."""
     words, cands, policy, steps, far = run
-    whole = CommitState(policy, SURFACES)
-    for step in steps:
-        commit_step(whole, **step)
-    assert whole.emitted == merge_region(words, cands, policy, SURFACES)
+    whole = _committed(CommitState(policy, SURFACES), steps)
+    assert whole == merge_region(words, cands, policy, SURFACES)
 
     k = data.draw(st.integers(0, len(steps) - 1), label="bad step")
     state = CommitState(policy, SURFACES)
-    boundary = frontier = 0
+    committed, boundary, frontier = [], 0, 0
     for step in steps[:k]:
-        boundary = commit_step(state, **step).commit_frontier
+        out = commit_step(state, **step)
+        committed += out.committed_delta
+        boundary = out.commit_frontier
         frontier = step["spot_result"].new_frontier
     error, bad = data.draw(st.sampled_from(_bad_steps(steps[k], boundary, frontier, far)))
     before = copy.deepcopy(state)
     with pytest.raises(error):
         commit_step(state, **bad)
     assert state == before
-    for step in steps[k:]:
-        commit_step(state, **step)
-    assert state.emitted == whole.emitted
+    assert committed + _committed(state, steps[k:]) == whole
 
 
 def test_emitted_transcript_stable_across_chunk_sizes():
