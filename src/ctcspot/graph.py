@@ -81,32 +81,36 @@ class ContextGraph:
         return max(self.token_ids, default=-1)
 
     @cached_property
-    def root_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The trie below the root children: ``(final, step_tok, starts)``.
-        ``final[i]`` is True when the i-th root child ends a keyword.
-        ``step_tok`` lists, root child by root child, the tokens of all its
-        children, and ``starts`` the offset of each run. Every run is
-        non-empty: a leaf, which ends a keyword, lists its own token as a
-        placeholder. Which of these tokens a hypothesis may step to is a
-        rule of the search; listing them all gives an upper bound on its
-        best step."""
-        final = []
-        step_tok: list[int] = []
-        starts = []
-        for key in self.root_keys:
+    def root_steps(self) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The trie below the root children: ``(final, first, more)``.
+        ``final[i]`` is True when the i-th root child ends a keyword and
+        ``first[i]`` is the token of its first child; a leaf, which ends a
+        keyword, gives its own token as a placeholder. ``more[k]`` is
+        ``(cols, toks)``: the root children with more than k + 1 children
+        and the token of each one's child k + 2, so one gather per rank of
+        child reaches every child. Which of these tokens a hypothesis may
+        step to is a rule of the search; listing them all gives an upper
+        bound on its best step."""
+        final, first = [], []
+        more: list[tuple[list[int], list[int]]] = []
+        for i, key in enumerate(self.root_keys):
             node = key >> 1
             final.append(self.terminals[node] >= 0)
-            starts.append(len(step_tok))
             child = self.first_child[node]
-            if child < 0:
-                step_tok.append(self.tokens[node])
+            first.append(self.tokens[child if child >= 0 else node])
+            child = self.next_sibling[child] if child >= 0 else -1
+            k = 0
             while child >= 0:
-                step_tok.append(self.tokens[child])
+                if k == len(more):
+                    more.append(([], []))
+                more[k][0].append(i)
+                more[k][1].append(self.tokens[child])
+                k += 1
                 child = self.next_sibling[child]
         return (
             np.array(final, dtype=bool),
-            np.array(step_tok, dtype=np.intp),
-            np.array(starts, dtype=np.intp),
+            np.array(first, dtype=np.intp),
+            [(np.array(c, dtype=np.intp), np.array(t, dtype=np.intp)) for c, t in more],
         )
 
 

@@ -185,9 +185,12 @@ def format_keyword_table(report: KeywordReport, per_keyword: bool = False) -> st
 # runtime accounting ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkTiming:
-    """Wall-clock cost of one chunk, milliseconds."""
+    """Wall-clock cost of one chunk, milliseconds.
+
+    Slotted: a runtime report reads one per chunk.
+    """
 
     asr_ms: float
     spot_ms: float

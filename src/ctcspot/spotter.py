@@ -10,14 +10,14 @@ terminal node are reported as keyword candidates.
 
 The search reads the frozen :class:`~ctcspot.graph.ContextGraph` directly.
 Fresh-entry scores are computed with numpy, as C-ordered gathers of up to
-``_BLOCK_ROWS`` frames x root children (:func:`_fresh_table`), each with
-one more frame for the look-ahead below, so a call over a whole utterance
-holds one block's table, not one as large as the input. Per frame, only the
-entries at or above the admission floor ``max(min_per_frame_score, best -
-beam_threshold)`` are inserted, and a live hypothesis below the floor on a
-root-child slot is pruned when a strictly better fresh entry would have
-displaced it. Any other fresh entry would be pruned at age 1 anyway, so the
-result equals admitting every root child.
+``_BLOCK_ROWS`` frames x root children (:func:`_fresh_table`), so a call
+over a whole utterance holds one block's table, not one as large as the
+input. Per frame, only the entries at or above the admission floor
+``max(min_per_frame_score, best - beam_threshold)`` are inserted, and a
+live hypothesis below the floor on a root-child slot is pruned when a
+strictly better fresh entry would have displaced it. Any other fresh entry
+would be pruned at age 1 anyway, so the result equals admitting every root
+child.
 
 Live hypotheses are cut the same way before any dict work. The frame's best
 score has two lower bounds known before the frame's expansions: the top
@@ -37,15 +37,18 @@ the state and the candidates keep theirs. A fresh entry skips the prune
 tests: it is admitted at or above the beam and per-frame floors and is one
 frame old, within any age cap.
 
-The same bound looks one frame ahead. On noise a frame admits hundreds of
-fresh entries, and most of them are skipped on every expansion the next
-frame: their best escape (the larger of blank loop and repeat, or the
-best step to a child plus ``cb_weight``) lies below that frame's best
-fresh entry minus ``beam_threshold``. On frames that admit at least
-``_MIN_FILTERED`` entries, except a chunk's last, such entries are not
-carried; the test reads the next row alone. The state after each chunk,
-every candidate and their order stay the same (see :func:`_search`).
-Frames of speech admit none or one, and are not filtered.
+Fresh entries stay out of the frame's table until they can expand. On
+noise a frame admits hundreds of fresh entries, and most of them are
+skipped on every expansion the next frame. On frames that admit at least
+``_MIN_FILTERED`` entries, except a call's last, those on slots that
+propagation left empty are held aside, as scores over the root children;
+the next frame's ``cut`` counts their best, and only those whose best
+escape (the larger of blank loop and repeat, or the best step to a child
+plus ``cb_weight``, read from :func:`_escape_table`) reaches it join the
+state, where the full search has them: after the other entries, in
+root-child order. An entry left out would insert nothing. The state after
+each call, every candidate and their order stay the same (see
+:func:`_search`). Frames of speech admit none or one, and hold none.
 
 One chunk search, :func:`_search`, drives :func:`spot_offline` and
 :func:`spot_undominated` (one call over the utterance) and the chunked
@@ -189,19 +192,19 @@ def _bound(score: float, age: int, height: int, cb: float) -> float:
     return bound
 
 
-# The fewest fresh entries a frame must admit before the search looks for
-# those that die next frame. On speech-shaped input a frame admits none or
-# one, and there the table gathers and mask cost more than the inserts they
-# save (filtering every such frame took stream-speech-10k from about 550 to
-# 390 times real time); on noise a frame admits about 290. Any value from 2
-# to about 100 splits the two alike.
+# The fewest fresh entries a frame must admit before the search holds those
+# on empty slots out of its table until they can expand. On speech-shaped
+# input a frame admits none or one, and there the masks and escape tables
+# cost more than the inserts they save (holding on every such frame took a
+# stream-speech-10k session from about 25 to 74 us a frame); on noise a
+# frame admits about 290. Any value from 2 to about 100 splits the two alike.
 _MIN_FILTERED = 16
 
 
-# Rows per fresh-entry table, which also holds the next block's first row for
-# the next-frame filter. A call gathers one table per block as it reaches it;
-# a chunk of up to this many rows, which covers every streamed chunk of the
-# bench, gathers once.
+# Rows per fresh-entry table, and per escape table when a block holds fresh
+# entries. A call gathers each once per block as it reaches it; a chunk of up
+# to this many rows, which covers every streamed chunk of the bench, gathers
+# once.
 _BLOCK_ROWS = 64
 
 
@@ -216,23 +219,25 @@ def _fresh_table(rows: np.ndarray, root_tok: np.ndarray, cb: float) -> np.ndarra
     return table
 
 
-def _escapes(
-    row: np.ndarray, graph: ContextGraph, blank_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(final, stay, step)`` over the root children for one frame's
-    ``row``: ``final`` from :attr:`ContextGraph.root_steps`, and what a
-    non-blank hypothesis on root child j can add at that frame.
-    ``stay[j]`` is the better of its blank loop and its repeat,
-    ``max(row[blank], row[root_tok[j]])``; ``step[j]`` is the best
-    ``row[c]`` over the tokens c of all its children. That counts a child
-    with j's own token, which the search reaches only through the blank,
-    so ``step`` is an upper bound. At a leaf it is a placeholder: a leaf
-    is final. Both keep the row's dtype, which a maximum cannot round; the
-    caller adds them to float64 scores."""
-    final, step_tok, starts = graph.root_steps
-    stay = row.take(graph.root_tok)
-    np.maximum(stay, row[blank_id], out=stay)
-    return final, stay, np.maximum.reduceat(row.take(step_tok), starts)
+def _escape_table(
+    rows: np.ndarray, graph: ContextGraph, blank_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(stay, step)``, each ``rows`` x root children: what a non-blank
+    hypothesis on root child j can add at each frame. ``stay[:, j]`` is the
+    better of its blank loop and its repeat, ``max(row[blank],
+    row[root_tok[j]])``; ``step[:, j]`` is the best ``row[c]`` over the
+    tokens c of all its children (:attr:`ContextGraph.root_steps`). That
+    counts a child with j's own token, which the search reaches only
+    through the blank, so ``step`` is an upper bound; at a leaf it is a
+    placeholder. Both are C-ordered and keep the rows' dtype, which a
+    maximum cannot round; the caller adds them to float64 scores."""
+    _, first, more = graph.root_steps
+    stay = rows.take(graph.root_tok, axis=1)
+    np.maximum(stay, rows[:, blank_id, None], out=stay)
+    step = rows.take(first, axis=1)
+    for cols, toks in more:
+        step[:, cols] = np.maximum(step.take(cols, axis=1), rows.take(toks, axis=1))
+    return stay, step
 
 
 def _search(
@@ -262,10 +267,9 @@ def _search(
     ``fresh`` holds a frame's score of a fresh entry at each root child
     (``row[root_tok] + cb_weight``) and ``fresh_best`` its maximum, both
     read from C-ordered tables of up to ``_BLOCK_ROWS`` frames
-    (:func:`_fresh_table`), gathered at each block's first row. Each table
-    holds one row more, the next block's first, because the next-frame
-    filter reads frame t+1's ``fresh_best``; so a call gathers one table per
-    block, and a call of at most one block gathers once.
+    (:func:`_fresh_table`), gathered at each block's first row; so a call
+    gathers one table per block, and a call of at most one block gathers
+    once.
     Recombination keeps the higher score, ties keep the earlier start.
     Pruning measures each score against the best score of its frame.
     An expansion below ``cut``, the beam threshold under the larger of the
@@ -285,23 +289,27 @@ def _search(
     :class:`SpotterConfig` requires ``max_keyword_frames >= 1``.
 
     On a frame t that admits at least ``_MIN_FILTERED`` fresh entries and is
-    not the chunk's last row, an admitted entry of score f at root child j
-    is doomed when its blank loop, its repeat and each step to a child all
-    fall below ``nxt_cut = fresh_best[t+1] - beam_threshold``, a lower bound
-    on frame t+1's ``cut``: frame t+1 would skip all of them. The test reads
-    row t+1 alone (see :func:`_escapes`). Rounded addition is monotone, so
-    ``f + stay[j]`` is exactly the larger of the first two and ``(f +
-    step[j]) + cb`` at least the largest step, and the test needs no
-    margin. A doomed entry is not inserted. A live entry it would have
-    displaced stays, but that entry is doomed too: same slot, so the same
-    expansions, from a lower score. Terminal root children are never
-    dropped: they emit a candidate at t.
-    This changes nothing else. A doomed entry's blank loop is below
-    ``fresh_best[t+1] - beam_threshold``, so it never sets frame t+1's
-    ``lo``, ``cut``, best or floor. The last row is never filtered, so the
+    not the call's last row, the admitted entries on root-child slots that
+    propagation filled recombine in place as always, and the rest are held:
+    not inserted, but kept as root children ``held`` with scores
+    ``held_scores``. Admitting them all would append their keys to ``nxt``
+    after every propagated key, in root-child order, and the prune loop
+    would pass them (a fresh entry skips its tests). So the held terminals
+    enter ``at_terminal`` after that loop, in root-child order; start t is
+    the latest, so a tie keeps the earlier start, as the loop does.
+    At frame t+1, ``top`` counts the held entries' best score, so ``lo`` and
+    ``cut`` are those of the full search. Then each held entry of score f
+    at root child j that has an expansion at or above ``cut`` is added to
+    the state, after its own entries and in root-child order, which is
+    where the full search has it, and all expand in the one loop. Rounded
+    addition is monotone, so ``f + stay[j]`` is exactly the larger of its
+    blank loop and repeat and ``(f + step[j]) + cb`` at least its best step
+    to a child (see :func:`_escape_table`), and the test needs no margin.
+    An entry left out would have inserted nothing, so ``nxt`` gets the same
+    keys in the same order. Nothing is held past a call's last row, so the
     returned state, and with it the session's commit frontier and rank
-    index, is the same. The entries that remain keep their dict order, so
-    candidates are appended in the same order.
+    index, is the same, in the same order, and candidates are appended in
+    the same order.
     """
     cb = cfg.cb_weight
     beam_threshold = cfg.beam_threshold
@@ -315,6 +323,7 @@ def _search(
     root_slot = graph.root_slot
     root_tok = graph.root_tok
     last = lp.shape[0] - 1
+    held = None  # the root children whose fresh entries the last frame held out of nxt
     if ranks is not None:
         base = first_frame - len(ranks)
         ranks.extend([_UNRANKED] * lp.shape[0])
@@ -323,16 +332,32 @@ def _search(
         t = first_frame + i
         row = memoryview(lp[i])
         offset = i % _BLOCK_ROWS
-        if not offset:  # the block's rows and the next block's first, for the filter
-            fresh_rows = _fresh_table(lp[i : i + _BLOCK_ROWS + 1], root_tok, cb)
+        if not offset:
+            block = lp[i : i + _BLOCK_ROWS]
+            fresh_rows = _fresh_table(block, root_tok, cb)
             fresh_bests = fresh_rows.max(axis=1, initial=-np.inf).tolist()
+            escapes = None  # gathered when the block first holds an entry
         fresh = fresh_rows[offset]
         fresh_best = fresh_bests[offset]
         lp_blank = row[blank_id]
         nxt: _State = {}
         # the frame's best is at least lo, so an expansion below cut is pruned anyway
-        lo = max(max(state.values())[0] + lp_blank, fresh_best) if state else fresh_best
+        top = max(state.values())[0] if state else -math.inf
+        if held is not None:
+            top = max(top, held_top)
+        lo = max(top + lp_blank, fresh_best)
         cut = lo - beam_threshold
+        if held is not None:
+            # the held entries with an expansion at or above cut join the state
+            if escapes is None:
+                escapes = _escape_table(block, graph, blank_id)
+            stay, step = escapes
+            picked = (held_scores + stay[offset].take(held) >= cut) | (
+                held_scores + step[offset].take(held) + cb >= cut
+            )
+            for j, s in zip(held[picked].tolist(), held_scores[picked].tolist()):
+                state[root_keys[j]] = (s, t - 1)
+            held = None
 
         for key, (score, start) in state.items():
             # blank self-loop
@@ -377,17 +402,14 @@ def _search(
         if fresh_best >= floor:
             admitted = (fresh >= floor).nonzero()[0]
             if len(admitted) >= _MIN_FILTERED and i < last:
-                # carry only the entries with an expansion at or above next
-                # frame's cut, and those that emit a candidate now
-                final, stay, step = _escapes(lp[i + 1], graph, blank_id)
-                scores = fresh[admitted]
-                nxt_cut = fresh_bests[offset + 1] - beam_threshold
-                carried = (
-                    final[admitted]
-                    | (scores + stay[admitted] >= nxt_cut)
-                    | (scores + step[admitted] + cb >= nxt_cut)
-                )
-                admitted = admitted[carried]
+                # recombine on the slots propagation filled, hold out the rest
+                filled = np.zeros(len(fresh), dtype=bool)
+                filled[[root_slot[k] for k in nxt.keys() & root_slot.keys()]] = True
+                on = filled[admitted]
+                held = admitted[~on]
+                admitted = admitted[on]
+                held_scores = fresh[held]
+                held_top = float(held_scores.max(initial=-np.inf))
             for j, s in zip(admitted.tolist(), fresh[admitted].tolist()):
                 k = root_keys[j]
                 prev = nxt.get(k)
@@ -416,6 +438,14 @@ def _search(
         for key in pruned:
             del nxt[key]
         state = nxt
+        if held is not None:
+            # held terminals come last, where fresh keys appended to nxt would
+            term = graph.root_steps[0][held]
+            for j, s in zip(held[term].tolist(), held_scores[term].tolist()):
+                node = root_keys[j] >> 1
+                prev = at_terminal.get(node)
+                if prev is None or s > prev[0]:
+                    at_terminal[node] = (s, t)
 
         # survivors already satisfy the per-frame floor, so all terminals qualify
         if ranks is None:

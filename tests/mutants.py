@@ -57,6 +57,79 @@ MUTANTS = [
         reason="distinct candidates never share a rank (_rank's docstring), so the"
         " walk never meets an equal entry",
     ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "-(score / (t - start + 1)) > ranks[f][0]",
+        "-(score / (t - start + 1)) >= ranks[f][0]",
+        "tests/test_dominance.py::"
+        "test_filtered_candidates_are_the_undominated_ones_and_keep_the_same",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "held_scores + stay[offset].take(held) >= cut",
+        "held_scores + stay[offset].take(held) > cut",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "held_scores + step[offset].take(held) + cb >= cut",
+        "held_scores + step[offset].take(held) + cb > cut",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "top = max(top, held_top)",
+        "top = top",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "for cols, toks in more:",
+        "for cols, toks in more[:1]:",
+        "tests/test_streaming.py::test_holding_fresh_entries_changes_no_output_on_noise",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "age > max_age or score < min_pfs * age",
+        "age >= max_age or score < min_pfs * age",
+        "tests/test_spotter.py::test_exact_admission_matches_full_admission",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "for k in range(1, height + 1):",
+        "for k in range(1, height):",
+        "tests/test_dominance.py::"
+        "test_tightened_frontier_never_trails_the_earliest_live_start_nor_regresses",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if e >= hold_line:",
+        "if e > hold_line:",
+        "tests/test_dominance.py::"
+        "test_tightened_frontier_never_trails_the_earliest_live_start_nor_regresses",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if j >= 0 and k_end[j] >= s:",
+        "if j >= 0 and k_end[j] > s:",
+        "tests/test_dominance.py::"
+        "test_filtered_candidates_are_the_undominated_ones_and_keep_the_same",
+    ),
+    Mutant(
+        "src/ctcspot/merge.py",
+        "if start < cut <= end:",
+        "if start < cut < end:",
+        "tests/test_merge.py::test_multiword_replacement_end_to_end",
+    ),
+    Mutant(
+        "src/ctcspot/merge.py",
+        "cut = min(cut, open_word.start_frame)",
+        "cut = min(cut, open_word.end_frame)",
+        "tests/test_merge.py::test_commit_step_waits_for_held_candidates_and_open_word",
+    ),
 ]
 
 

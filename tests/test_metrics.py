@@ -14,6 +14,7 @@ from ctcspot import (
     keyword_prf,
     runtime_report,
 )
+from ctcspot.pipeline import StepTiming
 
 from conftest import reference_keyword_prf
 
@@ -219,3 +220,10 @@ def test_p95_nearest_rank():
     assert p95(xs) == 95
     assert p95([7.0]) == 7.0
     assert p95([1.0, 2.0]) == 2.0
+
+
+def test_timing_records_are_slotted():
+    """A pipeline keeps one StepTiming per step and a report reads one
+    ChunkTiming per chunk; neither carries a per-instance dict."""
+    assert not hasattr(StepTiming(1.0, 2.0, 3.0), "__dict__")
+    assert not hasattr(ChunkTiming(1.0, 2.0, 3.0), "__dict__")

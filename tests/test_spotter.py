@@ -435,10 +435,11 @@ def test_exact_admission_matches_full_admission(case):
     the floor (or on a slot propagation filled) keeps the same survivors
     and candidates as admitting every root child; searching each chunk of
     any chunking in one call ends in the same state with the same
-    candidates, also when every frame but a chunk's last drops the fresh
-    entries that die next frame (one-frame calls never drop any). In
-    tables of 2 rows, every block's last row reads the next frame's best
-    fresh entry from its table's look-ahead row."""
+    candidates, also when every frame but a chunk's last holds its fresh
+    entries on empty slots out of the state, and the next frame lets in
+    only those that reach its cut (one-frame calls never hold any). In
+    tables of 2 rows, an entry held on a block's last row is let in with
+    the next block's escape table."""
     graph, lp, cfg, sizes = case
     tables = reference_tables(graph)
     state, ref_state, per_frame = {}, {}, []
@@ -524,10 +525,59 @@ def test_candidate_and_state_order_is_pinned():
 def test_candidate_and_state_order_is_pinned_across_row_blocks():
     """The same digests with fresh-entry tables of 8 rows: the 56-frame
     whole-utterance calls and the 28-frame chunks then cross block
-    boundaries, where each block's last frame reads the next frame's best
-    fresh entry from its table's look-ahead row."""
+    boundaries, where the entries held on a block's last frame are let in
+    with the next block's escape table."""
     with mock.patch.object(spotter, "_BLOCK_ROWS", 8):
         test_candidate_and_state_order_is_pinned()
+
+
+# Two-frame cases over exact cells (cb_weight 1, beam 2, blank last). Frame 0
+# admits every root child on an empty state, so with threshold 1 it holds them
+# all; frame 1 shows whether the held ones are let in as the full search has them.
+_HELD_CASES = {
+    # "b" enters a beam below "a"; its blank loop at frame 1 is exactly the cut
+    "blank loop at the cut": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "bc", (1, 2))],
+        [[0.0, -2.0, -4.0, -4.0], [-4.0, -4.0, -4.0, 0.0]],
+    ),
+    # "b" steps to "c" at frame 1 at exactly the cut set by the fresh "a"
+    "step at the cut": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "bc", (1, 2))],
+        [[0.0, -2.0, -4.0, -4.0], [0.0, -4.0, -1.0, -4.0]],
+    ),
+    # the held "b" sets frame 1's cut; under a lower one, the repeat of "a"
+    # (the first root child) would fill the slot that the fresh "a" then
+    # takes, ahead of "b"'s blank loop instead of after it
+    "held top sets the cut": (
+        [BiasEntry(0, "b", (1,)), BiasEntry(1, "a", (0,))],
+        [[-1.5, 0.0, -4.0], [-1.0, -8.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _HELD_CASES)
+def test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them(name):
+    """An entry held out of the state is let in when an expansion of it is
+    at or above the next frame's cut, ties included, and that cut counts
+    the held entries' top score: the state after the two-frame call, in
+    order, and the candidates equal those of one-frame calls, which never
+    hold an entry."""
+    entries, rows = _HELD_CASES[name]
+    graph = build_graph(entries)
+    lp = np.array(rows)
+    blank = lp.shape[1] - 1
+    cfg = SpotterConfig(cb_weight=1.0, beam_threshold=2.0, min_per_frame_score=-10.0,
+                        blank_id=blank)
+    ref_state, ref_out = {}, []
+    for t in range(2):
+        ref_state = _search(ref_state, lp[t : t + 1], t, graph, cfg, blank, ref_out)
+    out = []
+    with mock.patch.object(spotter, "_MIN_FILTERED", 1), \
+            mock.patch.object(spotter, "_escape_table", wraps=spotter._escape_table) as escapes:
+        state = _search({}, lp, 0, graph, cfg, blank, out)
+    assert escapes.called
+    assert list(state.items()) == list(ref_state.items())
+    assert out == ref_out
 
 
 class _LayoutProbe(np.ndarray):
@@ -544,27 +594,31 @@ class _LayoutProbe(np.ndarray):
 def test_search_tables_are_c_ordered():
     """Every frames x columns table the search derives from a chunk is
     C-ordered, so each frame's row and row maximum read contiguous memory;
-    ``lp[:, root_tok]`` would come back in Fortran order. With every frame
-    filtered, the search also reads the next-frame escapes, one row at a
-    time. A 10-row chunk fits one default block; in blocks of 4 rows, it
-    gathers three tables, one per block, the first two with the next
-    block's first row, and all three are checked."""
+    ``lp[:, root_tok]`` would come back in Fortran order. With fresh entries
+    held on every frame (threshold 1), the search also gathers the escape
+    tables, at most once per block and never more rows than a block; with
+    none held (a threshold above the number of root children), it gathers
+    none. A 10-row chunk fits one default block; in blocks of 4 rows, it
+    gathers three fresh-entry tables, one per block, and all are checked."""
     rng = np.random.default_rng(31)
     vocab = 16
     graph = build_graph(random_entries(rng, 30, vocab=vocab, blank=vocab - 1, max_len=3))
     assert len(graph.root_tok) > 1
     lp = random_logprobs(rng, 10, vocab)
     for block_rows, gathers in ((spotter._BLOCK_ROWS, 1), (4, 3)):
-        for min_filtered in (spotter._MIN_FILTERED, 1):
+        for min_filtered in (len(graph.root_tok) + 1, 1):
             _LayoutProbe.seen = []
             probe = lp.view(_LayoutProbe)
             with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
                     mock.patch.object(spotter, "_BLOCK_ROWS", block_rows), \
                     mock.patch.object(spotter, "_fresh_table",
                                       wraps=spotter._fresh_table) as tables, \
-                    mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
+                    mock.patch.object(spotter, "_escape_table",
+                                      wraps=spotter._escape_table) as escapes:
                 _search({}, probe, 0, graph, SpotterConfig(blank_id=vocab - 1), vocab - 1, [])
             assert escapes.called == (min_filtered == 1)
+            assert escapes.call_count <= gathers
+            assert all(c.args[0].shape[0] <= block_rows for c in escapes.call_args_list)
             assert tables.call_count == gathers
             # the view above, each block's rows and each table
             assert len(_LayoutProbe.seen) > 2 * gathers

@@ -251,12 +251,14 @@ def test_wide_root_fan_out_matches_offline(frames_per_chunk):
     assert sorted(map(cand_key, streamed)) == sorted(map(cand_key, offline))
 
 
-def test_next_frame_filter_changes_no_output_on_noise():
+def test_holding_fresh_entries_changes_no_output_on_noise():
     """Near-flat noise at vocabulary 256 admits about 150 fresh entries per
-    frame, a third of which die on the next. Dropping those on every frame
-    but a chunk's last (threshold 1) gives the same candidates in the same
-    order, offline and at every chunking, as never dropping them (a
-    threshold above the number of root children)."""
+    frame, a third of which die on the next. Holding the admitted entries
+    on empty slots out of the state on every frame but a chunk's last
+    (threshold 1), and letting in the next frame only those that reach its
+    cut, gives the same candidates in the same order, offline and at every
+    chunking, as inserting them all (a threshold above the number of root
+    children)."""
     rng = np.random.default_rng(41)
     vocab = 256
     graph = build_graph(random_entries(rng, 400, vocab=vocab, blank=vocab - 1, max_len=4))
@@ -266,7 +268,7 @@ def test_next_frame_filter_changes_no_output_on_noise():
 
     def outputs(min_filtered):
         with mock.patch.object(spotter, "_MIN_FILTERED", min_filtered), \
-                mock.patch.object(spotter, "_escapes", wraps=spotter._escapes) as escapes:
+                mock.patch.object(spotter, "_escape_table", wraps=spotter._escape_table) as escapes:
             out = [spot_offline(lp, graph, cfg)]
             for n in (1, 4, 28):
                 session = SpotterSession(graph, cfg)
@@ -275,9 +277,9 @@ def test_next_frame_filter_changes_no_output_on_noise():
         assert escapes.called == (min_filtered == 1)
         return out
 
-    filtered = outputs(1)
-    assert len(filtered[0]) > 100
-    assert filtered == outputs(vocab + 1)
+    held = outputs(1)
+    assert len(held[0]) > 100
+    assert held == outputs(len(graph.root_tok) + 1)
 
 
 LAYOUTS = {
