@@ -81,6 +81,12 @@ class ContextGraph:
         return max(self.token_ids, default=-1)
 
     @cached_property
+    def root_nodes(self) -> np.ndarray:
+        """The node of each root child, ``root_keys[i] >> 1``, as an np.intp
+        array."""
+        return np.array(self.root_keys, dtype=np.intp) >> 1
+
+    @cached_property
     def root_steps(self) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """The trie below the root children: ``(final, first, more)``.
         ``final[i]`` is True when the i-th root child ends a keyword and

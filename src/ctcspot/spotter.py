@@ -40,13 +40,18 @@ frame old, within any age cap.
 Fresh entries stay out of the frame's table until they can expand. On
 noise a frame admits hundreds of fresh entries, and most of them are
 skipped on every expansion the next frame. On frames that admit at least
-``_MIN_FILTERED`` entries, except a call's last, those on slots that
-propagation left empty are held aside, as scores over the root children;
-the next frame's ``cut`` counts their best, and only those whose best
-escape (the larger of blank loop and repeat, or the best step to a child
-plus ``cb_weight``, read from :func:`_escape_table`) reaches it join the
-state, where the full search has them: after the other entries, in
-root-child order. An entry left out would insert nothing. The state after
+``_MIN_FILTERED`` entries, except a call's last, only those on the few
+slots that propagation filled recombine in the table (a root child's slot
+is filled only by its own repeat, as only the root, never a hypothesis,
+steps into a root child). The rest are held aside, as scores over the root
+children. The next frame's ``cut`` counts their best, and only those whose
+best escape (the larger of blank loop and repeat, or the best step to a
+child plus ``cb_weight``, read from :func:`_escape_table`) reaches it are
+expanded, straight after the state's entries and in root-child order,
+which is where the full search has them. An entry left out would insert
+nothing. Every held terminal spans one frame, and of a frame's one-frame
+candidates a rank index keeps at most the best-ranked, so with an index
+only the best held terminal goes through the rank walk. The state after
 each call, every candidate and their order stay the same (see
 :func:`_search`). Frames of speech admit none or one, and hold none.
 
@@ -87,6 +92,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -292,19 +298,40 @@ def _search(
     not the call's last row, the admitted entries on root-child slots that
     propagation filled recombine in place as always, and the rest are held:
     not inserted, but kept as root children ``held`` with scores
-    ``held_scores``. Admitting them all would append their keys to ``nxt``
-    after every propagated key, in root-child order, and the prune loop
-    would pass them (a fresh entry skips its tests). So the held terminals
-    enter ``at_terminal`` after that loop, in root-child order; start t is
-    the latest, so a tie keeps the earlier start, as the loop does.
+    ``held_scores``. Only a root child's own repeat fills its slot, so the
+    filled slots are ``nxt.keys() & root_slot.keys()``, a few a frame;
+    recombination runs on those, and ``held`` is the admitted entries with
+    those slots cleared. Admitting the held ones would append their keys to
+    ``nxt`` after every propagated key, in root-child order, and the prune
+    loop would pass them (a fresh entry skips its tests). So the held
+    terminals enter ``at_terminal`` after that loop, in root-child order;
+    start t is the latest, so a tie keeps the earlier start, as the loop
+    does. A held slot's node can be in ``at_terminal`` already only through
+    its blank sub-state.
+
+    With a rank index, every held terminal spans [t, t], and no candidate
+    emitted before frame t starts at t, so ``ranks[t - base]`` ends the
+    frame at the best rank among the frame's one-frame candidates, and the
+    second pass keeps at most that one. The rank walk's result does not
+    depend on the order of its entries. So only the best-ranked held
+    terminal (highest score, then smallest keyword id; :func:`_rank` with
+    one frame) can change ``ranks`` or ``out``: the few whose node is
+    already in ``at_terminal`` take it in place when strictly better, as
+    above, and then only the best of the rest is appended. Without an
+    index (:func:`spot_offline`, the oracle's reference) every candidate is
+    emitted, and each held terminal enters one by one.
+
     At frame t+1, ``top`` counts the held entries' best score, so ``lo`` and
     ``cut`` are those of the full search. Then each held entry of score f
-    at root child j that has an expansion at or above ``cut`` is added to
-    the state, after its own entries and in root-child order, which is
-    where the full search has it, and all expand in the one loop. Rounded
-    addition is monotone, so ``f + stay[j]`` is exactly the larger of its
-    blank loop and repeat and ``(f + step[j]) + cb`` at least its best step
-    to a child (see :func:`_escape_table`), and the test needs no margin.
+    at root child j that has an expansion at or above ``cut`` goes to the
+    expansion loop with start t, after the state's own entries and in
+    root-child order, which is where the full search has it. Its key is
+    never in the state (it was held on an empty slot, and after admission
+    a frame only deletes keys), so the loop sees the same entries in the
+    same order without inserting it. Rounded addition is monotone, so ``f +
+    stay[j]`` is exactly the larger of its blank loop and repeat and ``(f +
+    step[j]) + cb`` at least its best step to a child (see
+    :func:`_escape_table`), and the test needs no margin.
     An entry left out would have inserted nothing, so ``nxt`` gets the same
     keys in the same order. Nothing is held past a call's last row, so the
     returned state, and with it the session's commit frontier and rank
@@ -348,18 +375,23 @@ def _search(
         lo = max(top + lp_blank, fresh_best)
         cut = lo - beam_threshold
         if held is not None:
-            # the held entries with an expansion at or above cut join the state
+            # the held entries with an expansion at or above cut expand after the
+            # state's own, where admitting them would have put them; none is in it
             if escapes is None:
                 escapes = _escape_table(block, graph, blank_id)
             stay, step = escapes
             picked = (held_scores + stay[offset].take(held) >= cut) | (
                 held_scores + step[offset].take(held) + cb >= cut
             )
-            for j, s in zip(held[picked].tolist(), held_scores[picked].tolist()):
-                state[root_keys[j]] = (s, t - 1)
+            items = chain(state.items(), zip(
+                map(root_keys.__getitem__, held[picked].tolist()),
+                zip(held_scores[picked].tolist(), repeat(t - 1)),
+            ))
             held = None
+        else:
+            items = state.items()
 
-        for key, (score, start) in state.items():
+        for key, (score, start) in items:
             # blank self-loop
             s = score + lp_blank
             if s >= cut:
@@ -400,21 +432,27 @@ def _search(
         beam_floor = best - beam_threshold
         floor = max(min_pfs, beam_floor)
         if fresh_best >= floor:
-            admitted = (fresh >= floor).nonzero()[0]
+            admit = fresh >= floor
+            admitted = admit.nonzero()[0]
             if len(admitted) >= _MIN_FILTERED and i < last:
-                # recombine on the slots propagation filled, hold out the rest
-                filled = np.zeros(len(fresh), dtype=bool)
-                filled[[root_slot[k] for k in nxt.keys() & root_slot.keys()]] = True
-                on = filled[admitted]
-                held = admitted[~on]
-                admitted = admitted[on]
+                # a root child's slot is filled only by its own repeat: recombine
+                # the few filled slots, hold out the rest
+                for k in nxt.keys() & root_slot.keys():
+                    j = root_slot[k]
+                    if admit[j]:
+                        admit[j] = False
+                        s = fresh.item(j)
+                        if s > nxt[k][0]:
+                            nxt[k] = (s, t)
+                held = admit.nonzero()[0]
                 held_scores = fresh[held]
                 held_top = float(held_scores.max(initial=-np.inf))
-            for j, s in zip(admitted.tolist(), fresh[admitted].tolist()):
-                k = root_keys[j]
-                prev = nxt.get(k)
-                if prev is None or s > prev[0]:
-                    nxt[k] = (s, t)
+            else:
+                for j, s in zip(admitted.tolist(), fresh[admitted].tolist()):
+                    k = root_keys[j]
+                    prev = nxt.get(k)
+                    if prev is None or s > prev[0]:
+                        nxt[k] = (s, t)
 
         pruned = []
         at_terminal: dict[int, tuple[float, int]] = {}
@@ -441,11 +479,34 @@ def _search(
         if held is not None:
             # held terminals come last, where fresh keys appended to nxt would
             term = graph.root_steps[0][held]
-            for j, s in zip(held[term].tolist(), held_scores[term].tolist()):
-                node = root_keys[j] >> 1
-                prev = at_terminal.get(node)
-                if prev is None or s > prev[0]:
-                    at_terminal[node] = (s, t)
+            cols = held[term]
+            scores = held_scores[term]
+            if ranks is None:
+                for j, s in zip(cols.tolist(), scores.tolist()):
+                    node = root_keys[j] >> 1
+                    prev = at_terminal.get(node)
+                    if prev is None or s > prev[0]:
+                        at_terminal[node] = (s, t)
+            elif len(cols):
+                # each spans [t, t], so the rank walk keeps only the best; a held
+                # node is already in at_terminal only through its blank sub-state
+                root_nodes = graph.root_nodes
+                seen = at_terminal.keys() & set(root_nodes[cols].tolist())
+                if seen:
+                    rest = np.ones(len(cols), dtype=bool)
+                    for node in seen:
+                        j = root_slot[node << 1]
+                        rest[cols.searchsorted(j)] = False
+                        s = fresh.item(j)
+                        if s > at_terminal[node][0]:
+                            at_terminal[node] = (s, t)
+                    cols = cols[rest]
+                    scores = scores[rest]
+                if len(cols):
+                    # the best-ranked: the highest score, then the smallest keyword id
+                    s = scores.max()
+                    node = min(root_nodes[cols[scores == s]].tolist(), key=terminals.__getitem__)
+                    at_terminal[node] = (float(s), t)
 
         # survivors already satisfy the per-frame floor, so all terminals qualify
         if ranks is None:

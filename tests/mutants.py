@@ -7,16 +7,20 @@ tell it from the code, the reason says why, and it is not run.
 
 Run from the repository root::
 
-    python tests/mutants.py
+    python tests/mutants.py                   # every row
+    python tests/mutants.py merge.py "> cut"  # only the rows whose path or
+                                              # replacement holds an argument
 
 The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temporary directory, never touching the working tree. It first runs each
 named test on the unchanged copy, where each must pass, then makes each
-row's replacement in the copy and runs only that row's test, restoring the
-file after it. It exits 1 unless every test passed on the unchanged copy
-and failed on its mutant. ``tests/test_mutants.py`` checks in tier-1 that
-each row's source text still occurs exactly once, so a refactor cannot
-leave the table stale.
+row's replacement in the copy and runs only that row's test (a node id,
+which may name one case of a parametrized test), restoring the file after
+it. It ends with one tally line (killed, equivalent, survived, stale) and
+exits 1 unless every test passed on the unchanged copy and failed on its
+mutant. ``tests/test_mutants.py`` checks in tier-1 that each row's source
+text still occurs exactly once, so a refactor cannot leave the table
+stale.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ class Mutant:
     test: str | None  # pytest node id of the test that must fail
     reason: str | None = None  # why the mutant is equivalent; None: run it
 
+
+# The three expansion tie lines are the same text, so a source starts on the
+# line before its tie clause, which then occurs once.
+_TIE = " or (s == prev[0] and start < prev[1]):"
+_BLANK = "k = key | 1\n" + " " * 16 + "prev = nxt.get(k)\n" + " " * 16 + "if prev is None or s > prev[0]"
+_REPEAT = "prev = nxt.get(key)\n" + " " * 20 + "if prev is None or s > prev[0]"
+_CHILD = "k = child << 1\n" + " " * 24 + "prev = nxt.get(k)\n" + " " * 24 + "if prev is None or s > prev[0]"
 
 MUTANTS = [
     Mutant(
@@ -84,6 +95,88 @@ MUTANTS = [
         "top = top",
         "tests/test_spotter.py::"
         "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them",
+    ),
+    # The tie rules of recombination (_TIE after each of _BLANK, _REPEAT and
+    # _CHILD, and in the prune loop's at_terminal update).
+    Mutant("src/ctcspot/spotter.py", _BLANK + _TIE, _BLANK + ":",
+           "tests/test_spotter.py::test_candidate_and_state_order_is_pinned"),
+    Mutant("src/ctcspot/spotter.py", _BLANK + _TIE, _BLANK + _TIE.replace("<", "<="), None,
+           reason="an equal score with an equal start writes the value already there;"
+           " the same holds for the repeat, child and at_terminal tie clauses"),
+    Mutant("src/ctcspot/spotter.py", _REPEAT + _TIE, _REPEAT + ":",
+           "tests/test_spotter.py::test_exact_admission_matches_full_admission"),
+    Mutant("src/ctcspot/spotter.py", _CHILD + _TIE, _CHILD + ":",
+           "tests/test_spotter.py::test_candidate_and_state_order_is_pinned"),
+    Mutant("src/ctcspot/spotter.py", _CHILD + _TIE, _CHILD + _TIE.replace("<", ">"),
+           "tests/test_spotter.py::test_candidate_and_state_order_is_pinned"),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):",
+        "if prev is None or score > prev[0]:",
+        "tests/test_spotter.py::test_candidate_and_state_order_is_pinned",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if prev is None or score > prev[0] or (score == prev[0] and start < prev[1]):",
+        "if prev is None or score > prev[0] or (score == prev[0] and start > prev[1]):",
+        "tests/test_spotter.py::test_candidate_and_state_order_is_pinned",
+    ),
+    # The tie rules of fresh entry: a live entry below the floor is pruned only
+    # under a strictly better fresh one, which replaces a filled slot only
+    # when strictly better.
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if j is not None and fresh[j] > score:",
+        "if j is not None and fresh[j] >= score:",
+        "tests/test_spotter.py::test_candidate_and_state_order_is_pinned",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if s > nxt[k][0]:",
+        "if s >= nxt[k][0]:",
+        "tests/test_spotter.py::test_exact_admission_matches_full_admission",
+    ),
+    # The held terminals of a ranked search: the in-place rule on a node already
+    # at a terminal, the tie on keyword id, and the rank walk they go through.
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if s > at_terminal[node][0]:",
+        "if s < at_terminal[node][0]:",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them"
+        "[held above its blank loop]",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "if s > at_terminal[node][0]:",
+        "if s >= at_terminal[node][0]:",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them"
+        "[held at its blank loop]",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "rest[cols.searchsorted(j)] = False",
+        "pass",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them"
+        "[held at its blank loop]",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "node = min(root_nodes[cols[scores == s]].tolist(), key=terminals.__getitem__)",
+        "node = root_nodes[cols[scores.argmax()]]",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them"
+        "[held tie on score]",
+    ),
+    Mutant(
+        "src/ctcspot/spotter.py",
+        "at_terminal[node] = (float(s), t)",
+        "out.append(SpottedCandidate(terminals[node], t, t, float(s)))",
+        "tests/test_spotter.py::"
+        "test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them"
+        "[recombined beats held]",
     ),
     Mutant(
         "src/ctcspot/spotter.py",
@@ -134,14 +227,25 @@ MUTANTS = [
 
 
 def _pytest(copy: Path, test: str) -> int:
-    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    # no bytecode cache: a mutant of the same size as the text it replaces,
+    # written within the second of the last compile, would run stale bytecode
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def pick(mutants: list[Mutant], patterns: list[str]) -> list[Mutant]:
+    """The rows whose path or replacement holds one of ``patterns``; every
+    row when there are none."""
+    if not patterns:
+        return mutants
+    return [m for m in mutants if any(p in m.path or p in m.replacement for p in patterns)]
 
 
 def run(mutants: list[Mutant]) -> bool:
     """True when every test passes unchanged and fails on its mutant."""
     live = [m for m in mutants if m.reason is None]
+    tally = dict.fromkeys(("killed", "equivalent", "survived", "stale"), 0)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -157,7 +261,7 @@ def run(mutants: list[Mutant]) -> bool:
             text = target.read_text(encoding="utf-8")
             if text.count(m.source) != 1:
                 print(f"STALE {m.path}: {m.source!r} does not occur exactly once")
-                ok = False
+                tally["stale"] += 1
                 continue
             target.write_text(text.replace(m.source, m.replacement), encoding="utf-8")
             try:
@@ -165,12 +269,14 @@ def run(mutants: list[Mutant]) -> bool:
             finally:
                 target.write_text(text, encoding="utf-8")
             print(f"{'killed' if code == 1 else 'SURVIVED'} (exit {code}): {m.path}: {m.replacement!r}")
-            ok &= code == 1
+            tally["killed" if code == 1 else "survived"] += 1
     for m in mutants:
         if m.reason is not None:
             print(f"equivalent, not run: {m.path}: {m.replacement!r}: {m.reason}")
-    return ok
+            tally["equivalent"] += 1
+    print(", ".join(f"{name} {n}" for name, n in tally.items()))
+    return ok and not (tally["survived"] or tally["stale"])
 
 
 if __name__ == "__main__":
-    sys.exit(0 if run(MUTANTS) else 1)
+    sys.exit(0 if run(pick(MUTANTS, sys.argv[1:])) else 1)

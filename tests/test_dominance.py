@@ -65,6 +65,18 @@ def _contains_a_better_one(cand, candidates) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(dominance_cases())
+@example((  # "ab" over frames 0-1 ties the per-frame score of "a" at 0, and is longer
+    build_graph([BiasEntry(0, "a", (0,)), BiasEntry(1, "ab", (0, 1))]),
+    np.array([[0.0, -4.0, -4.0], [-4.0, 0.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, blank_id=2),
+    [2],
+))
+@example((  # "ab" over frames 0-1 contains the better "a" at 0, which ends where it starts
+    build_graph([BiasEntry(0, "a", (0,)), BiasEntry(1, "ab", (0, 1))]),
+    np.array([[0.0, -4.0, -4.0], [-4.0, -1.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, blank_id=2),
+    [2],
+))
 def test_filtered_candidates_are_the_undominated_ones_and_keep_the_same(case):
     graph, lp, cfg, _ = case
     every = spot_offline(lp, graph, cfg)

@@ -371,6 +371,24 @@ def _cand_keys(cands):
                   max_keyword_frames=1, blank_id=2),
     [2, 1],
 ))
+@example((  # the repeat of "ab" ties the step into it from a later "a", and keeps its start
+    build_graph([BiasEntry(0, "ab", (0, 1))]),
+    np.array([[-1.0, -4.0, -4.0], [-2.0, -1.0, -8.0], [-4.0, 0.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=2.0, blank_id=2),
+    [3],
+))
+@example((  # a held frame's fresh "a" ties the repeat that filled its slot
+    build_graph([BiasEntry(0, "a", (0,))]),
+    np.array([[0.0, -4.0], [-1.0, -4.0], [-4.0, 0.0]]),
+    SpotterConfig(cb_weight=1.0, beam_threshold=2.0, blank_id=1),
+    [3],
+))
+@example((  # "ab" ends at exactly the age cap
+    build_graph([BiasEntry(0, "ab", (0, 1))]),
+    np.array([[0.0, -4.0, -4.0], [-4.0, 0.0, -4.0]]),
+    SpotterConfig(cb_weight=1.0, max_keyword_frames=2, blank_id=2),
+    [2],
+))
 @example((  # a child lands exactly on the beam floor that fresh_best sets
     build_graph([BiasEntry(0, "ab", (0, 1))]),
     np.array([[-1.0, -4.0, -4.0], [-1.0, -2.0, -4.0]]),
@@ -531,9 +549,11 @@ def test_candidate_and_state_order_is_pinned_across_row_blocks():
         test_candidate_and_state_order_is_pinned()
 
 
-# Two-frame cases over exact cells (cb_weight 1, beam 2, blank last). Frame 0
-# admits every root child on an empty state, so with threshold 1 it holds them
-# all; frame 1 shows whether the held ones are let in as the full search has them.
+# Cases over exact cells (cb_weight 1, beam 2, blank last). Frame 0 admits
+# every root child on an empty state, so with threshold 1 it holds them all;
+# frame 1 shows whether the held ones are let in, and with a rank index whether
+# the held terminals enter it, as the full search has them. The last four hold
+# again at frame 1.
 _HELD_CASES = {
     # "b" enters a beam below "a"; its blank loop at frame 1 is exactly the cut
     "blank loop at the cut": (
@@ -552,6 +572,30 @@ _HELD_CASES = {
         [BiasEntry(0, "b", (1,)), BiasEntry(1, "a", (0,))],
         [[-1.5, 0.0, -4.0], [-1.0, -8.0, 0.0]],
     ),
+    # at frame 1 the held "a" beats the blank loop of "a" on its own node and
+    # is emitted over frame 1 alone
+    "held above its blank loop": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))],
+        [[-2.0, 0.0, -4.0], [-1.0, -4.0, 0.0], [-4.0, -4.0, 0.0]],
+    ),
+    # the held "a" ties that blank loop, which keeps its earlier start; the
+    # candidate over frames 0-1 then contains frame 0's "b" and is dropped
+    "held at its blank loop": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))],
+        [[-2.0, 0.0, -4.0], [-2.0, -4.0, 0.0], [-4.0, -4.0, 0.0]],
+    ),
+    # "a" and "b" are held at one score at frame 1; the smaller keyword id
+    # wins, though "b" is the first root child
+    "held tie on score": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))],
+        [[-4.0, -4.0, 0.0], [0.0, 0.0, -4.0], [-4.0, -4.0, 0.0]],
+    ),
+    # the fresh "a" recombines on the slot its repeat filled and outranks the
+    # held "b"
+    "recombined beats held": (
+        [BiasEntry(0, "a", (0,)), BiasEntry(1, "b", (1,))],
+        [[-1.0, -4.0, -4.0], [0.0, -0.5, -4.0], [-4.0, -4.0, 0.0]],
+    ),
 }
 
 
@@ -559,8 +603,12 @@ _HELD_CASES = {
 def test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them(name):
     """An entry held out of the state is let in when an expansion of it is
     at or above the next frame's cut, ties included, and that cut counts
-    the held entries' top score: the state after the two-frame call, in
-    order, and the candidates equal those of one-frame calls, which never
+    the held entries' top score. With a rank index, which emits at most the
+    best-ranked one-frame candidate of a frame, the rank walk gets only the
+    best held terminal, after a held one on a node already at a terminal
+    through its blank sub-state takes that node when strictly better. With
+    and without an index, the state after the call, in order, the
+    candidates and the index equal those of one-frame calls, which never
     hold an entry."""
     entries, rows = _HELD_CASES[name]
     graph = build_graph(entries)
@@ -568,16 +616,18 @@ def test_held_entries_are_let_in_exactly_as_the_full_search_keeps_them(name):
     blank = lp.shape[1] - 1
     cfg = SpotterConfig(cb_weight=1.0, beam_threshold=2.0, min_per_frame_score=-10.0,
                         blank_id=blank)
-    ref_state, ref_out = {}, []
-    for t in range(2):
-        ref_state = _search(ref_state, lp[t : t + 1], t, graph, cfg, blank, ref_out)
-    out = []
-    with mock.patch.object(spotter, "_MIN_FILTERED", 1), \
-            mock.patch.object(spotter, "_escape_table", wraps=spotter._escape_table) as escapes:
-        state = _search({}, lp, 0, graph, cfg, blank, out)
-    assert escapes.called
-    assert list(state.items()) == list(ref_state.items())
-    assert out == ref_out
+    for index in (None, []):
+        ref_state, ref_out, ref_ranks = {}, [], None if index is None else []
+        for t in range(lp.shape[0]):
+            ref_state = _search(ref_state, lp[t : t + 1], t, graph, cfg, blank, ref_out, ref_ranks)
+        out, ranks = [], None if index is None else []
+        with mock.patch.object(spotter, "_MIN_FILTERED", 1), \
+                mock.patch.object(spotter, "_escape_table", wraps=spotter._escape_table) as escapes:
+            state = _search({}, lp, 0, graph, cfg, blank, out, ranks)
+        assert escapes.called
+        assert list(state.items()) == list(ref_state.items())
+        assert out == ref_out
+        assert ranks == ref_ranks
 
 
 class _LayoutProbe(np.ndarray):
